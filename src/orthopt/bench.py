@@ -123,10 +123,14 @@ def save_dense_matrix(path, mat) -> None:
 
 
 def relgap(f_final: float, best: float) -> float:
-    """Percentage excess over the best known value: (f - best)/best * 100."""
+    """Percentage excess over the best known value: (f - best)/|best| * 100.
+
+    Dividing by |best| keeps an excess positive for negative references, such
+    as graph matching's negated scores.
+    """
     if best == 0:
         raise ValueError("relative gap is undefined for best == 0")
-    return (f_final - best) / best * 100.0
+    return (f_final - best) / abs(best) * 100.0
 
 
 def clustering_metrics(truth, pred, r: int) -> tuple[float, float, float]:

@@ -20,9 +20,10 @@ from .penalty import (
     PenaltyObjective,
     PenaltyParams,
     nonneg_violation,
+    penalty_value,
 )
 from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
-from .stiefel import StiefelPoint, check_matrix, proj_tangent
+from .stiefel import StiefelPoint, check_matrix, proj_tangent, tangent_projection
 
 # outer-loop f-stagnation lag and relative tolerance for the early stop
 _STAGNATION_LAG = 9
@@ -194,13 +195,13 @@ def round_to_feasible(x) -> StiefelPoint:
     return StiefelPoint(out / norms)
 
 
-def _initial_rho(f: Objective, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
+def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
     if cfg.rho0 is not None:
         return cfg.rho0
     viol = nonneg_violation(x0.mat)
     if viol <= 0:
         return 1.0
-    rho = cfg.rho0_scale * abs(f.value(x0.mat)) / viol
+    rho = cfg.rho0_scale * abs(f0) / viol
     return rho if rho > 0 else 1.0
 
 
@@ -217,15 +218,20 @@ def penalty_solve(
 
     A line-search failure inside a subproblem aborts the run; the report then
     describes the last completed iterate and carries a flag.
+
+    Each outer iteration evaluates f and the penalty term once at the solved
+    iterate and builds both penalized values (for the weight just solved and
+    the grown one) from those two terms.
     """
     if cfg is None:
         cfg = PenaltyConfig()
     start_time = time.perf_counter()
 
-    rho = _initial_rho(f, x0, cfg)
+    f0 = f.value(x0.mat)
+    rho = _initial_rho(f0, x0, cfg)
     tau = cfg.tau0
     pobj = PenaltyObjective(f, PenaltyParams(rho, cfg.gamma))
-    upsilon = pobj.value(x0.mat)
+    upsilon = f0 + rho * penalty_value(x0.mat, cfg.gamma)
 
     solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
     x = x_start = x0
@@ -258,12 +264,14 @@ def penalty_solve(
         if not tr.converged:
             flags.append(f"inner_tolerance_not_met@outer={l}")
 
-        theta_x = pobj.value(x.mat)
+        # the same float sums as pobj.value(x.mat)
+        f_val = f.value(x.mat)
+        pen = penalty_value(x.mat, cfg.gamma)
+        theta_x = f_val + rho * pen
         if theta_x > upsilon + 1e-12 * (1.0 + abs(upsilon)):
             flags.append(f"acceptance_bound_violated@outer={l}")
 
         ninf = nonneg_violation(x.mat)
-        f_val = f.value(x.mat)
         f_hist.append(f_val)
         records.append(OuterRecord(rho=rho, tau=tau, ninf=ninf, f_value=f_val, upsilon=upsilon))
 
@@ -279,7 +287,7 @@ def penalty_solve(
         tau = max(cfg.sigma_tau * tau, cfg.tau_min)
         pobj = PenaltyObjective(f, PenaltyParams(rho, cfg.gamma))
 
-        theta_plain = pobj.value(x.mat)
+        theta_plain = f_val + rho * pen
         x_start, upsilon = x, theta_plain
         # the rounded-warm-start gate compares against the weight just solved
         # (records[-1].rho), not the freshly grown one
@@ -327,20 +335,25 @@ class AugLagObjective(Objective):
         self.f = f
         self.lam = np.asarray(lam, dtype=float)
         self.mu = float(mu)
+        self._shift = self.lam / self.mu
+        self._lam_term = float(np.sum(self.lam * self.lam)) / (2.0 * self.mu)
 
     def _slack(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum(0.0, x - self.lam / self.mu)
+        return np.minimum(0.0, x - self._shift)
+
+    def _value(self, fv: float, s: np.ndarray) -> float:
+        return fv + 0.5 * self.mu * float(np.sum(s * s)) - self._lam_term
 
     def value(self, x: np.ndarray) -> float:
-        s = self._slack(x)
-        return (
-            self.f.value(x)
-            + 0.5 * self.mu * float(np.sum(s * s))
-            - float(np.sum(self.lam * self.lam)) / (2.0 * self.mu)
-        )
+        return self._value(self.f.value(x), self._slack(x))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.f.gradient(x) + self.mu * self._slack(x)
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        fv, fg = self.f.value_and_gradient(x)
+        s = self._slack(x)
+        return self._value(fv, s), fg + self.mu * s
 
 
 def alm_solve(
@@ -453,8 +466,7 @@ def stationarity_residual(
     zero_mask = xm < zero_tol
 
     def tangent(w: np.ndarray) -> np.ndarray:
-        a = xm.T @ w + w.T @ xm
-        return w - 0.5 * (xm @ a)
+        return tangent_projection(xm, w)
 
     if not np.any(zero_mask):
         return float(np.linalg.norm(tangent(g)))

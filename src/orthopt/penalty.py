@@ -48,7 +48,7 @@ def nonneg_violation_envelope(x, gamma: float) -> float:
     quad = x * x / (2.0 * gamma)
     lin = -x - 0.5 * gamma
     per_entry = np.where(x < -gamma, lin, np.where(x < 0.0, quad, 0.0))
-    return float(np.sum(per_entry))
+    return float(per_entry.sum())
 
 
 def nonneg_violation_envelope_grad(x, gamma: float) -> np.ndarray:
@@ -61,7 +61,7 @@ def nonneg_violation_envelope_grad(x, gamma: float) -> np.ndarray:
 def quad_penalty(x) -> float:
     """Squared Frobenius distance to the nonnegative cone."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(np.minimum(x, 0.0) ** 2))
+    return float((np.minimum(x, 0.0) ** 2).sum())
 
 
 def quad_penalty_grad(x) -> np.ndarray:
@@ -73,10 +73,11 @@ def quad_penalty_grad(x) -> np.ndarray:
 class Objective:
     """A smooth objective over n x r matrices: value plus Euclidean gradient.
 
-    Lipschitz constants are never required; the solvers use line searches
-    instead. ``hessian_vec`` defaults to a forward difference of the gradient
-    and is consumed only by diagnostics; subclasses override it where an exact
-    form is cheap.
+    The solvers evaluate through ``value_and_gradient``. Lipschitz constants
+    are never required; the solvers use line searches instead.
+    ``hessian_vec`` defaults to a forward difference of the gradient and is
+    consumed only by diagnostics; subclasses override it where an exact form
+    is cheap.
     """
 
     def value(self, x: np.ndarray) -> float:
@@ -86,6 +87,11 @@ class Objective:
         raise NotImplementedError
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and gradient at one point; the solvers' only evaluation call.
+
+        Delegates to ``value`` and ``gradient``. Override it to share work
+        between the two, with the same floating-point expressions as they use.
+        """
         return self.value(x), self.gradient(x)
 
     def hessian_vec(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -112,23 +118,29 @@ class PenaltyParams:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
 
-def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
-    """Value and gradient of the bare penalty term selected by gamma."""
+def penalty_value(x, gamma: float) -> float:
+    """Value of the bare penalty term selected by gamma."""
     if gamma > 0:
-        return (
-            nonneg_violation_envelope(x, gamma),
-            nonneg_violation_envelope_grad(x, gamma),
-        )
-    return quad_penalty(x), quad_penalty_grad(x)
+        return nonneg_violation_envelope(x, gamma)
+    return quad_penalty(x)
+
+
+def penalty_grad(x, gamma: float) -> np.ndarray:
+    """Gradient of the bare penalty term selected by gamma."""
+    if gamma > 0:
+        return nonneg_violation_envelope_grad(x, gamma)
+    return quad_penalty_grad(x)
 
 
 def penalty_value_and_grad(
     f: Objective, x: np.ndarray, params: PenaltyParams
 ) -> tuple[float, np.ndarray]:
     """Value and Euclidean gradient of f + rho * penalty at x."""
-    pv, pg = penalty_terms(x, params.gamma)
     fv, fg = f.value_and_gradient(x)
-    return fv + params.rho * pv, fg + params.rho * pg
+    return (
+        fv + params.rho * penalty_value(x, params.gamma),
+        fg + params.rho * penalty_grad(x, params.gamma),
+    )
 
 
 class PenaltyObjective(Objective):
@@ -140,16 +152,11 @@ class PenaltyObjective(Objective):
 
     def value(self, x: np.ndarray) -> float:
         p = self.params
-        if p.gamma > 0:
-            pv = nonneg_violation_envelope(x, p.gamma)
-        else:
-            pv = quad_penalty(x)
-        return self.f.value(x) + p.rho * pv
+        return self.f.value(x) + p.rho * penalty_value(x, p.gamma)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         p = self.params
-        if p.gamma > 0:
-            pg = nonneg_violation_envelope_grad(x, p.gamma)
-        else:
-            pg = quad_penalty_grad(x)
-        return self.f.gradient(x) + p.rho * pg
+        return self.f.gradient(x) + p.rho * penalty_grad(x, p.gamma)
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return penalty_value_and_grad(self.f, x, self.params)

@@ -4,11 +4,13 @@ Each step retracts a multiple of the negative projected gradient back onto the
 manifold. The trial step size starts from a Barzilai-Borwein estimate and is
 shrunk geometrically until the new value drops below the maximum objective
 over a sliding window of past iterates minus a sufficient-decrease margin.
-With window memory zero the method is strictly monotone.
+With window memory zero the method is strictly monotone. The loop works on
+raw arrays and evaluates each trial point once.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -16,7 +18,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .penalty import Objective
-from .stiefel import StiefelPoint, proj_tangent, qr_orthonormalize
+from .stiefel import (
+    StiefelPoint,
+    check_matrix,
+    proj_tangent,
+    qr_orthonormalize,
+    tangent_projection,
+)
 
 _BB_DEGENERACY = 1e-16
 
@@ -79,11 +87,14 @@ class PgmTrace:
     """Per-iteration record of a solve.
 
     ``values`` and ``grad_norms`` cover every iterate including the start;
-    the remaining lists have one entry per accepted step.
+    the remaining lists have one entry per accepted step. ``evaluations``
+    counts the objective evaluations (``value_and_gradient`` calls) of the
+    solve: one at the start and one per trial point.
     """
 
     memory: int
     grad_tol: float = float("nan")
+    evaluations: int = 0
     values: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
@@ -130,9 +141,9 @@ def bb_stepsize(dx, dy, t_min: float, t_max: float, fallback: float) -> float:
     dy = np.asarray(dy, dtype=float)
     if dx.shape != dy.shape:
         raise ValueError(f"shape mismatch: {dx.shape} vs {dy.shape}")
-    nx2 = float(np.sum(dx * dx))
-    ny2 = float(np.sum(dy * dy))
-    ip = abs(float(np.sum(dx * dy)))
+    nx2 = float((dx * dx).sum())
+    ny2 = float((dy * dy).sum())
+    ip = abs(float((dx * dy).sum()))
     if nx2 == 0.0 or ny2 == 0.0 or ip <= _BB_DEGENERACY * np.sqrt(nx2 * ny2):
         t = fallback
     else:
@@ -149,6 +160,59 @@ class PgmStep(NamedTuple):
     stalled: bool = False
 
 
+class _Trial(NamedTuple):
+    """Outcome of the array-level line search; ``mat`` is None on a stall."""
+
+    mat: np.ndarray | None
+    step: float
+    direction: np.ndarray
+    value: float
+    grad: np.ndarray | None
+    backtracks: int
+
+
+def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
+    """Tangent projection of grad at xm and its norm; a non-finite gradient
+    raises ValueError (its norm is then non-finite, so finite runs skip the scan)."""
+    rgrad = tangent_projection(xm, grad)
+    gnorm = float(np.linalg.norm(rgrad))
+    if not math.isfinite(gnorm):
+        check_matrix(grad, "gradient")
+    return rgrad, gnorm
+
+
+def _line_search(
+    xm: np.ndarray,
+    g: np.ndarray,
+    evaluate: Callable[[np.ndarray], tuple],
+    t_init: float,
+    window_max: float,
+    cfg: PgmConfig,
+) -> _Trial:
+    """Backtracking along the projected gradient g at xm, on raw arrays.
+
+    ``evaluate`` returns (value, gradient) at a trial matrix and is called
+    once per trial; the accepted trial's gradient is handed back for reuse.
+    """
+    resolution = np.finfo(float).eps * (1.0 + abs(window_max))
+    t = float(t_init)
+    for bt in range(cfg.max_backtracks + 1):
+        v = -t * g
+        cand = qr_orthonormalize(xm + v)
+        check_matrix(cand, "retracted trial point")
+        val, grad = evaluate(cand)
+        val = float(val)
+        demand = (cfg.alpha / (2.0 * t)) * float((v * v).sum())
+        if val <= window_max - demand:
+            return _Trial(cand, t, v, val, grad, bt)
+        if demand <= resolution and val <= window_max + 4.0 * resolution:
+            return _Trial(None, t, np.zeros_like(g), val, None, bt)
+        t *= cfg.eta
+    raise LineSearchError(
+        f"no acceptable step after {cfg.max_backtracks} backtracks (last t={t:.3e})"
+    )
+
+
 def pgm_step(
     x: StiefelPoint,
     grad_fn: Callable[[np.ndarray], np.ndarray],
@@ -156,7 +220,6 @@ def pgm_step(
     t_init: float,
     window_max: float,
     cfg: PgmConfig,
-    _rgrad: np.ndarray | None = None,
 ) -> PgmStep:
     """One retraction step with nonmonotone backtracking.
 
@@ -173,28 +236,22 @@ def pgm_step(
     progress exists at this scale: the step returns the current point with
     ``stalled`` set instead of failing, so outer loops can recover (for
     example by growing the penalty weight). A genuine persistent increase at
-    representable scales still raises LineSearchError.
+    representable scales still raises LineSearchError, and a non-finite trial
+    point raises ValueError.
     """
     if not cfg.t_min <= t_init <= cfg.t_max:
         raise ValueError(f"t_init {t_init} outside [{cfg.t_min}, {cfg.t_max}]")
-    g = _rgrad if _rgrad is not None else proj_tangent(x, grad_fn(x.mat)).dir
+    g = proj_tangent(x, grad_fn(x.mat)).dir
     if not np.any(g):
         return PgmStep(x, t_init, np.zeros_like(g), value_fn(x.mat), 0)
-    resolution = np.finfo(float).eps * (1.0 + abs(window_max))
-    t = float(t_init)
-    for bt in range(cfg.max_backtracks + 1):
-        v = -t * g
-        candidate = StiefelPoint(qr_orthonormalize(x.mat + v))
-        val = float(value_fn(candidate.mat))
-        demand = (cfg.alpha / (2.0 * t)) * float(np.sum(v * v))
-        if val <= window_max - demand:
-            return PgmStep(candidate, t, v, val, bt)
-        if demand <= resolution and val <= window_max + 4.0 * resolution:
-            return PgmStep(x, t, np.zeros_like(g), float(value_fn(x.mat)), bt, True)
-        t *= cfg.eta
-    raise LineSearchError(
-        f"no acceptable step after {cfg.max_backtracks} backtracks (last t={t:.3e})"
+    trial = _line_search(
+        x.mat, g, lambda m: (value_fn(m), None), t_init, window_max, cfg
     )
+    if trial.mat is None:
+        value = float(value_fn(x.mat))
+        return PgmStep(x, trial.step, trial.direction, value, trial.backtracks, True)
+    point = StiefelPoint(trial.mat)
+    return PgmStep(point, trial.step, trial.direction, trial.value, trial.backtracks)
 
 
 def pgm_solve(
@@ -210,17 +267,30 @@ def pgm_solve(
     The first step uses t = 1 / ||grad|| clamped to [t_min, t_max]; later
     steps use the Barzilai-Borwein estimate with the previously accepted step
     as fallback.
-    """
-    x = x0
-    val = float(obj.value(x.mat))
-    rgrad = proj_tangent(x, obj.gradient(x.mat)).dir
-    gnorm = float(np.linalg.norm(rgrad))
 
+    Iterates are kept as raw arrays and every trial point is evaluated once
+    through ``obj.value_and_gradient``; the returned point is certified as a
+    ``StiefelPoint`` on exit, and is x0 itself when no step was taken.
+    Raises ValueError when a gradient at an iterate, or a trial point, is not
+    finite.
+    """
     trace = PgmTrace(memory=cfg.memory, grad_tol=cfg.grad_tol)
+
+    def evaluate(mat: np.ndarray) -> tuple:
+        trace.evaluations += 1
+        return obj.value_and_gradient(mat)
+
+    def certified(mat: np.ndarray) -> StiefelPoint:
+        return x0 if mat is x0.mat else StiefelPoint(mat)
+
+    xm = x0.mat
+    val, grad = evaluate(xm)
+    val = float(val)
+    rgrad, gnorm = _projected_gradient(xm, grad)
     trace.values.append(val)
     trace.grad_norms.append(gnorm)
 
-    window: deque = deque([(val, x)], maxlen=cfg.memory + 1)
+    window: deque = deque([(val, xm)], maxlen=cfg.memory + 1)
     prev_t = 1.0
     prev_mat: np.ndarray | None = None
     prev_rgrad: np.ndarray | None = None
@@ -228,34 +298,35 @@ def pgm_solve(
     for k in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
             trace.converged = True
-            return x, trace
+            return certified(xm), trace
         if k == 0:
             t_init = float(min(max(1.0 / gnorm, cfg.t_min), cfg.t_max))
         else:
             t_init = bb_stepsize(
-                x.mat - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t
+                xm - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t
             )
+        if not cfg.t_min <= t_init <= cfg.t_max:
+            raise ValueError(f"t_init {t_init} outside [{cfg.t_min}, {cfg.t_max}]")
         window_max = max(v for v, _ in window)
         try:
-            step = pgm_step(
-                x, obj.gradient, obj.value, t_init, window_max, cfg, _rgrad=rgrad
-            )
+            trial = _line_search(xm, rgrad, evaluate, t_init, window_max, cfg)
         except LineSearchError as err:
             err.trace = trace
             raise
-        prev_mat, prev_rgrad, prev_t = x.mat, rgrad, step.step
-        x, val = step.point, step.value
-        rgrad = proj_tangent(x, obj.gradient(x.mat)).dir
-        gnorm = float(np.linalg.norm(rgrad))
+        prev_mat, prev_rgrad, prev_t = xm, rgrad, trial.step
+        # a stalled step leaves the iterate, its value and its gradient unchanged
+        if trial.mat is not None:
+            xm, val = trial.mat, trial.value
+            rgrad, gnorm = _projected_gradient(xm, trial.grad)
         trace.values.append(val)
         trace.grad_norms.append(gnorm)
-        trace.step_sizes.append(step.step)
-        trace.v_norms.append(float(np.linalg.norm(step.direction)))
-        trace.backtracks.append(step.backtracks)
-        window.append((val, x))
+        trace.step_sizes.append(trial.step)
+        trace.v_norms.append(float(np.linalg.norm(trial.direction)))
+        trace.backtracks.append(trial.backtracks)
+        window.append((val, xm))
 
     if gnorm <= cfg.grad_tol:
         trace.converged = True
-        return x, trace
-    _, best_x = min(window, key=lambda pair: pair[0])
-    return best_x, trace
+        return certified(xm), trace
+    _, best = min(window, key=lambda pair: pair[0])
+    return certified(best), trace

@@ -68,6 +68,11 @@ class QapLiftedObjective(Objective):
         w = x * x
         return 2.0 * x * (a @ w @ b.T + a.T @ w @ b)
 
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        a, b = self.inst.a, self.inst.b
+        w = x * x
+        return float(np.sum(a * (w @ b @ w.T))), 2.0 * x * (a @ w @ b.T + a.T @ w @ b)
+
 
 def qap_permutation_value(inst: QapInstance, perm) -> float:
     """Classical assignment objective sum_ij A_ij B_{p(i) p(j)}."""
@@ -137,6 +142,11 @@ class GraphMatchingObjective(Objective):
         v = self._vec(x)
         return -2.0 * (self.inst.k @ v).reshape(x.shape, order="F")
 
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        v = self._vec(x)
+        kv = self.inst.k @ v
+        return -float(v @ kv), -2.0 * kv.reshape(x.shape, order="F")
+
 
 class ProjectionObjective(Objective):
     """||X - C||_F^2 for a fixed target C; the canonical projection problem."""
@@ -150,6 +160,10 @@ class ProjectionObjective(Objective):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (x - self.target)
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        d = x - self.target
+        return float(np.sum(d * d)), 2.0 * d
 
     def hessian_vec(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(h, dtype=float)
@@ -202,6 +216,11 @@ class OnmfFactorObjective(Objective):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * (x @ self.y.T - self.a) @ self.y
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        xy = x @ self.y.T
+        d = self.a - xy
+        return float(np.sum(d * d)), 2.0 * (xy - self.a) @ self.y
 
 
 def onmf_y_update(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ def qr_orthonormalize(mat: np.ndarray) -> np.ndarray:
     q, rr = np.linalg.qr(mat)
     diag = np.diagonal(rr)
     scale = max(1.0, float(np.linalg.norm(mat)))
-    if float(np.min(np.abs(diag))) <= _RANK_TOL * scale:
+    if float(np.abs(diag).min()) <= _RANK_TOL * scale:
         raise RetractionError(
             "rank-deficient matrix: QR orthonormalization is not well defined"
         )
@@ -158,6 +158,16 @@ class TangentVector:
         return f"TangentVector(shape={self.dir.shape}, norm={self.norm():.2e})"
 
 
+def tangent_projection(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Z - (1/2) X (X^T Z + Z^T X) on raw arrays, without validation.
+
+    The projection onto the tangent space at an orthonormal X induced by the
+    trace inner product; ``proj_tangent`` is the validated, typed form.
+    """
+    a = mat.T @ z + z.T @ mat
+    return z - 0.5 * (mat @ a)
+
+
 def proj_tangent(x: StiefelPoint, z) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at x.
 
@@ -167,8 +177,7 @@ def proj_tangent(x: StiefelPoint, z) -> TangentVector:
     z = check_matrix(z, "z")
     if z.shape != x.shape:
         raise ValueError(f"shape mismatch: point {x.shape}, input {z.shape}")
-    a = x.mat.T @ z + z.T @ x.mat
-    return TangentVector(x, z - 0.5 * (x.mat @ a), _skip_check=True)
+    return TangentVector(x, tangent_projection(x.mat, z), _skip_check=True)
 
 
 def riemannian_gradient(x: StiefelPoint, euclid_grad) -> TangentVector:

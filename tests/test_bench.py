@@ -101,6 +101,11 @@ class TestRelgap:
         with pytest.raises(ValueError):
             relgap(1.0, 0.0)
 
+    def test_negative_reference_keeps_excess_positive(self):
+        # graph matching minimizes a negated score, so its references are negative
+        assert relgap(-9.0, -10.0) == 10.0
+        assert relgap(-11.0, -10.0) == -10.0
+
 
 class TestClusteringMetrics:
     def test_perfect_clustering_is_exact(self):

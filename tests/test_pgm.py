@@ -186,6 +186,78 @@ class TestPgmSolve:
         assert all(g >= 0.0 for g in gaps)
 
 
+class FusedOnlyObjective(Objective):
+    """Counts fused evaluations; the separate value/gradient calls must not be used."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def value(self, x):
+        raise AssertionError("pgm_solve called value instead of value_and_gradient")
+
+    def gradient(self, x):
+        raise AssertionError("pgm_solve called gradient instead of value_and_gradient")
+
+    def value_and_gradient(self, x):
+        self.calls += 1
+        return self.inner.value(x), self.inner.gradient(x)
+
+
+class TestEvaluationCount:
+    def test_one_fused_evaluation_per_trial_point(self):
+        obj = FusedOnlyObjective(ProjectionObjective(np.eye(6)[:, :3]))
+        _, trace = pgm_solve(obj, random_stiefel_start(6, 3, 14), PgmConfig(grad_tol=1e-8))
+        assert trace.converged and trace.iterations > 0
+        assert trace.evaluations == obj.calls
+        # the start, then bt + 1 trials per accepted step; accepted gradients are reused
+        assert trace.evaluations == 1 + sum(bt + 1 for bt in trace.backtracks)
+
+    def test_stationary_start_costs_one_evaluation(self):
+        c = np.eye(4)[:, :2]
+        obj = FusedOnlyObjective(ProjectionObjective(c))
+        _, trace = pgm_solve(obj, StiefelPoint(c), PgmConfig(grad_tol=1e-8))
+        assert trace.evaluations == obj.calls == 1
+
+
+class NanGradientAfterFirstCall(Objective):
+    def __init__(self, inner):
+        self.inner = inner
+        self.grad_calls = 0
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def gradient(self, x):
+        self.grad_calls += 1
+        g = self.inner.gradient(x)
+        return g if self.grad_calls == 1 else np.full_like(g, np.nan)
+
+
+class TestNonFinite:
+    def test_nan_gradient_raises_value_error(self):
+        obj = NanGradientAfterFirstCall(ProjectionObjective(np.eye(5)[:, :2]))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            pgm_solve(obj, random_stiefel_start(5, 2, 15), PgmConfig())
+        assert obj.grad_calls >= 2
+
+    def test_overflowing_trial_point_raises_value_error(self):
+        class Huge(Objective):
+            inner = ProjectionObjective(np.eye(5)[:, :2])
+
+            def value(self, x):
+                return self.inner.value(x)
+
+            def gradient(self, x):
+                return 1e300 * self.inner.gradient(x)
+
+        # finite gradient entries, but the step -t * g overflows to Inf
+        cfg = PgmConfig(t_min=1e10, t_max=1e10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                pgm_solve(Huge(), random_stiefel_start(5, 2, 16), cfg)
+
+
 class TestPgmConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

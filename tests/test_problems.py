@@ -244,3 +244,30 @@ def test_onmf_alternate_accepts_custom_solver():
     x0 = random_stiefel_start(10, 2, 24)
     onmf_alternate(inst, x0, solve=solve, max_rounds=2)
     assert calls
+
+
+def _fused_cases():
+    from orthopt.driver import AugLagObjective
+    from orthopt.penalty import PenaltyObjective, PenaltyParams
+
+    rng = np.random.default_rng(17)
+    proj = ProjectionObjective(rng.standard_normal((4, 4)))
+    return {
+        "qap": QapLiftedObjective(random_instance(4, 18)),
+        "gm": GraphMatchingObjective(AffinityInstance(rng.random((16, 16)))),
+        "proj": proj,
+        "penalty_envelope": PenaltyObjective(proj, PenaltyParams(rho=3.0, gamma=0.05)),
+        "penalty_quadratic": PenaltyObjective(proj, PenaltyParams(rho=3.0, gamma=0.0)),
+        "auglag": AugLagObjective(proj, np.abs(rng.standard_normal((4, 4))), 2.5),
+        "onmf": OnmfFactorObjective(rng.random((4, 5)), rng.random((5, 4))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fused_cases()))
+def test_fused_evaluation_is_bitwise_value_and_gradient(name):
+    obj = _fused_cases()[name]
+    for seed in range(3):
+        x = random_stiefel_start(4, 4, seed).mat
+        val, grad = obj.value_and_gradient(x)
+        assert val == obj.value(x)
+        npt.assert_array_equal(grad, obj.gradient(x))
