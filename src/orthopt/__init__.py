@@ -10,32 +10,25 @@ from .stiefel import (
     ORTH_TOL,
     RetractionError,
     StiefelPoint,
-    TangentVector,
     dist_to_stiefel,
     proj_tangent,
     qr_orthonormalize,
-    retract_polar,
-    retract_qr,
-    riemannian_gradient,
 )
 from .penalty import (
     Objective,
     PenaltyObjective,
-    PenaltyParams,
     nonneg_violation,
     nonneg_violation_envelope,
     nonneg_violation_envelope_grad,
-    penalty_value_and_grad,
     prox_nonneg_violation,
     quad_penalty,
     quad_penalty_grad,
 )
-from .pgm import LineSearchError, PgmConfig, PgmTrace, bb_stepsize, pgm_solve, pgm_step
+from .pgm import LineSearchError, PgmConfig, PgmTrace, bb_stepsize, pgm_solve
 from .driver import (
     AugLagObjective,
     OuterRecord,
     PenaltyConfig,
-    RoundingError,
     SolveReport,
     alm_solve,
     penalty_solve,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .driver import (
     PenaltyConfig,
-    RoundingError,
     SolveReport,
     alm_solve,
     penalty_solve,
@@ -210,6 +209,8 @@ class ExperimentSpec:
             raise ValueError(f"num_starts must be at least 1, got {self.num_starts}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.best_known == 0:
+            raise ValueError("best_known must be nonzero: relative gaps divide by it")
 
 
 @dataclass
@@ -323,15 +324,8 @@ def _run_start(args) -> StartRecord:
             inner_iters=None,
             wall_time=None,
         )
-    f_rounded = None
-    rgap = None
-    try:
-        rounded = round_to_feasible(report.x_final.mat)
-        f_rounded = objective.value(rounded.mat)
-        if spec.best_known is not None:
-            rgap = relgap(f_rounded, spec.best_known)
-    except RoundingError:
-        pass
+    f_rounded = objective.value(round_to_feasible(report.x_final.mat).mat)
+    rgap = relgap(f_rounded, spec.best_known) if spec.best_known is not None else None
     gap = relgap(report.f_final, spec.best_known) if spec.best_known is not None else None
     return StartRecord(
         index=index,

@@ -14,7 +14,13 @@ import numpy as np
 
 from .driver import stationarity_residual
 from .penalty import Objective
-from .stiefel import StiefelPoint, check_matrix, dist_to_stiefel, proj_tangent, retract_polar, TangentVector
+from .stiefel import (
+    StiefelPoint,
+    check_matrix,
+    dist_to_stiefel,
+    polar_orthonormalize,
+    proj_tangent,
+)
 from .problems import LinearObjective
 
 _ORACLE_PATTERN_CAP = 1_000_000
@@ -210,7 +216,8 @@ def sosc_probe(
     evaluates <H, hess f(X) H> - <H^T H, X^T grad f(X)>.
 
     Raises:
-        ValueError: if the base point fails the stationarity precondition.
+        ValueError: if the base point fails the stationarity precondition or
+            the gradient there is not finite.
     """
     resid = stationarity_residual(f, xbar)
     if resid > stationarity_tol:
@@ -219,14 +226,14 @@ def sosc_probe(
         )
     xm = xbar.mat
     g = f.gradient(xm)
-    gf = proj_tangent(xbar, g).dir
+    gf = proj_tangent(xm, g)
     gf_norm2 = float(np.sum(gf * gf))
     zero_mask = xm < zero_tol
 
     rng = np.random.default_rng(seed)
     forms = []
     for _ in range(num_dirs):
-        h = proj_tangent(xbar, rng.standard_normal(xm.shape)).dir
+        h = proj_tangent(xm, rng.standard_normal(xm.shape))
         if gf_norm2 > 1e-24:
             h = h - (float(np.sum(h * gf)) / gf_norm2) * gf
         norm = float(np.linalg.norm(h))
@@ -254,10 +261,12 @@ def retraction_curvature(f: Objective, xbar: StiefelPoint, h: np.ndarray, t: flo
     Central second difference of t -> f(R(t H)) at zero; for the polar
     retraction this approximates the same quadratic form sosc_probe evaluates.
     """
-    hv = TangentVector(xbar, h)
-    fp = f.value(retract_polar(xbar, hv.scaled(t)).mat)
-    fm = f.value(retract_polar(xbar, hv.scaled(-t)).mat)
-    f0 = f.value(xbar.mat)
+    xm = xbar.mat
+    if h.shape != xm.shape:
+        raise ValueError(f"shape mismatch: point {xm.shape}, direction {h.shape}")
+    fp = f.value(polar_orthonormalize(xm + t * h))
+    fm = f.value(polar_orthonormalize(xm - t * h))
+    f0 = f.value(xm)
     return (fp - 2.0 * f0 + fm) / (t * t)
 
 

@@ -15,23 +15,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .penalty import (
-    Objective,
-    PenaltyObjective,
-    PenaltyParams,
-    nonneg_violation,
-    penalty_value,
-)
+from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_value
 from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
-from .stiefel import StiefelPoint, check_matrix, proj_tangent, tangent_projection
+from .stiefel import StiefelPoint, check_matrix, proj_tangent
 
 # outer-loop f-stagnation lag and relative tolerance for the early stop
 _STAGNATION_LAG = 9
 _STAGNATION_RTOL = 1e-8
-
-
-class RoundingError(RuntimeError):
-    """Raised when no feasible rounding of the input exists."""
+# columns whose norm falls outside this range are rescaled before normalizing
+_NORM_RANGE = (1e-150, 1e150)
 
 
 @dataclass
@@ -114,7 +106,7 @@ class SolveReport:
     ``ninf`` is the l1 nonnegativity violation of the final point,
     ``stationarity`` the projected-gradient norm of the last subproblem
     objective at exit. ``flags`` collects anomalies (inner target missed,
-    acceptance bound violated, rounding failed, budget exhausted).
+    acceptance bound violated, line-search failure, budget exhausted).
     """
 
     solver: str
@@ -149,16 +141,16 @@ def round_to_feasible(x) -> StiefelPoint:
 
     For n > r each row keeps at most its largest entry (ties go to the
     smallest column index), kept entries are clamped at zero from below, and
-    columns are normalized; a column left without positive mass is repaired by
-    moving in the row with the largest entry for it among rows whose current
-    column retains at least two rows. Square inputs are rounded to a
-    permutation matrix by greedily fixing the globally largest entry.
+    columns are normalized. A column left without positive mass is repaired
+    by moving in the row with the largest entry for it among the donors: rows
+    with no positive kept entry, and rows whose column keeps at least two
+    positive entries. A donor always exists when n > r, and no repair empties
+    another column. Square inputs are rounded to a permutation matrix by
+    greedily fixing the globally largest entry.
 
     The result has disjoint row supports across columns, unit nonnegative
-    columns, and orthogonality residual at roundoff level.
-
-    Raises:
-        RoundingError: when a column cannot be repaired.
+    columns, and orthogonality residual at roundoff level, for every finite
+    input.
     """
     x = check_matrix(x, "x")
     n, r = x.shape
@@ -169,29 +161,26 @@ def round_to_feasible(x) -> StiefelPoint:
     assign = np.argmax(x, axis=1)
     vals = np.maximum(x[rows, assign], 0.0)
 
-    for _ in range(n + r):
-        supported = np.bincount(assign[vals > 0], minlength=r)
-        empty = np.flatnonzero(supported == 0)
-        if empty.size == 0:
-            break
-        j = int(empty[0])
-        counts = np.bincount(assign, minlength=r)
-        donors = np.flatnonzero(counts[assign] >= 2)
-        if donors.size == 0:
-            raise RoundingError(f"cannot repair empty column {j}: no spare rows")
+    supported = np.bincount(assign[vals > 0], minlength=r)
+    for j in np.flatnonzero(supported == 0):
+        donors = np.flatnonzero((vals == 0.0) | (supported[assign] >= 2))
         i = int(donors[np.argmax(x[donors, j])])
+        if vals[i] > 0.0:
+            supported[assign[i]] -= 1
         assign[i] = j
-        vals[i] = max(x[i, j], 0.0)
-        if vals[i] == 0.0:
-            vals[i] = 1.0  # sole supporter of the repaired column, normalizes to 1
-    else:
-        raise RoundingError("column repair did not terminate")
+        # a nonpositive entry becomes the column's sole support and normalizes to 1
+        vals[i] = x[i, j] if x[i, j] > 0.0 else 1.0
+        supported[j] = 1
 
     out = np.zeros_like(x)
     out[rows, assign] = vals
-    norms = np.linalg.norm(out, axis=0)
-    if np.any(norms <= 0):
-        raise RoundingError("column without positive mass after repair")
+    # squares of tiny or huge entries under- or overflow: rescale those columns first
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(out, axis=0)
+    extreme = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
+    if np.any(extreme):
+        out[:, extreme] /= out[:, extreme].max(axis=0)
+        norms[extreme] = np.linalg.norm(out[:, extreme], axis=0)
     return StiefelPoint(out / norms)
 
 
@@ -230,7 +219,7 @@ def penalty_solve(
     f0 = f.value(x0.mat)
     rho = _initial_rho(f0, x0, cfg)
     tau = cfg.tau0
-    pobj = PenaltyObjective(f, PenaltyParams(rho, cfg.gamma))
+    pobj = PenaltyObjective(f, rho, cfg.gamma)
     upsilon = f0 + rho * penalty_value(x0.mat, cfg.gamma)
 
     solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
@@ -285,27 +274,24 @@ def penalty_solve(
         sigma = cfg.sigma_rho_small if rho <= 1.0 else cfg.sigma_rho_large
         rho = min(sigma * rho, cfg.rho_max)
         tau = max(cfg.sigma_tau * tau, cfg.tau_min)
-        pobj = PenaltyObjective(f, PenaltyParams(rho, cfg.gamma))
+        pobj = PenaltyObjective(f, rho, cfg.gamma)
 
         theta_plain = f_val + rho * pen
         x_start, upsilon = x, theta_plain
         # the rounded-warm-start gate compares against the weight just solved
         # (records[-1].rho), not the freshly grown one
         if records[-1].rho >= cfg.rho_feas_threshold:
-            try:
-                x_round = round_to_feasible(x.mat)
-                theta_round = pobj.value(x_round.mat)
-                if theta_round < theta_plain:
-                    x_start, upsilon = x_round, theta_round
-            except RoundingError:
-                flags.append(f"rounding_failed@outer={l}")
+            x_round = round_to_feasible(x.mat)
+            theta_round = pobj.value(x_round.mat)
+            if theta_round < theta_plain:
+                x_start, upsilon = x_round, theta_round
     else:
         flags.append("outer_budget_exhausted")
 
     final_ninf = nonneg_violation(x.mat)
     if aborted:
         flags.append("aborted_with_partial_report")
-    stationarity = proj_tangent(x, solved_pobj.gradient(x.mat)).norm()
+    stationarity = float(np.linalg.norm(proj_tangent(x.mat, solved_pobj.gradient(x.mat))))
     return SolveReport(
         solver=solver,
         x_final=x,
@@ -419,7 +405,7 @@ def alm_solve(
 
     if aborted:
         flags.append("aborted_with_partial_report")
-    stationarity = proj_tangent(x, obj.gradient(x.mat)).norm()
+    stationarity = float(np.linalg.norm(proj_tangent(x.mat, obj.gradient(x.mat))))
     return SolveReport(
         solver="alm",
         x_final=x,
@@ -454,7 +440,8 @@ def stationarity_residual(
     gradient with the exact step 1/L.
 
     Raises:
-        ValueError: if the nonnegativity violation of x exceeds ``feas_tol``.
+        ValueError: if the nonnegativity violation of x exceeds ``feas_tol``,
+            or the gradient at x is not finite.
     """
     if nonneg_violation(x.mat) > feas_tol:
         raise ValueError(
@@ -462,11 +449,11 @@ def stationarity_residual(
             f"violation {nonneg_violation(x.mat):.3e}"
         )
     xm = x.mat
-    g = f.gradient(xm)
+    g = check_matrix(f.gradient(xm), "gradient")
     zero_mask = xm < zero_tol
 
     def tangent(w: np.ndarray) -> np.ndarray:
-        return tangent_projection(xm, w)
+        return proj_tangent(xm, w)
 
     if not np.any(zero_mask):
         return float(np.linalg.norm(tangent(g)))

@@ -9,8 +9,6 @@ quadratic penalty throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -99,25 +97,6 @@ class Objective:
         return (self.gradient(x + step * h) - self.gradient(x)) / step
 
 
-@dataclass(frozen=True)
-class PenaltyParams:
-    """Penalty weight and smoothing width.
-
-    ``gamma > 0`` selects the Moreau-envelope penalty, ``gamma == 0`` the
-    quadratic penalty. ``rho == 0`` is allowed and reduces the composite to
-    the bare objective.
-    """
-
-    rho: float
-    gamma: float = 0.05
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-
-
 def penalty_value(x, gamma: float) -> float:
     """Value of the bare penalty term selected by gamma."""
     if gamma > 0:
@@ -132,31 +111,32 @@ def penalty_grad(x, gamma: float) -> np.ndarray:
     return quad_penalty_grad(x)
 
 
-def penalty_value_and_grad(
-    f: Objective, x: np.ndarray, params: PenaltyParams
-) -> tuple[float, np.ndarray]:
-    """Value and Euclidean gradient of f + rho * penalty at x."""
-    fv, fg = f.value_and_gradient(x)
-    return (
-        fv + params.rho * penalty_value(x, params.gamma),
-        fg + params.rho * penalty_grad(x, params.gamma),
-    )
-
-
 class PenaltyObjective(Objective):
-    """The composite f + rho * penalty as a plain smooth objective."""
+    """The composite f + rho * penalty as a plain smooth objective.
 
-    def __init__(self, f: Objective, params: PenaltyParams):
+    ``gamma > 0`` selects the Moreau-envelope penalty, ``gamma == 0`` the
+    quadratic penalty. ``rho == 0`` is allowed and reduces the composite to
+    the bare objective.
+    """
+
+    def __init__(self, f: Objective, rho: float, gamma: float):
+        if rho < 0:
+            raise ValueError(f"rho must be nonnegative, got {rho}")
+        if gamma < 0:
+            raise ValueError(f"gamma must be nonnegative, got {gamma}")
         self.f = f
-        self.params = params
+        self.rho = rho
+        self.gamma = gamma
 
     def value(self, x: np.ndarray) -> float:
-        p = self.params
-        return self.f.value(x) + p.rho * penalty_value(x, p.gamma)
+        return self.f.value(x) + self.rho * penalty_value(x, self.gamma)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        p = self.params
-        return self.f.gradient(x) + p.rho * penalty_grad(x, p.gamma)
+        return self.f.gradient(x) + self.rho * penalty_grad(x, self.gamma)
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return penalty_value_and_grad(self.f, x, self.params)
+        fv, fg = self.f.value_and_gradient(x)
+        return (
+            fv + self.rho * penalty_value(x, self.gamma),
+            fg + self.rho * penalty_grad(x, self.gamma),
+        )

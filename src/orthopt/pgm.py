@@ -5,7 +5,8 @@ manifold. The trial step size starts from a Barzilai-Borwein estimate and is
 shrunk geometrically until the new value drops below the maximum objective
 over a sliding window of past iterates minus a sufficient-decrease margin.
 With window memory zero the method is strictly monotone. The loop works on
-raw arrays and evaluates each trial point once.
+raw arrays, evaluates each trial point once, and certifies only the returned
+point as a ``StiefelPoint``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .penalty import Objective
-from .stiefel import (
-    StiefelPoint,
-    check_matrix,
-    proj_tangent,
-    qr_orthonormalize,
-    tangent_projection,
-)
+from .stiefel import StiefelPoint, check_matrix, proj_tangent, qr_orthonormalize
 
 _BB_DEGENERACY = 1e-16
 
@@ -151,15 +146,6 @@ def bb_stepsize(dx, dy, t_min: float, t_max: float, fallback: float) -> float:
     return float(min(max(t, t_min), t_max))
 
 
-class PgmStep(NamedTuple):
-    point: StiefelPoint
-    step: float
-    direction: np.ndarray
-    value: float
-    backtracks: int
-    stalled: bool = False
-
-
 class _Trial(NamedTuple):
     """Outcome of the array-level line search; ``mat`` is None on a stall."""
 
@@ -174,7 +160,7 @@ class _Trial(NamedTuple):
 def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
     """Tangent projection of grad at xm and its norm; a non-finite gradient
     raises ValueError (its norm is then non-finite, so finite runs skip the scan)."""
-    rgrad = tangent_projection(xm, grad)
+    rgrad = proj_tangent(xm, grad)
     gnorm = float(np.linalg.norm(rgrad))
     if not math.isfinite(gnorm):
         check_matrix(grad, "gradient")
@@ -189,10 +175,23 @@ def _line_search(
     window_max: float,
     cfg: PgmConfig,
 ) -> _Trial:
-    """Backtracking along the projected gradient g at xm, on raw arrays.
+    """One retraction step with nonmonotone backtracking, on raw arrays.
+
+    Sets V = -t * g for the projected gradient g at xm and retracts by QR,
+    multiplying t by eta until
+
+        value(X+) <= window_max - alpha / (2 t) * ||V||^2
 
     ``evaluate`` returns (value, gradient) at a trial matrix and is called
     once per trial; the accepted trial's gradient is handed back for reuse.
+
+    When the demanded decrease falls below the float resolution of the window
+    maximum and the trial value sits within rounding of it, no representable
+    progress exists at this scale: the search stalls (``mat`` is None, the
+    direction zero) instead of failing, so outer loops can recover (for
+    example by growing the penalty weight). A genuine persistent increase at
+    representable scales raises LineSearchError once the backtrack budget is
+    exhausted, and a non-finite trial point raises ValueError.
     """
     resolution = np.finfo(float).eps * (1.0 + abs(window_max))
     t = float(t_init)
@@ -211,47 +210,6 @@ def _line_search(
     raise LineSearchError(
         f"no acceptable step after {cfg.max_backtracks} backtracks (last t={t:.3e})"
     )
-
-
-def pgm_step(
-    x: StiefelPoint,
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    value_fn: Callable[[np.ndarray], float],
-    t_init: float,
-    window_max: float,
-    cfg: PgmConfig,
-) -> PgmStep:
-    """One retraction step with nonmonotone backtracking.
-
-    Sets V = -t * (projected gradient of the objective at x) and retracts,
-    multiplying t by eta and recomputing V until
-
-        value(X+) <= window_max - alpha / (2 t) * ||V||^2
-
-    or the backtrack budget is exhausted. A zero gradient returns x
-    unchanged with an immediate accept.
-
-    When the demanded decrease falls below the float resolution of the window
-    maximum and the trial value sits within rounding of it, no representable
-    progress exists at this scale: the step returns the current point with
-    ``stalled`` set instead of failing, so outer loops can recover (for
-    example by growing the penalty weight). A genuine persistent increase at
-    representable scales still raises LineSearchError, and a non-finite trial
-    point raises ValueError.
-    """
-    if not cfg.t_min <= t_init <= cfg.t_max:
-        raise ValueError(f"t_init {t_init} outside [{cfg.t_min}, {cfg.t_max}]")
-    g = proj_tangent(x, grad_fn(x.mat)).dir
-    if not np.any(g):
-        return PgmStep(x, t_init, np.zeros_like(g), value_fn(x.mat), 0)
-    trial = _line_search(
-        x.mat, g, lambda m: (value_fn(m), None), t_init, window_max, cfg
-    )
-    if trial.mat is None:
-        value = float(value_fn(x.mat))
-        return PgmStep(x, trial.step, trial.direction, value, trial.backtracks, True)
-    point = StiefelPoint(trial.mat)
-    return PgmStep(point, trial.step, trial.direction, trial.value, trial.backtracks)
 
 
 def pgm_solve(
@@ -305,8 +263,6 @@ def pgm_solve(
             t_init = bb_stepsize(
                 xm - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t
             )
-        if not cfg.t_min <= t_init <= cfg.t_max:
-            raise ValueError(f"t_init {t_init} outside [{cfg.t_min}, {cfg.t_max}]")
         window_max = max(v for v, _ in window)
         try:
             trial = _line_search(xm, rgrad, evaluate, t_init, window_max, cfg)

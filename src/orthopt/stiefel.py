@@ -1,10 +1,10 @@
 """Dense Stiefel manifold primitives.
 
 Points live on St(n, r) = {X in R^{n x r} : X^T X = I_r}, embedded in the
-space of n x r matrices with the trace inner product. Orthonormality is
-certified at construction time, tangent vectors carry their base point, and
-every operation here is a pure function over immutable arrays, so values can
-be shared freely across threads.
+space of n x r matrices with the trace inner product. ``StiefelPoint`` is the
+one place that certifies orthonormality; the other operations are pure
+functions on raw arrays (tangent projection, QR and polar orthonormalization,
+distance to the manifold), so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 ORTH_TOL = 1e-10
-TANGENCY_TOL = 1e-10
 _RANK_TOL = 1e-12
 
 
 class RetractionError(RuntimeError):
-    """Raised when a retraction input is numerically rank deficient."""
+    """Raised when an orthonormalization input is numerically rank deficient."""
 
 
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -58,6 +57,23 @@ def qr_orthonormalize(mat: np.ndarray) -> np.ndarray:
     return q * np.where(diag < 0.0, -1.0, 1.0)
 
 
+def polar_orthonormalize(mat: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor U V^T from the thin SVD U S V^T of the input.
+
+    The nearest orthonormal matrix to the input; applied to X + V it is the
+    polar retraction, which agrees with X + V to second order.
+
+    Raises:
+        RetractionError: if the input is numerically rank deficient.
+    """
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    if s[-1] <= _RANK_TOL * max(1.0, float(s[0])):
+        raise RetractionError(
+            "rank-deficient matrix: polar orthonormalization is not well defined"
+        )
+    return u @ vt
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
@@ -68,9 +84,7 @@ class StiefelPoint:
     """A matrix certified to have orthonormal columns.
 
     The constructor rejects matrices whose orthogonality residual exceeds
-    ``ORTH_TOL`` unless ``reorthonormalize=True``, in which case the matrix is
-    replaced by the Q factor of its QR decomposition. The stored array is
-    read-only.
+    ``ORTH_TOL``. The stored array is read-only.
 
     Attributes:
         mat: The n x r orthonormal matrix (immutable).
@@ -79,16 +93,13 @@ class StiefelPoint:
 
     __slots__ = ("mat", "orth_residual")
 
-    def __init__(self, mat, *, reorthonormalize: bool = False):
+    def __init__(self, mat):
         m = check_matrix(mat, "StiefelPoint")
         res = orthogonality_residual(m)
         if res > ORTH_TOL:
-            if not reorthonormalize:
-                raise ValueError(
-                    f"matrix is not orthonormal: residual {res:.3e} exceeds {ORTH_TOL:.0e}"
-                )
-            m = qr_orthonormalize(m)
-            res = orthogonality_residual(m)
+            raise ValueError(
+                f"matrix is not orthonormal: residual {res:.3e} exceeds {ORTH_TOL:.0e}"
+            )
         self.mat = _freeze(m)
         self.orth_residual = res
 
@@ -108,116 +119,17 @@ class StiefelPoint:
         return f"StiefelPoint(shape={self.mat.shape}, orth_residual={self.orth_residual:.2e})"
 
 
-class TangentVector:
-    """A direction in the tangent space at a Stiefel point.
-
-    Tangency means X^T H + H^T X = 0. The residual check is relative to the
-    direction's norm so that rescalings, which preserve exact tangency, are
-    not rejected on roundoff grounds.
-
-    Attributes:
-        base: The StiefelPoint at which the direction is tangent.
-        dir: The n x r direction matrix (immutable).
-    """
-
-    __slots__ = ("base", "dir")
-
-    def __init__(self, base: StiefelPoint, direction, *, _skip_check: bool = False):
-        if not isinstance(base, StiefelPoint):
-            raise TypeError("base must be a StiefelPoint")
-        d = check_matrix(direction, "tangent direction")
-        if d.shape != base.shape:
-            raise ValueError(
-                f"direction shape {d.shape} does not match base shape {base.shape}"
-            )
-        if not _skip_check:
-            res = float(np.linalg.norm(base.mat.T @ d + d.T @ base.mat))
-            if res > TANGENCY_TOL * max(1.0, float(np.linalg.norm(d))):
-                raise ValueError(
-                    f"direction is not tangent: residual {res:.3e} exceeds {TANGENCY_TOL:.0e}"
-                )
-        self.base = base
-        self.dir = _freeze(d)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.dir))
-
-    def scaled(self, t: float) -> "TangentVector":
-        # scaling preserves exact tangency, no recheck needed
-        return TangentVector(self.base, t * self.dir, _skip_check=True)
-
-    def __mul__(self, t: float) -> "TangentVector":
-        return self.scaled(t)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TangentVector":
-        return self.scaled(-1.0)
-
-    def __repr__(self) -> str:
-        return f"TangentVector(shape={self.dir.shape}, norm={self.norm():.2e})"
-
-
-def tangent_projection(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Z - (1/2) X (X^T Z + Z^T X) on raw arrays, without validation.
-
-    The projection onto the tangent space at an orthonormal X induced by the
-    trace inner product; ``proj_tangent`` is the validated, typed form.
-    """
-    a = mat.T @ z + z.T @ mat
-    return z - 0.5 * (mat @ a)
-
-
-def proj_tangent(x: StiefelPoint, z) -> TangentVector:
-    """Orthogonal projection of an ambient matrix onto the tangent space at x.
+def proj_tangent(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of z onto the tangent space at an orthonormal mat.
 
     Computes Z - (1/2) X (X^T Z + Z^T X), the projection induced by the trace
-    inner product. Idempotent, and the identity on tangent directions.
+    inner product. Idempotent, and the identity on tangent directions. Only
+    the shapes are checked: a mismatched z would otherwise broadcast.
     """
-    z = check_matrix(z, "z")
-    if z.shape != x.shape:
-        raise ValueError(f"shape mismatch: point {x.shape}, input {z.shape}")
-    return TangentVector(x, tangent_projection(x.mat, z), _skip_check=True)
-
-
-def riemannian_gradient(x: StiefelPoint, euclid_grad) -> TangentVector:
-    """Riemannian gradient: the tangent projection of the Euclidean gradient."""
-    return proj_tangent(x, euclid_grad)
-
-
-def _check_retraction_args(x: StiefelPoint, v: TangentVector) -> None:
-    if v.base is not x and not np.array_equal(v.base.mat, x.mat):
-        raise ValueError("tangent vector is based at a different point")
-
-
-def retract_qr(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
-    """QR retraction: the Q factor of X + V, with positive diag(R).
-
-    Maps tangent vectors back to the manifold, agreeing with X + V to first
-    order. A zero direction returns x itself, exactly.
-
-    Raises:
-        RetractionError: if X + V is numerically rank deficient, which at the
-            step sizes produced by the solvers signals a gradient bug rather
-            than legitimate input.
-    """
-    _check_retraction_args(x, v)
-    if not np.any(v.dir):
-        return x
-    return StiefelPoint(qr_orthonormalize(x.mat + v.dir))
-
-
-def retract_polar(x: StiefelPoint, v: TangentVector) -> StiefelPoint:
-    """Polar retraction: the orthogonal factor U V^T from the SVD of X + V."""
-    _check_retraction_args(x, v)
-    if not np.any(v.dir):
-        return x
-    u, s, vt = np.linalg.svd(x.mat + v.dir, full_matrices=False)
-    if s[-1] <= _RANK_TOL * max(1.0, float(s[0])):
-        raise RetractionError(
-            "rank-deficient matrix: polar retraction is not well defined"
-        )
-    return StiefelPoint(u @ vt)
+    if z.shape != mat.shape:
+        raise ValueError(f"shape mismatch: point {mat.shape}, input {z.shape}")
+    a = mat.T @ z + z.T @ mat
+    return z - 0.5 * (mat @ a)
 
 
 def dist_to_stiefel(mat) -> float:

@@ -31,7 +31,6 @@ from orthopt.driver import (
 )
 from orthopt.penalty import (
     PenaltyObjective,
-    PenaltyParams,
     nonneg_violation,
     nonneg_violation_envelope,
     prox_nonneg_violation,
@@ -153,7 +152,7 @@ def test_criterion_1_gradient_correctness():
         cases.append(("onmf", onmf, (8, 3), 0.0))
         for gamma in (0.0, 0.05):
             for rho in (1.0, 1e3):
-                composite = PenaltyObjective(proj, PenaltyParams(rho=rho, gamma=gamma))
+                composite = PenaltyObjective(proj, rho, gamma)
                 cases.append((f"penalty(g={gamma},r={rho})", composite, (6, 3), gamma))
         for label, obj, shape, gamma in cases:
             for k in range(20):

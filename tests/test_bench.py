@@ -213,6 +213,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             spec_for_proj(kind="unknown")
 
+    def test_zero_best_known_rejected_up_front(self):
+        with pytest.raises(ValueError, match="best_known"):
+            spec_for_proj(best_known=0.0)
+
 
 class TestCli:
     def test_proj_subcommand(self, tmp_path, capsys):

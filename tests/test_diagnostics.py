@@ -22,6 +22,14 @@ from orthopt.problems import LinearObjective, ProjectionObjective
 from orthopt.stiefel import StiefelPoint, proj_tangent
 
 
+class NanGradient(LinearObjective):
+    def __init__(self):
+        super().__init__(np.zeros((4, 2)))
+
+    def gradient(self, x):
+        return np.full_like(x, np.nan)
+
+
 class TestErrorBoundConstant:
     def test_square_shape(self):
         npt.assert_allclose(error_bound_constant(default_base_point(4, 4)), 4.2)
@@ -153,13 +161,19 @@ class TestSoscProbe:
         with pytest.raises(ValueError, match="not stationary"):
             sosc_probe(LinearObjective(g), x, num_dirs=10, seed=6)
 
+    def test_nan_gradient_rejected(self):
+        c = default_base_point(4, 2)
+        f = NanGradient()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            sosc_probe(f, c, num_dirs=10, seed=8)
+
     def test_matches_retraction_curvature(self):
         c = default_base_point(5, 2)
         f = ProjectionObjective(c.mat)
         rng = np.random.default_rng(7)
         checked = 0
         while checked < 5:
-            h = proj_tangent(c, rng.standard_normal((5, 2))).dir
+            h = proj_tangent(c.mat, rng.standard_normal((5, 2)))
             h = h / np.linalg.norm(h)
             form = 2.0 * np.sum(h * h) - np.sum((h.T @ h) * (c.mat.T @ f.gradient(c.mat)))
             fd = retraction_curvature(f, c, h)

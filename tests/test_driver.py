@@ -3,6 +3,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orthopt.diagnostics import default_base_point
 from orthopt.driver import (
@@ -20,7 +23,12 @@ from orthopt.problems import (
     permutation_matrix,
     random_stiefel_start,
 )
-from orthopt.stiefel import StiefelPoint, proj_tangent, qr_orthonormalize
+from orthopt.stiefel import (
+    StiefelPoint,
+    orthogonality_residual,
+    proj_tangent,
+    qr_orthonormalize,
+)
 
 
 def assert_feasible(point: StiefelPoint, atol=1e-12):
@@ -30,6 +38,14 @@ def assert_feasible(point: StiefelPoint, atol=1e-12):
     # row supports are disjoint across columns
     assert np.all(np.sum(mat > 0, axis=1) <= 1)
     assert point.orth_residual <= 1e-10
+
+
+class NanGradient(LinearObjective):
+    def __init__(self):
+        super().__init__(np.zeros((4, 2)))
+
+    def gradient(self, x):
+        return np.full_like(x, np.nan)
 
 
 class TestRoundToFeasible:
@@ -77,6 +93,48 @@ class TestRoundToFeasible:
     def test_rejects_wide_input(self):
         with pytest.raises(ValueError):
             round_to_feasible(np.ones((2, 3)))
+
+    def test_repair_keeps_sole_supporter(self):
+        # column 0's only positive supporter must not be moved to column 1
+        x = np.array([[-1.0, -1.0], [-1.0, -1.0], [-1.0, -0.5]])
+        assert_feasible(round_to_feasible(x))
+
+    def test_tiny_column_normalizes(self):
+        # squares of 1.2e-160 underflow, so the plain column norm is inexact
+        x = np.array([[1.2e-160, -1.0], [1.2e-160, -1.0], [-1.0, 1.0]])
+        out = round_to_feasible(x)
+        assert_feasible(out)
+        npt.assert_allclose(out.mat[:2, 0], np.sqrt(0.5))
+
+
+# few distinct values make ties likely; subnormals and huge magnitudes included
+_rounding_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1.2e-160, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _rounding_inputs(draw):
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    return draw(arrays(np.float64, (n, r), elements=_rounding_entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rounding_inputs())
+def test_rounding_always_lands_in_feasible_set(x):
+    n, r = x.shape
+    out = round_to_feasible(x).mat
+    if n == r:
+        assert set(np.unique(out)) <= {0.0, 1.0}
+        npt.assert_array_equal(out.sum(axis=0), np.ones(r))
+        npt.assert_array_equal(out.sum(axis=1), np.ones(n))
+        return
+    assert np.all(out >= 0.0)
+    assert np.all(np.sum(out > 0, axis=1) <= 1)
+    assert np.all(np.any(out > 0, axis=0))
+    assert orthogonality_residual(out) <= 1e-10
 
 
 def criterion_config(maker, scale):
@@ -200,7 +258,7 @@ class TestStationarityResidual:
         # r = 1 with a strictly positive point: the cone contributes nothing
         x = StiefelPoint(np.ones((5, 1)) / np.sqrt(5.0))
         f = LinearObjective(np.arange(5, dtype=float).reshape(5, 1) + 1.0)
-        expected = proj_tangent(x, f.gradient(x.mat)).norm()
+        expected = np.linalg.norm(proj_tangent(x.mat, f.gradient(x.mat)))
         npt.assert_allclose(stationarity_residual(f, x), expected, rtol=1e-12)
 
     def test_infeasible_point_rejected(self):
@@ -208,6 +266,12 @@ class TestStationarityResidual:
         f = ProjectionObjective(np.eye(4)[:, :2])
         with pytest.raises(ValueError, match="not feasible"):
             stationarity_residual(f, x)
+
+    def test_nan_gradient_rejected(self):
+        c = default_base_point(4, 2)
+        f = NanGradient()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            stationarity_residual(f, c)
 
     def test_normal_cone_absorbs_outward_gradient(self):
         # gradient pushing the zero entries negative is fully absorbed

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from orthopt.penalty import (
     PenaltyObjective,
-    PenaltyParams,
     nonneg_violation,
     nonneg_violation_envelope,
     nonneg_violation_envelope_grad,
-    penalty_value_and_grad,
     prox_nonneg_violation,
     quad_penalty,
     quad_penalty_grad,
@@ -190,35 +188,35 @@ class TestCompositePenalty:
         c = np.eye(4)[:, :2]
         f = ProjectionObjective(np.ones((4, 2)))
         for gamma in (0.0, 0.05):
-            val, _ = penalty_value_and_grad(f, c, PenaltyParams(rho=7.0, gamma=gamma))
+            val, _ = PenaltyObjective(f, 7.0, gamma).value_and_gradient(c)
             npt.assert_allclose(val, f.value(c))
 
     def test_rho_zero_reduces_to_objective(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 2))
         f = ProjectionObjective(rng.standard_normal((4, 2)))
-        val, grad = penalty_value_and_grad(f, x, PenaltyParams(rho=0.0, gamma=0.05))
+        val, grad = PenaltyObjective(f, 0.0, 0.05).value_and_gradient(x)
         npt.assert_allclose(val, f.value(x))
         npt.assert_allclose(grad, f.gradient(x))
 
     def test_finite_difference(self, fd_grad):
         rng = np.random.default_rng(6)
         f = ProjectionObjective(rng.standard_normal((3, 2)))
-        params = PenaltyParams(rho=3.0, gamma=0.05)
+        obj = PenaltyObjective(f, 3.0, 0.05)
         count = 0
         while count < 10:
             x = rng.uniform(-1.0, 1.0, size=(3, 2))
-            if np.any(np.abs(x) < 1e-4) or np.any(np.abs(x + params.gamma) < 1e-4):
+            if np.any(np.abs(x) < 1e-4) or np.any(np.abs(x + obj.gamma) < 1e-4):
                 continue
             count += 1
-            obj = PenaltyObjective(f, params)
             numeric = fd_grad(obj.value, x)
             analytic = obj.gradient(x)
             err = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
             assert err <= 1e-6
 
     def test_params_validation(self):
+        f = ProjectionObjective(np.eye(3)[:, :2])
         with pytest.raises(ValueError):
-            PenaltyParams(rho=-1.0)
+            PenaltyObjective(f, -1.0, 0.05)
         with pytest.raises(ValueError):
-            PenaltyParams(rho=1.0, gamma=-0.1)
+            PenaltyObjective(f, 1.0, -0.1)

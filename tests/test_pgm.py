@@ -5,13 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from orthopt.penalty import Objective
-from orthopt.pgm import (
-    LineSearchError,
-    PgmConfig,
-    bb_stepsize,
-    pgm_solve,
-    pgm_step,
-)
+from orthopt.pgm import LineSearchError, PgmConfig, bb_stepsize, pgm_solve
 from orthopt.problems import ProjectionObjective, random_stiefel_start
 from orthopt.stiefel import StiefelPoint, orthogonality_residual
 
@@ -45,28 +39,16 @@ class TestBbStepsize:
 
 
 class TestPgmStep:
-    def test_zero_gradient_immediate_accept(self):
-        x = random_stiefel_start(4, 2, 0)
-        obj = ProjectionObjective(x.mat)
-        step = pgm_step(x, obj.gradient, obj.value, 1.0, obj.value(x.mat), PgmConfig())
-        assert step.point is x
-        assert step.backtracks == 0
-        npt.assert_array_equal(step.direction, np.zeros((4, 2)))
-
     def test_accepted_step_satisfies_decrease(self):
         x = random_stiefel_start(5, 2, 1)
         obj = ProjectionObjective(np.eye(5)[:, :2])
         cfg = PgmConfig()
-        wmax = obj.value(x.mat)
-        step = pgm_step(x, obj.gradient, obj.value, 1.0, wmax, cfg)
-        bound = wmax - cfg.alpha / (2.0 * step.step) * np.sum(step.direction**2)
-        assert step.value <= bound
-
-    def test_t_init_out_of_range(self):
-        x = random_stiefel_start(4, 2, 2)
-        obj = ProjectionObjective(x.mat)
-        with pytest.raises(ValueError):
-            pgm_step(x, obj.gradient, obj.value, 1e13, 0.0, PgmConfig())
+        _, trace = pgm_solve(obj, x, cfg)
+        assert trace.iterations > 0
+        wmax = trace.window_max_values()
+        for k in range(trace.iterations):
+            bound = wmax[k] - cfg.alpha / (2.0 * trace.step_sizes[k]) * trace.v_norms[k] ** 2
+            assert trace.values[k + 1] <= bound
 
     def test_wrong_gradient_exhausts_backtracks(self):
         x = random_stiefel_start(5, 3, 3)

@@ -248,7 +248,7 @@ def test_onmf_alternate_accepts_custom_solver():
 
 def _fused_cases():
     from orthopt.driver import AugLagObjective
-    from orthopt.penalty import PenaltyObjective, PenaltyParams
+    from orthopt.penalty import PenaltyObjective
 
     rng = np.random.default_rng(17)
     proj = ProjectionObjective(rng.standard_normal((4, 4)))
@@ -256,8 +256,8 @@ def _fused_cases():
         "qap": QapLiftedObjective(random_instance(4, 18)),
         "gm": GraphMatchingObjective(AffinityInstance(rng.random((16, 16)))),
         "proj": proj,
-        "penalty_envelope": PenaltyObjective(proj, PenaltyParams(rho=3.0, gamma=0.05)),
-        "penalty_quadratic": PenaltyObjective(proj, PenaltyParams(rho=3.0, gamma=0.0)),
+        "penalty_envelope": PenaltyObjective(proj, 3.0, 0.05),
+        "penalty_quadratic": PenaltyObjective(proj, 3.0, 0.0),
         "auglag": AugLagObjective(proj, np.abs(rng.standard_normal((4, 4))), 2.5),
         "onmf": OnmfFactorObjective(rng.random((4, 5)), rng.random((5, 4))),
     }

@@ -1,4 +1,4 @@
-"""Manifold primitives: projections, retractions, distances."""
+"""Manifold primitives: projections, orthonormalizations, distances."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,14 +7,11 @@ import pytest
 from orthopt.stiefel import (
     RetractionError,
     StiefelPoint,
-    TangentVector,
     dist_to_stiefel,
     orthogonality_residual,
+    polar_orthonormalize,
     proj_tangent,
     qr_orthonormalize,
-    retract_polar,
-    retract_qr,
-    riemannian_gradient,
 )
 
 
@@ -33,11 +30,6 @@ class TestStiefelPoint:
         with pytest.raises(ValueError, match="not orthonormal"):
             StiefelPoint(np.ones((3, 2)) * 0.5)
 
-    def test_reorthonormalize(self):
-        rng = np.random.default_rng(0)
-        x = StiefelPoint(rng.standard_normal((5, 3)), reorthonormalize=True)
-        assert x.orth_residual <= 1e-12
-
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
             StiefelPoint(np.eye(2, 3))  # n < r
@@ -50,45 +42,31 @@ class TestStiefelPoint:
             x.mat[0, 0] = 2.0
 
 
-class TestTangentVector:
-    def test_rejects_nontangent(self):
-        x = StiefelPoint(np.eye(3)[:, :2])
-        with pytest.raises(ValueError, match="not tangent"):
-            TangentVector(x, np.eye(3)[:, :2])
-
-    def test_scaling_preserves_base(self):
-        x = random_point(5, 2, 1)
-        v = proj_tangent(x, np.random.default_rng(2).standard_normal((5, 2)))
-        w = -3.0 * v
-        assert w.base is x
-        npt.assert_allclose(w.dir, -3.0 * v.dir)
-
-
 class TestProjTangent:
     def test_normal_directions_project_to_zero(self):
         x = StiefelPoint(np.eye(3)[:, :2])
         s = np.array([[1.0, 2.0], [2.0, 3.0]])
-        v = proj_tangent(x, x.mat @ s)
-        npt.assert_allclose(v.dir, np.zeros((3, 2)), atol=1e-14)
+        v = proj_tangent(x.mat, x.mat @ s)
+        npt.assert_allclose(v, np.zeros((3, 2)), atol=1e-14)
 
     def test_identity_on_tangent(self):
         x = random_point(6, 3, 3)
         rng = np.random.default_rng(4)
-        v = proj_tangent(x, rng.standard_normal((6, 3)))
-        w = proj_tangent(x, v.dir)
-        npt.assert_allclose(w.dir, v.dir, atol=1e-13)
+        v = proj_tangent(x.mat, rng.standard_normal((6, 3)))
+        w = proj_tangent(x.mat, v)
+        npt.assert_allclose(w, v, atol=1e-13)
 
     def test_idempotent(self):
         x = random_point(8, 3, 5)
         z = np.random.default_rng(6).standard_normal((8, 3))
-        once = proj_tangent(x, z).dir
-        twice = proj_tangent(x, once).dir
+        once = proj_tangent(x.mat, z)
+        twice = proj_tangent(x.mat, once)
         assert np.linalg.norm(twice - once) <= 1e-12
 
     def test_output_is_tangent(self):
         x = random_point(7, 4, 7)
         z = np.random.default_rng(8).standard_normal((7, 4))
-        d = proj_tangent(x, z).dir
+        d = proj_tangent(x.mat, z)
         assert np.linalg.norm(x.mat.T @ d + d.T @ x.mat) <= 1e-10
 
     def test_orthogonal_decomposition(self):
@@ -97,90 +75,78 @@ class TestProjTangent:
         for _ in range(20):
             x = StiefelPoint(qr_orthonormalize(rng.standard_normal((6, 3))))
             z = rng.standard_normal((6, 3))
-            normal_part = z - proj_tangent(x, z).dir
-            h = proj_tangent(x, rng.standard_normal((6, 3))).dir
+            normal_part = z - proj_tangent(x.mat, z)
+            h = proj_tangent(x.mat, rng.standard_normal((6, 3)))
             assert abs(np.sum(normal_part * h)) <= 1e-10
 
     def test_shape_mismatch(self):
         x = random_point(4, 2, 10)
         with pytest.raises(ValueError, match="shape"):
-            proj_tangent(x, np.zeros((5, 2)))
+            proj_tangent(x.mat, np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            proj_tangent(x.mat, np.zeros((4, 1)))  # would broadcast unchecked
 
 
-class TestRiemannianGradient:
-    def test_symmetric_pullback_vanishes(self):
-        x = random_point(5, 3, 11)
-        s = np.random.default_rng(12).standard_normal((3, 3))
-        s = s + s.T
-        g = riemannian_gradient(x, x.mat @ s)
-        npt.assert_allclose(g.dir, np.zeros((5, 3)), atol=1e-13)
-
-    def test_matches_proj_tangent_exactly(self):
-        x = random_point(6, 2, 13)
-        z = np.random.default_rng(14).standard_normal((6, 2))
-        npt.assert_array_equal(riemannian_gradient(x, z).dir, proj_tangent(x, z).dir)
-
-
-@pytest.mark.parametrize("retract", [retract_qr, retract_polar])
+@pytest.mark.parametrize(
+    "orthonormalize",
+    [qr_orthonormalize, polar_orthonormalize],
+    ids=["retract_qr", "retract_polar"],
+)
 class TestRetractions:
-    def test_zero_vector_is_identity(self, retract):
-        x = random_point(5, 2, 15)
-        v = TangentVector(x, np.zeros((5, 2)))
-        assert retract(x, v) is x
+    """x + v followed by either orthonormalization is a retraction."""
 
-    def test_result_orthonormal(self, retract):
+    def test_zero_vector_is_identity(self, orthonormalize):
+        x = random_point(5, 2, 15).mat
+        npt.assert_allclose(orthonormalize(x + np.zeros((5, 2))), x, rtol=0, atol=1e-15)
+
+    def test_result_orthonormal(self, orthonormalize):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            x = StiefelPoint(qr_orthonormalize(rng.standard_normal((6, 3))))
+            x = qr_orthonormalize(rng.standard_normal((6, 3)))
             v = proj_tangent(x, rng.standard_normal((6, 3)))
-            y = retract(x, v)
-            assert y.orth_residual <= 1e-12
-            assert dist_to_stiefel(y.mat) <= 1e-12
+            y = orthonormalize(x + v)
+            assert orthogonality_residual(y) <= 1e-12
+            assert dist_to_stiefel(y) <= 1e-12
 
-    def test_first_order_agreement(self, retract):
+    def test_first_order_agreement(self, orthonormalize):
         # ||R(t v) - (x + t v)|| / ||t v|| shrinks linearly with t
-        x = random_point(8, 3, 17)
+        x = random_point(8, 3, 17).mat
         v = proj_tangent(x, np.random.default_rng(18).standard_normal((8, 3)))
-        v = v.scaled(1.0 / v.norm())
+        v = v / np.linalg.norm(v)
         ratios = []
         for t in (1e-1, 1e-2, 1e-3):
-            y = retract(x, v.scaled(t))
-            ratios.append(np.linalg.norm(y.mat - (x.mat + t * v.dir)) / t)
+            y = orthonormalize(x + t * v)
+            ratios.append(np.linalg.norm(y - (x + t * v)) / t)
         assert ratios[0] > ratios[1] > ratios[2]
         # linear decay in t: each decade shrinks the ratio close to 10x
         assert 0.05 * ratios[0] <= ratios[1] <= 0.2 * ratios[0]
         assert 0.05 * ratios[1] <= ratios[2] <= 0.2 * ratios[1]
 
-    def test_wrong_base_rejected(self, retract):
-        x = random_point(5, 2, 19)
-        y = random_point(5, 2, 20)
-        v = proj_tangent(y, np.random.default_rng(21).standard_normal((5, 2)))
-        with pytest.raises(ValueError, match="different point"):
-            retract(x, v)
-
-    def test_bounded_deviation_constants(self, retract):
+    def test_bounded_deviation_constants(self, orthonormalize):
         # ||R(v) - x|| <= c1 ||v|| and ||R(v) - (x + v)|| <= c2 ||v||^2,
         # with the constants fitted over 1000 random draws
         rng = np.random.default_rng(22)
         c1 = c2 = 0.0
         for _ in range(1000):
-            x = StiefelPoint(qr_orthonormalize(rng.standard_normal((5, 2))))
-            v = proj_tangent(x, rng.standard_normal((5, 2))).scaled(
-                rng.uniform(0.01, 1.0)
-            )
-            nv = v.norm()
-            y = retract(x, v)
-            c1 = max(c1, np.linalg.norm(y.mat - x.mat) / nv)
-            c2 = max(c2, np.linalg.norm(y.mat - (x.mat + v.dir)) / nv**2)
+            x = qr_orthonormalize(rng.standard_normal((5, 2)))
+            v = proj_tangent(x, rng.standard_normal((5, 2))) * rng.uniform(0.01, 1.0)
+            nv = np.linalg.norm(v)
+            y = orthonormalize(x + v)
+            c1 = max(c1, np.linalg.norm(y - x) / nv)
+            c2 = max(c2, np.linalg.norm(y - (x + v)) / nv**2)
         assert c1 <= 2.0
         assert c2 <= 5.0
 
+    def test_rank_deficient_raises(self, orthonormalize):
+        with pytest.raises(RetractionError):
+            orthonormalize(np.ones((4, 2)))
+
 
 def test_retract_polar_hand_example():
-    x = StiefelPoint(np.array([[1.0], [0.0]]))
-    v = TangentVector(x, np.array([[0.0], [1.0]]))
-    y = retract_polar(x, v)
-    npt.assert_allclose(y.mat, np.array([[1.0], [1.0]]) / np.sqrt(2), atol=1e-15)
+    x = np.array([[1.0], [0.0]])
+    v = np.array([[0.0], [1.0]])
+    y = polar_orthonormalize(x + v)
+    npt.assert_allclose(y, np.array([[1.0], [1.0]]) / np.sqrt(2), atol=1e-15)
 
 
 def test_qr_sign_convention_deterministic():
@@ -192,11 +158,6 @@ def test_qr_sign_convention_deterministic():
     # positive diagonal of R = Q^T M
     r = q1.T @ m
     assert np.all(np.diag(r) > 0)
-
-
-def test_qr_rank_deficient_raises():
-    with pytest.raises(RetractionError):
-        qr_orthonormalize(np.ones((4, 2)))
 
 
 class TestDistToStiefel:
