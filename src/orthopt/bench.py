@@ -184,8 +184,9 @@ def clustering_metrics(truth, pred, r: int) -> tuple[float, float, float]:
 class ExperimentSpec:
     """A multi-start experiment on one instance.
 
-    ``config`` overrides the solver-specific default penalty configuration;
-    ``mu0`` only applies to the alm solver. Start i uses seed XOR i.
+    ``config`` and ``mu0`` replace ``default_config`` and ``default_mu0``;
+    the alm solver reads ``mu0`` and the ``pgm`` and ``epsilon`` fields of the
+    configuration. Start i uses seed XOR i.
     """
 
     kind: str
@@ -198,7 +199,6 @@ class ExperimentSpec:
     mu0: float | None = None
     best_known: float | None = None
     jobs: int = 1
-    out_prefix: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -215,22 +215,23 @@ class ExperimentSpec:
 
 @dataclass
 class StartRecord:
-    """Raw outcome of one start; ``x_final`` stays in memory only."""
+    """Raw outcome of one start; ``x_final`` stays in memory only. A failed
+    start keeps its result fields None."""
 
     index: int
     seed: int
-    failed: bool
-    error: str | None
-    f_final: float | None
-    f_rounded: float | None
-    gap_pct: float | None
-    rgap_pct: float | None
-    ninf: float | None
-    orth_residual: float | None
-    stationarity: float | None
-    outer_iters: int | None
-    inner_iters: int | None
-    wall_time: float | None
+    failed: bool = False
+    error: str | None = None
+    f_final: float | None = None
+    f_rounded: float | None = None
+    gap_pct: float | None = None
+    rgap_pct: float | None = None
+    ninf: float | None = None
+    orth_residual: float | None = None
+    stationarity: float | None = None
+    outer_iters: int | None = None
+    inner_iters: int | None = None
+    wall_time: float | None = None
     x_final: np.ndarray | None = None
     report: SolveReport | None = None
 
@@ -271,26 +272,26 @@ def _problem_setup(spec: ExperimentSpec):
     return ProjectionObjective(target), target.shape[0], target.shape[1]
 
 
-def default_config(spec: ExperimentSpec) -> PenaltyConfig:
-    """Solver- and problem-appropriate penalty configuration."""
-    if spec.config is not None:
-        return spec.config
-    maker = PenaltyConfig.quadratic if spec.solver == "seppg_zero" else PenaltyConfig.envelope
-    if spec.kind == "proj":
-        target = np.asarray(spec.instance, dtype=float)
-        scale = float(np.linalg.norm(target, 2))
-        return maker(rho0=1.0 / scale if scale > 0 else 1.0)
-    return maker()
+def default_mu0(kind: str, instance) -> float:
+    """Initial ALM weight: 10 for qap, 0.1 for gm, and 1/||data||_2 of the proj
+    target or the onmf matrix (1 for zero data). ``default_config`` starts the
+    penalty weight of proj and onmf from the same value."""
+    if kind == "qap":
+        return 10.0
+    if kind == "gm":
+        return 0.1
+    data = instance.a if kind == "onmf" else instance
+    scale = float(np.linalg.norm(np.asarray(data, dtype=float), 2))
+    return 1.0 / scale if scale > 0 else 1.0
 
 
-def default_mu0(spec: ExperimentSpec) -> float:
-    if spec.mu0 is not None:
-        return spec.mu0
-    if spec.kind == "proj":
-        target = np.asarray(spec.instance, dtype=float)
-        scale = float(np.linalg.norm(target, 2))
-        return 1.0 / scale if scale > 0 else 1.0
-    return 10.0 if spec.kind == "qap" else 0.1
+def default_config(solver: str, kind: str, instance) -> PenaltyConfig:
+    """The solver's penalty preset (quadratic for seppg_zero, envelope
+    otherwise); proj and onmf set rho0 to ``default_mu0``."""
+    maker = PenaltyConfig.quadratic if solver == "seppg_zero" else PenaltyConfig.envelope
+    if kind in ("qap", "gm"):
+        return maker()
+    return maker(rho0=default_mu0(kind, instance))
 
 
 def _run_start(args) -> StartRecord:
@@ -298,40 +299,21 @@ def _run_start(args) -> StartRecord:
     start_seed = spec.seed ^ index
     objective, n, r = _problem_setup(spec)
     x0 = random_stiefel_start(n, r, start_seed)
+    cfg = spec.config or default_config(spec.solver, spec.kind, spec.instance)
     try:
         if spec.solver == "alm":
-            pgm_cfg = spec.config.pgm if spec.config is not None else None
-            epsilon = spec.config.epsilon if spec.config is not None else 1e-6
-            report = alm_solve(
-                objective, x0, default_mu0(spec), pgm_cfg, epsilon=epsilon
-            )
+            mu0 = default_mu0(spec.kind, spec.instance) if spec.mu0 is None else spec.mu0
+            report = alm_solve(objective, x0, mu0, cfg.pgm, epsilon=cfg.epsilon)
         else:
-            report = penalty_solve(objective, x0, default_config(spec))
+            report = penalty_solve(objective, x0, cfg)
     except Exception as err:  # per-start failures are recorded, not fatal
-        return StartRecord(
-            index=index,
-            seed=start_seed,
-            failed=True,
-            error=f"{type(err).__name__}: {err}",
-            f_final=None,
-            f_rounded=None,
-            gap_pct=None,
-            rgap_pct=None,
-            ninf=None,
-            orth_residual=None,
-            stationarity=None,
-            outer_iters=None,
-            inner_iters=None,
-            wall_time=None,
-        )
+        return StartRecord(index, start_seed, failed=True, error=f"{type(err).__name__}: {err}")
     f_rounded = objective.value(round_to_feasible(report.x_final.mat).mat)
     rgap = relgap(f_rounded, spec.best_known) if spec.best_known is not None else None
     gap = relgap(report.f_final, spec.best_known) if spec.best_known is not None else None
     return StartRecord(
         index=index,
         seed=start_seed,
-        failed=False,
-        error=None,
         f_final=report.f_final,
         f_rounded=f_rounded,
         gap_pct=gap,
@@ -353,13 +335,10 @@ def run_experiment(
     """Run ``num_starts`` independent seeded solves and aggregate the results.
 
     Failed starts are excluded from the aggregates and counted in
-    ``failures``. With an output prefix (argument or ``spec.out_prefix``),
-    writes ``<prefix>_summary.csv`` and ``<prefix>_starts.csv`` (and the final
-    matrices with ``dump_x``); the CSV bytes are a deterministic function of
-    (spec, seed).
+    ``failures``. With an output prefix, writes ``<prefix>_summary.csv`` and
+    ``<prefix>_starts.csv`` (and the final matrices with ``dump_x``); the CSV
+    bytes are a deterministic function of (spec, seed).
     """
-    if out_prefix is None:
-        out_prefix = spec.out_prefix
     jobs = min(spec.jobs, spec.num_starts)
     tasks = [(spec, i) for i in range(spec.num_starts)]
     if jobs > 1:
@@ -407,87 +386,55 @@ def _cell(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return _FLOAT_FMT % value
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")
     return str(value)
 
 
+# (header, attribute) per CSV column
 _SUMMARY_COLUMNS = (
-    "instance",
-    "solver",
-    "starts",
-    "failures",
-    "min_gap_pct",
-    "med_gap_pct",
-    "rmed_gap_pct",
-    "mean_ninf",
-    "mean_orth_residual",
+    ("instance", "name"),
+    ("solver", "solver"),
+    ("starts", "num_starts"),
+    ("failures", "failures"),
+    ("min_gap_pct", "min_gap_pct"),
+    ("med_gap_pct", "med_gap_pct"),
+    ("rmed_gap_pct", "rmed_gap_pct"),
+    ("mean_ninf", "mean_ninf"),
+    ("mean_orth_residual", "mean_orth_residual"),
 )
 
 _START_COLUMNS = (
-    "start",
-    "seed",
-    "failed",
-    "error",
-    "f_final",
-    "f_rounded",
-    "gap_pct",
-    "rgap_pct",
-    "ninf",
-    "orth_residual",
-    "stationarity",
-    "outer_iters",
-    "inner_iters",
+    ("start", "index"),
+    ("seed", "seed"),
+    ("failed", "failed"),
+    ("error", "error"),
+    ("f_final", "f_final"),
+    ("f_rounded", "f_rounded"),
+    ("gap_pct", "gap_pct"),
+    ("rgap_pct", "rgap_pct"),
+    ("ninf", "ninf"),
+    ("orth_residual", "orth_residual"),
+    ("stationarity", "stationarity"),
+    ("outer_iters", "outer_iters"),
+    ("inner_iters", "inner_iters"),
 )
+
+
+def _write_csv(path, columns, items) -> None:
+    lines = [",".join(header for header, _ in columns)]
+    lines += [",".join(_cell(getattr(item, attr)) for _, attr in columns) for item in items]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_summary_csv(path, rows: list[MetricsRow]) -> None:
     """One line per experiment. Timings are intentionally not written; CSV
     bytes must be reproducible for identical specs and seeds."""
-    lines = [",".join(_SUMMARY_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    row.name,
-                    row.solver,
-                    row.num_starts,
-                    row.failures,
-                    row.min_gap_pct,
-                    row.med_gap_pct,
-                    row.rmed_gap_pct,
-                    row.mean_ninf,
-                    row.mean_orth_residual,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, _SUMMARY_COLUMNS, rows)
 
 
 def write_starts_csv(path, records: list[StartRecord]) -> None:
-    lines = [",".join(_START_COLUMNS)]
-    for rec in records:
-        error = (rec.error or "").replace(",", ";").replace("\n", " ")
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    rec.index,
-                    rec.seed,
-                    rec.failed,
-                    error,
-                    rec.f_final,
-                    rec.f_rounded,
-                    rec.gap_pct,
-                    rec.rgap_pct,
-                    rec.ninf,
-                    rec.orth_residual,
-                    rec.stationarity,
-                    rec.outer_iters,
-                    rec.inner_iters,
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, _START_COLUMNS, records)
 
 
 def default_jobs() -> int:

@@ -62,9 +62,8 @@ def _coerce(text: str):
         return text
 
 
-def load_config_overrides(path, base: PenaltyConfig | None = None) -> PenaltyConfig:
+def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
     """Apply key=value lines to a PenaltyConfig; pgm.<key> reaches the inner solver."""
-    cfg = base if base is not None else PenaltyConfig()
     outer: dict = {}
     inner: dict = {}
     for raw in Path(path).read_text().splitlines():
@@ -79,17 +78,14 @@ def load_config_overrides(path, base: PenaltyConfig | None = None) -> PenaltyCon
         else:
             outer[key] = _coerce(value)
     if inner:
-        outer["pgm"] = dataclasses.replace(cfg.pgm, **inner)
-    return dataclasses.replace(cfg, **outer)
+        outer["pgm"] = dataclasses.replace(base.pgm, **inner)
+    return dataclasses.replace(base, **outer)
 
 
-def _experiment_config(args) -> PenaltyConfig | None:
-    if args.config is None:
-        return None
-    maker = (
-        PenaltyConfig.quadratic if args.solver == "seppg_zero" else PenaltyConfig.envelope
-    )
-    return load_config_overrides(args.config, maker())
+def _config(args, kind: str, instance) -> PenaltyConfig:
+    """The solver's default configuration with the ``--config`` overrides on top."""
+    cfg = bench.default_config(args.solver, kind, instance)
+    return cfg if args.config is None else load_config_overrides(args.config, cfg)
 
 
 def _run_spec(args, kind: str, name: str, instance, best_known=None) -> int:
@@ -100,7 +96,7 @@ def _run_spec(args, kind: str, name: str, instance, best_known=None) -> int:
         solver=args.solver,
         num_starts=args.starts,
         seed=args.seed,
-        config=_experiment_config(args),
+        config=_config(args, kind, instance),
         mu0=args.mu0,
         best_known=best_known,
         jobs=args.jobs,
@@ -144,24 +140,13 @@ def _cmd_onmf(args) -> int:
     truth = None
     if args.labels is not None:
         truth = np.loadtxt(args.labels, dtype=int)
-    cfg = _experiment_config(args)
-    if cfg is None:
-        maker = (
-            PenaltyConfig.quadratic
-            if args.solver == "seppg_zero"
-            else PenaltyConfig.envelope
-        )
-        scale = float(np.linalg.norm(inst.a, 2))
-        cfg = maker(rho0=1.0 / scale if scale > 0 else 1.0)
-    mu0 = args.mu0
-    if mu0 is None:
-        scale = float(np.linalg.norm(inst.a, 2))
-        mu0 = 1.0 / scale if scale > 0 else 1.0
+    cfg = _config(args, "onmf", inst)
+    mu0 = bench.default_mu0("onmf", inst) if args.mu0 is None else args.mu0
 
     solve = None
     if args.solver == "alm":
         def solve(obj, x):
-            return alm_solve(obj, x, mu0)
+            return alm_solve(obj, x, mu0, cfg.pgm, epsilon=cfg.epsilon)
 
     lines = ["start,seed,objective,pidx,eidx,nmi"]
     for i in range(args.starts):

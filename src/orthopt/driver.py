@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_value
-from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
+from .pgm import LineSearchError, PgmConfig, PgmTrace, check_integer_fields, pgm_solve
 from .stiefel import StiefelPoint, check_matrix, proj_tangent
 
 # outer-loop f-stagnation lag and relative tolerance for the early stop
@@ -54,6 +54,7 @@ class PenaltyConfig:
     pgm: PgmConfig = field(default_factory=PgmConfig)
 
     def __post_init__(self):
+        check_integer_fields(self, "l_max")
         if self.gamma < 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.rho0 is not None and self.rho0 <= 0:
@@ -194,6 +195,58 @@ def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
     return rho if rho > 0 else 1.0
 
 
+def _solve_subproblem(
+    obj: Objective,
+    x_start: StiefelPoint,
+    cfg: PgmConfig,
+    outer: int,
+    inner_traces: list,
+    flags: list,
+) -> tuple[StiefelPoint, bool]:
+    """One inner solve of an outer loop, with its trace and flags recorded.
+
+    Returns (solution, True), or (x_start, False) after a line-search failure,
+    which aborts the outer loop; the failed solve's partial trace is kept.
+    """
+    try:
+        x, tr = pgm_solve(obj, x_start, cfg)
+    except LineSearchError as err:
+        inner_traces.append(err.trace)
+        flags.extend([f"line_search_failure@outer={outer}", "aborted_with_partial_report"])
+        return x_start, False
+    inner_traces.append(tr)
+    if not tr.converged:
+        flags.append(f"inner_tolerance_not_met@outer={outer}")
+    return x, True
+
+
+def _report(
+    solver: str,
+    f: Objective,
+    obj: Objective,
+    x: StiefelPoint,
+    start_time: float,
+    records: list,
+    inner_traces: list,
+    flags: list,
+) -> SolveReport:
+    """Report of x; stationarity is measured on the last subproblem objective."""
+    return SolveReport(
+        solver=solver,
+        x_final=x,
+        f_final=f.value(x.mat),
+        ninf=nonneg_violation(x.mat),
+        orth_residual=x.orth_residual,
+        stationarity=float(np.linalg.norm(proj_tangent(x.mat, obj.gradient(x.mat)))),
+        outer_iters=len(inner_traces),
+        inner_iters_total=sum(tr.iterations for tr in inner_traces),
+        wall_time=time.perf_counter() - start_time,
+        trace=records,
+        inner_traces=inner_traces,
+        flags=flags,
+    )
+
+
 def penalty_solve(
     f: Objective, x0: StiefelPoint, cfg: PenaltyConfig | None = None
 ) -> SolveReport:
@@ -206,7 +259,8 @@ def penalty_solve(
     outer iterations, or when the outer budget runs out.
 
     A line-search failure inside a subproblem aborts the run; the report then
-    describes the last completed iterate and carries a flag.
+    describes that subproblem's warm start (the previous iterate, or its
+    rounded candidate) and carries flags.
 
     Each outer iteration evaluates f and the penalty term once at the solved
     iterate and builds both penalized values (for the weight just solved and
@@ -219,39 +273,23 @@ def penalty_solve(
     f0 = f.value(x0.mat)
     rho = _initial_rho(f0, x0, cfg)
     tau = cfg.tau0
-    pobj = PenaltyObjective(f, rho, cfg.gamma)
     upsilon = f0 + rho * penalty_value(x0.mat, cfg.gamma)
 
     solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
-    x = x_start = x0
-    solved_pobj = pobj
+    x_start = x0
     f_hist: list[float] = []
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
     flags: list[str] = []
-    inner_total = 0
-    outer = 0
-    aborted = False
 
+    # l_max >= 1, so pobj is the last subproblem objective after the loop
     for l in range(cfg.l_max):
-        outer = l + 1
-        inner_cfg = replace(cfg.pgm, grad_tol=tau)
-        try:
-            x, tr = pgm_solve(pobj, x_start, inner_cfg)
-        except LineSearchError as err:
-            flags.append(f"line_search_failure@outer={l}")
-            if err.trace is not None:
-                inner_traces.append(err.trace)
-                inner_total += err.trace.iterations
-            x = x_start
-            solved_pobj = pobj
-            aborted = True
+        pobj = PenaltyObjective(f, rho, cfg.gamma)
+        x, ok = _solve_subproblem(
+            pobj, x_start, replace(cfg.pgm, grad_tol=tau), l, inner_traces, flags
+        )
+        if not ok:
             break
-        solved_pobj = pobj
-        inner_traces.append(tr)
-        inner_total += tr.iterations
-        if not tr.converged:
-            flags.append(f"inner_tolerance_not_met@outer={l}")
 
         # the same float sums as pobj.value(x.mat)
         f_val = f.value(x.mat)
@@ -274,7 +312,6 @@ def penalty_solve(
         sigma = cfg.sigma_rho_small if rho <= 1.0 else cfg.sigma_rho_large
         rho = min(sigma * rho, cfg.rho_max)
         tau = max(cfg.sigma_tau * tau, cfg.tau_min)
-        pobj = PenaltyObjective(f, rho, cfg.gamma)
 
         theta_plain = f_val + rho * pen
         x_start, upsilon = x, theta_plain
@@ -282,30 +319,13 @@ def penalty_solve(
         # (records[-1].rho), not the freshly grown one
         if records[-1].rho >= cfg.rho_feas_threshold:
             x_round = round_to_feasible(x.mat)
-            theta_round = pobj.value(x_round.mat)
+            theta_round = PenaltyObjective(f, rho, cfg.gamma).value(x_round.mat)
             if theta_round < theta_plain:
                 x_start, upsilon = x_round, theta_round
     else:
         flags.append("outer_budget_exhausted")
 
-    final_ninf = nonneg_violation(x.mat)
-    if aborted:
-        flags.append("aborted_with_partial_report")
-    stationarity = float(np.linalg.norm(proj_tangent(x.mat, solved_pobj.gradient(x.mat))))
-    return SolveReport(
-        solver=solver,
-        x_final=x,
-        f_final=f.value(x.mat),
-        ninf=final_ninf,
-        orth_residual=x.orth_residual,
-        stationarity=stationarity,
-        outer_iters=outer,
-        inner_iters_total=inner_total,
-        wall_time=time.perf_counter() - start_time,
-        trace=records,
-        inner_traces=inner_traces,
-        flags=flags,
-    )
+    return _report(solver, f, pobj, x, start_time, records, inner_traces, flags)
 
 
 class AugLagObjective(Objective):
@@ -368,30 +388,17 @@ def alm_solve(
     lam = np.zeros(x0.shape)
     mu = float(mu0)
     x = x0
+    # max_outer == 0 reports x0 against the first subproblem objective
     obj = AugLagObjective(f, lam, mu)
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
     flags: list[str] = []
-    inner_total = 0
-    outer = 0
-    aborted = False
 
     for k in range(max_outer):
-        outer = k + 1
         obj = AugLagObjective(f, lam, mu)
-        try:
-            x, tr = pgm_solve(obj, x, pgm_cfg)
-        except LineSearchError as err:
-            flags.append(f"line_search_failure@outer={k}")
-            if err.trace is not None:
-                inner_traces.append(err.trace)
-                inner_total += err.trace.iterations
-            aborted = True
+        x, ok = _solve_subproblem(obj, x, pgm_cfg, k, inner_traces, flags)
+        if not ok:
             break
-        inner_traces.append(tr)
-        inner_total += tr.iterations
-        if not tr.converged:
-            flags.append(f"inner_tolerance_not_met@outer={k}")
         ninf = nonneg_violation(x.mat)
         records.append(
             OuterRecord(rho=mu, tau=pgm_cfg.grad_tol, ninf=ninf, f_value=f.value(x.mat), upsilon=float("nan"))
@@ -403,23 +410,7 @@ def alm_solve(
     else:
         flags.append("outer_budget_exhausted")
 
-    if aborted:
-        flags.append("aborted_with_partial_report")
-    stationarity = float(np.linalg.norm(proj_tangent(x.mat, obj.gradient(x.mat))))
-    return SolveReport(
-        solver="alm",
-        x_final=x,
-        f_final=f.value(x.mat),
-        ninf=nonneg_violation(x.mat),
-        orth_residual=x.orth_residual,
-        stationarity=stationarity,
-        outer_iters=outer,
-        inner_iters_total=inner_total,
-        wall_time=time.perf_counter() - start_time,
-        trace=records,
-        inner_traces=inner_traces,
-        flags=flags,
-    )
+    return _report("alm", f, obj, x, start_time, records, inner_traces, flags)
 
 
 def stationarity_residual(

@@ -12,6 +12,7 @@ point as a ``StiefelPoint``.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -22,6 +23,15 @@ from .penalty import Objective
 from .stiefel import StiefelPoint, check_matrix, proj_tangent, qr_orthonormalize
 
 _BB_DEGENERACY = 1e-16
+
+
+def check_integer_fields(cfg, *names: str) -> None:
+    """Raise ValueError unless each named field of cfg is an integer; bools
+    and integral floats such as 1e3 are rejected too."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class LineSearchError(RuntimeError):
@@ -63,6 +73,7 @@ class PgmConfig:
     max_backtracks: int = 50
 
     def __post_init__(self):
+        check_integer_fields(self, "memory", "max_iters", "max_backtracks")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.alpha <= 0:

@@ -298,3 +298,67 @@ class TestCli:
         cfg.write_text("rho0 = 2.5\nepsilon = 1e-7\npgm.memory = 3\n")
         code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
         assert code == 0
+
+
+def _csv_bytes(prefix):
+    return [
+        (prefix.parent / (prefix.name + suffix)).read_bytes()
+        for suffix in ("_summary.csv", "_starts.csv")
+    ]
+
+
+class TestCliDefaults:
+    """``--config`` overrides land on top of the solver's data-scaled defaults."""
+
+    def test_proj_config_restating_a_default_changes_nothing(self, tmp_path, capsys):
+        from orthopt.problems import noisy_projection_target
+
+        target, _ = noisy_projection_target(12, 3, 0.25 / np.sqrt(12), seed=2)
+        inst = tmp_path / "c.txt"
+        save_dense_matrix(inst, target)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("epsilon = 1e-6\n")
+        common = ["proj", str(inst), "--starts", "3", "--seed", "0", "--jobs", "1"]
+        assert main(common + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(common + ["--out", str(tmp_path / "cfg"), "--config", str(cfg)]) == 0
+        assert _csv_bytes(tmp_path / "plain") == _csv_bytes(tmp_path / "cfg")
+
+    def test_onmf_config_restating_a_default_changes_nothing(self, tmp_path, capsys):
+        from orthopt.problems import planted_onmf_instance
+
+        inst, _, _, _ = planted_onmf_instance(12, 6, 2, noise=0.05, seed=4)
+        a_path = tmp_path / "a.txt"
+        save_dense_matrix(a_path, inst.a)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("epsilon = 1e-6\n")
+        common = ["onmf", str(a_path), "--clusters", "2", "--starts", "2", "--jobs", "1"]
+        assert main(common + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(common + ["--out", str(tmp_path / "cfg"), "--config", str(cfg)]) == 0
+        plain = (tmp_path / "plain_onmf.csv").read_bytes()
+        assert plain == (tmp_path / "cfg_onmf.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "line", ["l_max = 1e3", "pgm.max_iters = 1e4", "pgm.memory = 2.5"]
+    )
+    def test_float_in_integer_field_exits_with_error(self, tmp_path, capsys, line):
+        inst = tmp_path / "c.txt"
+        save_dense_matrix(inst, default_base_point(4, 2).mat)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: ", err)
+        assert err.count("\n") == 1
+
+
+def test_comma_in_instance_name_keeps_csv_shape(tmp_path, capsys):
+    inst = tmp_path / "nug,12.dat"
+    inst.write_text(SMALL_QAP)
+    out = tmp_path / "run"
+    code = main(["qap", str(inst), "--starts", "2", "--jobs", "1", "--out", str(out)])
+    assert code == 0
+    for suffix in ("_summary.csv", "_starts.csv"):
+        lines = (tmp_path / ("run" + suffix)).read_text().splitlines()
+        widths = {len(line.split(",")) for line in lines}
+        assert len(widths) == 1, f"{suffix}: cell counts {sorted(widths)}"

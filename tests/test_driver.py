@@ -309,3 +309,24 @@ class TestPenaltyConfig:
             PenaltyConfig(sigma_rho_large=0.9)
         with pytest.raises(ValueError):
             PenaltyConfig(rho0=-1.0)
+
+
+def test_alm_zero_outer_budget_reports_the_start():
+    c = default_base_point(4, 2)
+    f = ProjectionObjective(c.mat)
+    x0 = random_stiefel_start(4, 2, 7)
+    report = alm_solve(f, x0, mu0=0.5, max_outer=0)
+    assert report.x_final is x0
+    assert report.outer_iters == 0
+    assert report.inner_iters_total == 0
+    assert report.inner_traces == [] and report.trace == []
+    assert report.flags == ["outer_budget_exhausted"]
+    assert report.f_final == f.value(x0.mat)
+    grad = AugLagObjective(f, np.zeros((4, 2)), 0.5).gradient(x0.mat)
+    assert report.stationarity == float(np.linalg.norm(proj_tangent(x0.mat, grad)))
+
+
+@pytest.mark.parametrize("value", [1e3, 2.5, True])
+def test_penalty_config_rejects_non_integer_l_max(value):
+    with pytest.raises(ValueError, match="l_max"):
+        PenaltyConfig(l_max=value)

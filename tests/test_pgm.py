@@ -3,6 +3,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthopt.penalty import Objective
 from orthopt.pgm import LineSearchError, PgmConfig, bb_stepsize, pgm_solve
@@ -250,3 +252,80 @@ class TestPgmConfig:
             PgmConfig(memory=-1)
         with pytest.raises(ValueError):
             PgmConfig(grad_tol=0.0)
+
+
+class WrongSignLinear(Objective):
+    """value 1 + <G, X> with the gradient's sign flipped: every line-search
+    direction is an ascent direction to first order, so backtracking ends in
+    the stall path (or accepts a step the retraction's curvature makes
+    downhill)."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def value(self, x):
+        return 1.0 + float(np.sum(self.g * x))
+
+    def gradient(self, x):
+        return -self.g
+
+
+@st.composite
+def _stall_cases(draw):
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(1, n))
+    return n, r, draw(st.integers(0, 2**16)), draw(st.sampled_from([0, 5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stall_cases())
+@example((4, 4, 2, 0))  # raises LineSearchError after 51 trials
+def test_stalled_steps_leave_value_and_iterate_unchanged(case):
+    n, r, seed, memory = case
+    g = np.random.default_rng([seed, 1]).standard_normal((n, r))
+    obj = WrongSignLinear(g)
+    x0 = random_stiefel_start(n, r, seed)
+    cfg = PgmConfig(max_iters=5, memory=memory)
+    try:
+        x, trace = pgm_solve(obj, x0, cfg)
+        failed_search = 0
+    except LineSearchError as err:
+        # retraction roundoff can exceed the stall test's margin; the failed
+        # step's evaluations are not in the partial trace's backtracks
+        x, trace = x0, err.trace
+        failed_search = cfg.max_backtracks + 1
+
+    assert trace.evaluations == 1 + sum(bt + 1 for bt in trace.backtracks) + failed_search
+    assert obj.value(x.mat) <= trace.values[0]
+    stalled = [k for k, v in enumerate(trace.v_norms) if v == 0.0]
+    for k in stalled:
+        assert trace.values[k + 1] == trace.values[k]
+        assert trace.grad_norms[k + 1] == trace.grad_norms[k]
+    if not failed_search and trace.iterations and len(stalled) == trace.iterations:
+        assert x is x0
+    if memory == 0:
+        # a monotone run returns its current iterate, so a run cut after k
+        # steps exposes iterate k
+        iterates = [x0.mat] + [
+            pgm_solve(obj, x0, PgmConfig(max_iters=m, memory=0))[0].mat
+            for m in range(1, trace.iterations + 1)
+        ]
+        for k in stalled:
+            npt.assert_array_equal(iterates[k + 1], iterates[k])
+
+
+def test_wrong_sign_gradient_stalls_at_the_start():
+    """A seeded (5, 2) case whose every step stalls."""
+    g = np.random.default_rng([0, 1]).standard_normal((5, 2))
+    x0 = random_stiefel_start(5, 2, 0)
+    x, trace = pgm_solve(WrongSignLinear(g), x0, PgmConfig(max_iters=5))
+    assert trace.iterations == 5
+    assert trace.v_norms == [0.0] * 5
+    assert x is x0
+
+
+@pytest.mark.parametrize("field", ["memory", "max_iters", "max_backtracks"])
+@pytest.mark.parametrize("value", [1e4, 2.5, True])
+def test_integer_fields_reject_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        PgmConfig(**{field: value})
