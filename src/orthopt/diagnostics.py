@@ -1,7 +1,8 @@
 """Empirical verification tools for the error-bound and curvature theory.
 
 Provides the piecewise error-bound constant, an exhaustive projection oracle
-onto the nonnegative orthogonal set for tiny shapes, ball sweeps that test the
+onto the nonnegative orthogonal set for small shapes (r^n full assignments,
+scored for a whole stack of samples at once), ball sweeps that test the
 error-bound inequality sample by sample, a sampled second-order sufficiency
 probe, and the closed-form probe families used by the tests.
 """
@@ -79,76 +80,115 @@ def error_bound_constant(
     return 2.1 * float(np.sqrt(r)) * (1.0 + 3.0 * r * (n - r)) / smallest
 
 
-_pattern_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_pattern_cache: dict[tuple[int, int], np.ndarray] = {}
+# samples x patterns scored at once; bounds the oracle's working set
+_ORACLE_BLOCK = 1 << 18
 
 
-def _patterns(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """All row-to-column assignments (column index or r for unassigned).
+def _patterns(n: int, r: int) -> np.ndarray:
+    """All r^n full assignments of rows to columns, as a cached (P, n) uint8 table.
 
-    Returns the (P, n) pattern table and its (P, n, r) one-hot float tensor.
+    Row 0 is the most significant digit, so the last row varies fastest.
+    Leaving a row unassigned never raises a column's mass, so the full
+    assignments reach the maximum of the oracle's gain over all partial ones.
     """
     key = (n, r)
     cached = _pattern_cache.get(key)
     if cached is not None:
         return cached
-    count = (r + 1) ** n
+    count = r**n
     if count > _ORACLE_PATTERN_CAP:
-        raise OracleSizeError(
-            f"(r+1)^n = {count} exceeds the oracle cap {_ORACLE_PATTERN_CAP}"
+        raise OracleSizeError(f"r^n = {count} exceeds the oracle cap {_ORACLE_PATTERN_CAP}")
+    table = np.indices((r,) * n, dtype=np.uint8).reshape(n, -1).T
+    _pattern_cache[key] = table
+    return table
+
+
+def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and minimizers for a finite (S, n, r) stack of matrices.
+
+    Scores every full assignment of every sample in blocks of about
+    ``_ORACLE_BLOCK`` samples x patterns, keeps the first maximal gain, builds
+    the winning minimizer and returns the direct distance ||x - minimizer||_F
+    (the closed form ||x||^2 + r - 2 gain cancels to about sqrt(eps) near the
+    feasible set).
+    """
+    num, n, r = xs.shape
+    table = _patterns(n, r)
+    pos = np.maximum(xs, 0.0)
+    # (r, S, n): row masses per column, ready for one matmul per column
+    pos2 = np.ascontiguousarray((pos * pos).transpose(2, 0, 1))
+    columns = np.arange(r, dtype=np.uint8)[:, None, None]
+    # patterns per block: the (r, n, block) one-hot and the (r, S, block)
+    # masses each hold about _ORACLE_BLOCK entries per column
+    block = max(1, _ORACLE_BLOCK // max(num, n))
+    best_gain = np.full(num, -np.inf)
+    best = np.zeros(num, dtype=np.intp)
+    for lo in range(0, table.shape[0], block):
+        # onehot[j, i, p] = 1 where pattern lo + p sends row i to column j
+        onehot = (table[lo : lo + block].T[None] == columns).astype(float)
+        mass = pos2 @ onehot
+        valid = np.all(mass > 0.0, axis=0)
+        gain = np.where(valid, np.sqrt(mass).sum(axis=0), -np.inf)
+        arg = np.argmax(gain, axis=1)
+        top = gain[np.arange(num), arg]
+        better = top > best_gain
+        best_gain[better] = top[better]
+        best[better] = lo + arg[better]
+    if np.any(np.isneginf(best_gain)):
+        raise ValueError("no assignment has positive mass in every column")
+    assigned = table[best][:, :, None] == np.arange(r)
+    kept = np.where(assigned, pos, 0.0)
+    minimizers = kept / np.linalg.norm(kept, axis=1, keepdims=True)
+    dists = np.linalg.norm((xs - minimizers).reshape(num, -1), axis=1)
+    return dists, minimizers
+
+
+def _evaluate(xs: np.ndarray, kappa: float) -> list[ErrorBoundSample]:
+    """Fill one ErrorBoundSample per matrix of an (S, n, r) stack."""
+    # validates the stack (shape, finite entries) before the oracle runs
+    dist_st = dist_to_stiefel(xs)
+    num = xs.shape[0]
+    dist_splus, _ = _oracle(xs)
+    neg = np.minimum(xs, 0.0).reshape(num, -1)
+    # one dot product per sample, as np.linalg.norm sums a single matrix
+    dist_cone = np.sqrt((neg[:, None, :] @ neg[:, :, None]).reshape(num))
+    holds = dist_splus <= (kappa + 1.0) * (dist_cone + dist_st)
+    return [
+        ErrorBoundSample(
+            x=xs[k],
+            dist_splus=float(dist_splus[k]),
+            dist_cone=float(dist_cone[k]),
+            dist_st=float(dist_st[k]),
+            kappa=kappa,
+            holds=bool(holds[k]),
         )
-    grids = np.meshgrid(*([np.arange(r + 1)] * n), indexing="ij")
-    table = np.stack([g.reshape(-1) for g in grids], axis=1)
-    onehot = (table[:, :, None] == np.arange(r)[None, None, :]).astype(float)
-    _pattern_cache[key] = (table, onehot)
-    return table, onehot
+        for k in range(num)
+    ]
 
 
 def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
     """Exhaustive distance from x to the nonnegative orthogonal set.
 
-    Enumerates every assignment of rows to columns (or to none). For a fixed
-    assignment the best feasible point puts, in each column, the normalized
-    positive part of x restricted to that column's rows; assignments leaving
-    any column without positive mass admit no such point and are skipped.
-    Returns the minimal distance and a minimizer.
+    Enumerates the r^n full assignments of rows to columns (``_patterns``).
+    For a fixed assignment the best feasible point puts, in each column, the
+    normalized positive part of x restricted to that column's rows;
+    assignments leaving any column without positive mass admit no such point
+    and are skipped. Returns the minimal distance, measured directly as
+    ||x - minimizer||_F, and a minimizer.
+
+    Raises:
+        OracleSizeError: if r^n exceeds the one-million-pattern cap.
+        ValueError: if no assignment has positive mass in every column.
     """
     x = check_matrix(x, "x")
-    n, r = x.shape
-    table, onehot = _patterns(n, r)
-    pos = np.maximum(x, 0.0)
-    # column mass per pattern: s[p, j] = ||positive part of column j on its rows||
-    s = np.sqrt(np.einsum("pij,ij->pj", onehot, pos * pos))
-    valid = np.all(s > 0.0, axis=1)
-    if not np.any(valid):
-        raise ValueError("no assignment has positive mass in every column")
-    # dist^2 = ||x||^2 + r - 2 * sum_j s_j  for each valid pattern
-    gain = np.where(valid, s.sum(axis=1), -np.inf)
-    best = int(np.argmax(gain))
-    d2 = float(np.sum(x * x)) + r - 2.0 * float(gain[best])
-    minimizer = np.zeros_like(x)
-    assign = table[best]
-    for j in range(r):
-        rows = assign == j
-        col = pos[rows, j]
-        minimizer[rows, j] = col / np.linalg.norm(col)
-    return float(np.sqrt(max(d2, 0.0))), minimizer
+    dists, minimizers = _oracle(x[None])
+    return float(dists[0]), minimizers[0]
 
 
 def evaluate_error_bound(x, kappa: float) -> ErrorBoundSample:
     """Fill one ErrorBoundSample for a probe point and a given constant."""
-    x = check_matrix(x, "x")
-    dist_splus, _ = brute_force_dist_splus(x)
-    dist_cone = float(np.linalg.norm(np.minimum(x, 0.0)))
-    dist_st = dist_to_stiefel(x)
-    holds = dist_splus <= (kappa + 1.0) * (dist_cone + dist_st)
-    return ErrorBoundSample(
-        x=x,
-        dist_splus=dist_splus,
-        dist_cone=dist_cone,
-        dist_st=dist_st,
-        kappa=kappa,
-        holds=bool(holds),
-    )
+    return _evaluate(check_matrix(x, "x")[None], kappa)[0]
 
 
 def error_bound_sweep(
@@ -161,24 +201,27 @@ def error_bound_sweep(
 ) -> list[ErrorBoundSample]:
     """Sample the Frobenius delta-ball around a feasible point and test the bound.
 
-    Points are drawn uniformly from the ball. ``kappa`` defaults to the
+    Points are drawn uniformly from the ball, each as a direction and then a
+    radius, and the whole sweep is evaluated as one (num_samples, n, r) stack:
+    one batched oracle pass and one stacked SVD. ``kappa`` defaults to the
     error-bound constant of the base point; pass an explicit value to probe
     hypotheses-violating bases.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     if kappa is None:
         kappa = error_bound_constant(xbar)
     n, r = xbar.shape
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(num_samples):
+    probes = np.empty((num_samples, n, r))
+    for k in range(num_samples):
         direction = rng.standard_normal(n * r)
         direction /= np.linalg.norm(direction)
         radius = delta * rng.random() ** (1.0 / (n * r))
-        probe = xbar.mat + radius * direction.reshape(n, r)
-        out.append(evaluate_error_bound(probe, kappa))
-    return out
+        probes[k] = xbar.mat + radius * direction.reshape(n, r)
+    return _evaluate(probes, kappa)
 
 
 @dataclass

@@ -19,12 +19,16 @@ class RetractionError(RuntimeError):
     """Raised when an orthonormalization input is numerically rank deficient."""
 
 
-def check_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return an n x r float array with n >= r >= 1 and finite entries."""
+def check_matrix(a, name: str = "matrix", *, stacked: bool = False) -> np.ndarray:
+    """Validate and return an n x r float array with n >= r >= 1 and finite entries.
+
+    With ``stacked=True`` the input is an S x n x r stack of such matrices.
+    """
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    n, r = arr.shape
+    ndim = 3 if stacked else 2
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+    n, r = arr.shape[-2:]
     if r < 1 or n < r:
         raise ValueError(f"{name} must have n >= r >= 1, got shape ({n}, {r})")
     if not np.all(np.isfinite(arr)):
@@ -132,12 +136,15 @@ def proj_tangent(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z - 0.5 * (mat @ a)
 
 
-def dist_to_stiefel(mat) -> float:
+def dist_to_stiefel(mat) -> float | np.ndarray:
     """Frobenius distance from an arbitrary matrix to St(n, r).
 
     Equals sqrt(sum_i (sigma_i - 1)^2) over the singular values of the input,
-    the distance to its nearest orthonormal factor.
+    the distance to its nearest orthonormal factor. An S x n x r stack gives
+    the S distances as an array, from one stacked SVD.
     """
-    m = check_matrix(mat, "matrix")
+    m = np.asarray(mat, dtype=float)
+    m = check_matrix(m, "matrix", stacked=m.ndim == 3)
     s = np.linalg.svd(m, compute_uv=False)
-    return float(np.sqrt(np.sum((s - 1.0) ** 2)))
+    dist = np.sqrt(np.sum((s - 1.0) ** 2, axis=-1))
+    return dist if m.ndim == 3 else float(dist)

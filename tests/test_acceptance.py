@@ -230,6 +230,12 @@ def test_criterion_6_error_bound_sweep():
             base = default_base_point(n, r)
             samples = error_bound_sweep(base, delta=0.05, num_samples=1000, seed=60 + n + r)
             assert all(s.holds for s in samples), f"shape ({n},{r})"
+        # (r+1)^n exceeds the oracle cap at these shapes, r^n does not
+        for n, r in [(12, 3), (19, 2)]:
+            base = default_base_point(n, r)
+            samples = error_bound_sweep(base, delta=0.05, num_samples=40, seed=60 + n + r)
+            assert len(samples) == 40
+            assert all(s.holds for s in samples), f"shape ({n},{r})"
         xbar, _ = zero_row_family(10)
         blind = error_bound_constant(xbar, allow_zero_rows=True)
         probes = [evaluate_error_bound(zero_row_family(k)[1], blind) for k in (10, 100, 1000)]

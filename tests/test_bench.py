@@ -275,6 +275,13 @@ class TestCli:
         assert len(lines) == 51
         assert lines[0].endswith("kappa,holds")
 
+    def test_diag_errorbound_without_samples_exits_with_error(self, capsys):
+        code = main(["diag-errorbound", "--shape", "3", "2", "--samples", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: num_samples must be at least 1", err)
+        assert err.count("\n") == 1
+
     def test_diag_sosc_subcommand(self, tmp_path, capsys):
         point = tmp_path / "x.txt"
         save_dense_matrix(point, default_base_point(5, 2).mat)

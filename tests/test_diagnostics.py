@@ -1,5 +1,7 @@
 """Error-bound constant, projection oracle, ball sweeps, curvature probe."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +22,37 @@ from orthopt.diagnostics import (
 from orthopt.penalty import nonneg_violation
 from orthopt.problems import LinearObjective, ProjectionObjective
 from orthopt.stiefel import StiefelPoint, proj_tangent
+
+
+def reference_dist_splus(x):
+    """The earlier oracle: every (r+1)^n assignment of rows to a column or to none.
+
+    Kept as an independent reference. It measures the distance directly from
+    its minimizer, since the closed form ||x||^2 + r - 2 gain that it once
+    returned cancels to about sqrt(eps) near the feasible set.
+    """
+    n, r = x.shape
+    grids = np.meshgrid(*([np.arange(r + 1)] * n), indexing="ij")
+    table = np.stack([g.reshape(-1) for g in grids], axis=1)
+    onehot = (table[:, :, None] == np.arange(r)[None, None, :]).astype(float)
+    pos = np.maximum(x, 0.0)
+    s = np.sqrt(np.einsum("pij,ij->pj", onehot, pos * pos))
+    valid = np.all(s > 0.0, axis=1)
+    if not np.any(valid):
+        raise ValueError("no assignment has positive mass in every column")
+    best = int(np.argmax(np.where(valid, s.sum(axis=1), -np.inf)))
+    minimizer = np.zeros_like(x)
+    for j in range(r):
+        rows = table[best] == j
+        minimizer[rows, j] = pos[rows, j] / np.linalg.norm(pos[rows, j])
+    return float(np.linalg.norm(x - minimizer)), minimizer
+
+
+def near_feasible_point():
+    """Feasible (8, 2) point with irregular entries, rows alternating columns."""
+    x = np.zeros((8, 2))
+    x[np.arange(8), np.arange(8) % 2] = 0.5 + np.random.default_rng(4).random(8)
+    return x / np.linalg.norm(x, axis=0)
 
 
 class NanGradient(LinearObjective):
@@ -97,8 +130,46 @@ class TestBruteForceOracle:
             assert dist >= dist_to_stiefel(x) - 1e-12
 
     def test_size_guard(self):
-        with pytest.raises(OracleSizeError):
-            brute_force_dist_splus(np.ones((13, 2)))
+        # the cap bounds the r^n full assignments
+        for n, r in [(20, 2), (13, 3)]:
+            with pytest.raises(OracleSizeError):
+                brute_force_dist_splus(np.ones((n, r)))
+        dist, _ = brute_force_dist_splus(default_base_point(13, 2).mat)
+        assert dist <= 1e-15
+
+    def test_agrees_with_partial_assignment_reference(self):
+        rng = np.random.default_rng(12)
+        shapes = [(3, 2), (4, 2), (5, 1), (4, 4), (6, 3), (8, 2)]
+        compared = 0
+        for n, r in shapes:
+            base = default_base_point(n, r).mat
+            for k in range(200):
+                scale = (0.05, 0.3, 1.0)[k % 3]
+                x = base + scale * rng.standard_normal((n, r))
+                if k % 2:
+                    # a row with no positive entry
+                    row = rng.integers(n)
+                    x[row] = -np.abs(x[row])
+                try:
+                    expected, _ = reference_dist_splus(x)
+                except ValueError:
+                    with pytest.raises(ValueError, match="positive mass"):
+                        brute_force_dist_splus(x)
+                    continue
+                dist, m = brute_force_dist_splus(x)
+                assert abs(dist - expected) <= 1e-12, (n, r, k)
+                npt.assert_allclose(np.linalg.norm(x - m), dist, rtol=1e-15)
+                compared += 1
+        assert compared >= 1000
+
+    def test_exactly_zero_on_irregular_feasible_point(self):
+        dist, minimizer = brute_force_dist_splus(near_feasible_point())
+        assert dist <= 1e-15
+        npt.assert_allclose(minimizer, near_feasible_point(), atol=1e-15)
+
+    def test_no_positive_mass_raises(self):
+        with pytest.raises(ValueError, match="positive mass"):
+            brute_force_dist_splus(np.array([[1.0, -1.0], [2.0, 0.0], [0.5, -3.0]]))
 
 
 class TestErrorBoundSweep:
@@ -134,6 +205,58 @@ class TestErrorBoundSweep:
     def test_delta_must_be_positive(self):
         with pytest.raises(ValueError):
             error_bound_sweep(default_base_point(3, 2), 0.0, 1, seed=0)
+
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_num_samples_must_be_positive(self, num_samples):
+        with pytest.raises(ValueError, match="num_samples"):
+            error_bound_sweep(default_base_point(3, 2), 0.05, num_samples, seed=0)
+
+    def test_no_false_violation_next_to_feasible_point(self):
+        xbar = near_feasible_point()
+        x = xbar.copy()
+        x[1, 0] = -1e-12
+        s = evaluate_error_bound(x, error_bound_constant(xbar))
+        assert s.holds
+        npt.assert_allclose(s.dist_splus, 1e-12, rtol=1e-3)
+
+    def test_probes_are_drawn_direction_then_radius(self):
+        base = default_base_point(4, 2)
+        samples = error_bound_sweep(base, 0.05, 30, seed=9)
+        rng = np.random.default_rng(9)
+        for s in samples:
+            direction = rng.standard_normal(8)
+            direction /= np.linalg.norm(direction)
+            radius = 0.05 * rng.random() ** (1.0 / 8)
+            npt.assert_array_equal(s.x, base.mat + radius * direction.reshape(4, 2))
+
+    def test_sweep_matches_single_evaluations(self):
+        from orthopt.stiefel import dist_to_stiefel
+
+        base = default_base_point(6, 3)
+        kappa = error_bound_constant(base)
+        for s in error_bound_sweep(base, 0.3, 50, seed=10):
+            single = evaluate_error_bound(s.x.copy(), kappa)
+            assert single.dist_cone == s.dist_cone and single.dist_st == s.dist_st
+            assert single.holds == s.holds
+            npt.assert_allclose(single.dist_splus, s.dist_splus, rtol=1e-14)
+            npt.assert_allclose(s.dist_cone, np.linalg.norm(np.minimum(s.x, 0.0)), rtol=0)
+            npt.assert_allclose(s.dist_st, dist_to_stiefel(s.x), rtol=0)
+
+    def test_non_finite_probe_rejected(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            error_bound_sweep(default_base_point(3, 2), np.inf, 2, seed=0)
+
+    @pytest.mark.parametrize("shape", [(12, 3), (19, 2)])
+    def test_memory_bound(self, shape):
+        base = default_base_point(*shape)
+        tracemalloc.start()
+        try:
+            samples = error_bound_sweep(base, 0.05, 20, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 20
+        assert peak < 64 * 2**20
 
 
 class TestSoscProbe:

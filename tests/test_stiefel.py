@@ -178,3 +178,16 @@ class TestDistToStiefel:
             smax = np.linalg.norm(x, 2)
             assert d <= res + 1e-12
             assert res <= (1.0 + smax) * d + 1e-12
+
+    def test_stack_gives_one_distance_per_matrix(self):
+        xs = np.random.default_rng(26).standard_normal((7, 5, 3))
+        dists = dist_to_stiefel(xs)
+        assert dists.shape == (7,)
+        for x, d in zip(xs, dists):
+            assert d == dist_to_stiefel(x)
+
+    def test_stack_rejects_non_finite_entries(self):
+        xs = np.ones((3, 4, 2))
+        xs[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            dist_to_stiefel(xs)
