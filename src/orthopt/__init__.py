@@ -46,7 +46,6 @@ from .problems import (
     QapLiftedObjective,
     brute_force_qap,
     cluster_labels,
-    nonneg_start,
     onmf_alternate,
     onmf_y_update,
     permutation_matrix,

@@ -87,14 +87,6 @@ def parse_qaplib(path) -> QapInstance:
     return QapInstance(a=a, b=b)
 
 
-def format_qaplib(inst: QapInstance) -> str:
-    """Serialize an instance in the same token stream the parser accepts."""
-    lines = [str(inst.n)]
-    for mat in (inst.a, inst.b):
-        lines.extend(" ".join(_FLOAT_FMT % v for v in row) for row in mat)
-    return "\n".join(lines) + "\n"
-
-
 def load_best_known(path) -> dict[str, float]:
     """Read a sidecar of ``name value`` lines; '#' starts a comment."""
     out: dict[str, float] = {}
@@ -449,7 +441,6 @@ __all__ = [
     "clustering_metrics",
     "default_config",
     "default_mu0",
-    "format_qaplib",
     "load_best_known",
     "load_dense_matrix",
     "parse_qaplib",

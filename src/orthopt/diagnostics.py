@@ -19,7 +19,6 @@ from .stiefel import (
     StiefelPoint,
     check_matrix,
     dist_to_stiefel,
-    polar_orthonormalize,
     proj_tangent,
 )
 from .problems import LinearObjective
@@ -296,21 +295,6 @@ def sosc_probe(
         min_form=float(forms.min()) if forms.size else None,
         forms=forms,
     )
-
-
-def retraction_curvature(f: Objective, xbar: StiefelPoint, h: np.ndarray, t: float = 1e-3) -> float:
-    """Second difference of f along the polar-retracted curve through xbar.
-
-    Central second difference of t -> f(R(t H)) at zero; for the polar
-    retraction this approximates the same quadratic form sosc_probe evaluates.
-    """
-    xm = xbar.mat
-    if h.shape != xm.shape:
-        raise ValueError(f"shape mismatch: point {xm.shape}, direction {h.shape}")
-    fp = f.value(polar_orthonormalize(xm + t * h))
-    fm = f.value(polar_orthonormalize(xm - t * h))
-    f0 = f.value(xm)
-    return (fp - 2.0 * f0 + fm) / (t * t)
 
 
 def nonexactness_probe_point(k: int) -> StiefelPoint:

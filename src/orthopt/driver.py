@@ -4,8 +4,9 @@ baseline, both built on the manifold line-search iteration.
 The penalty driver approximately minimizes f + rho_l * penalty over the
 manifold for a slowly growing weight sequence rho_l and a tightening
 stationarity target tau_l, warm-starting each subproblem, and stops once the
-iterate is nonnegative to tolerance. Once rho is large, a rounded feasible
-candidate is offered as warm start whenever it has the lower penalized value.
+iterate is nonnegative to tolerance. Each warm start is the previous iterate
+or, when it has the lower penalized value at the grown weight, its copy with
+every negative-sum column negated.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class PenaltyConfig:
 
     ``rho0=None`` selects the data-driven initial weight
     rho0_scale * |f(x0)| / violation(x0), falling back to 1 when the start is
-    already nonnegative.
+    already nonnegative. No field rounds: a solve is rounded onto the
+    feasible set only when it is reported, as in ``bench``.
     """
 
     gamma: float = 0.05
@@ -50,29 +52,26 @@ class PenaltyConfig:
     sigma_tau: float = 0.95
     epsilon: float = 1e-6
     l_max: int = 2000
-    rho_feas_threshold: float = 1e3  # rounded warm starts only once rho reaches this
     pgm: PgmConfig = field(default_factory=PgmConfig)
 
     def __post_init__(self):
         check_integer_fields(self, "l_max")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.rho0 is not None and self.rho0 <= 0:
+        if self.rho0 is not None and not self.rho0 > 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if self.rho0_scale <= 0 or self.rho_max <= 0:
+        if not (self.rho0_scale > 0 and self.rho_max > 0):
             raise ValueError("rho0_scale and rho_max must be positive")
-        if self.sigma_rho_small <= 1 or self.sigma_rho_large <= 1:
-            raise ValueError("penalty growth factors must exceed 1")
-        if self.tau0 <= 0 or self.tau_min <= 0:
+        if not (self.sigma_rho_small > 1 and self.sigma_rho_large > 1):
+            raise ValueError("sigma_rho_small and sigma_rho_large must exceed 1")
+        if not (self.tau0 > 0 and self.tau_min > 0):
             raise ValueError("tau0 and tau_min must be positive")
         if not 0.0 < self.sigma_tau < 1.0:
             raise ValueError(f"sigma_tau must lie in (0, 1), got {self.sigma_tau}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.l_max < 1:
             raise ValueError(f"l_max must be at least 1, got {self.l_max}")
-        if self.rho_feas_threshold <= 0:
-            raise ValueError("rho_feas_threshold must be positive")
 
     @classmethod
     def envelope(cls, **overrides) -> "PenaltyConfig":
@@ -97,7 +96,6 @@ class OuterRecord:
     tau: float
     ninf: float
     f_value: float
-    upsilon: float
 
 
 @dataclass
@@ -258,9 +256,14 @@ def penalty_solve(
     or to 5 * epsilon with the objective stagnant over the trailing window of
     outer iterations, or when the outer budget runs out.
 
+    The next warm start is the solved iterate, or its copy X D with every
+    negative-sum column negated (D = diag(+-1)) when that copy has the lower
+    penalized value at the grown weight: a column equal to -e_i has no
+    descent direction in any penalized subproblem, and only the flip moves it.
+
     A line-search failure inside a subproblem aborts the run; the report then
     describes that subproblem's warm start (the previous iterate, or its
-    rounded candidate) and carries flags.
+    sign-flipped copy) and carries flags.
 
     Each outer iteration evaluates f and the penalty term once at the solved
     iterate and builds both penalized values (for the weight just solved and
@@ -300,7 +303,7 @@ def penalty_solve(
 
         ninf = nonneg_violation(x.mat)
         f_hist.append(f_val)
-        records.append(OuterRecord(rho=rho, tau=tau, ninf=ninf, f_value=f_val, upsilon=upsilon))
+        records.append(OuterRecord(rho=rho, tau=tau, ninf=ninf, f_value=f_val))
 
         if ninf <= cfg.epsilon:
             break
@@ -315,13 +318,13 @@ def penalty_solve(
 
         theta_plain = f_val + rho * pen
         x_start, upsilon = x, theta_plain
-        # the rounded-warm-start gate compares against the weight just solved
-        # (records[-1].rho), not the freshly grown one
-        if records[-1].rho >= cfg.rho_feas_threshold:
-            x_round = round_to_feasible(x.mat)
-            theta_round = PenaltyObjective(f, rho, cfg.gamma).value(x_round.mat)
-            if theta_round < theta_plain:
-                x_start, upsilon = x_round, theta_round
+        signs = np.where(x.mat.sum(axis=0) < 0.0, -1.0, 1.0)
+        # with no column flipped the copy is x itself and cannot win the gate
+        if np.any(signs < 0.0):
+            x_flip = StiefelPoint(x.mat * signs)
+            theta_flip = PenaltyObjective(f, rho, cfg.gamma).value(x_flip.mat)
+            if theta_flip < theta_plain:
+                x_start, upsilon = x_flip, theta_flip
     else:
         flags.append("outer_budget_exhausted")
 
@@ -336,7 +339,7 @@ class AugLagObjective(Objective):
     """
 
     def __init__(self, f: Objective, lam: np.ndarray, mu: float):
-        if mu <= 0:
+        if not mu > 0:
             raise ValueError(f"mu must be positive, got {mu}")
         self.f = f
         self.lam = np.asarray(lam, dtype=float)
@@ -379,7 +382,7 @@ def alm_solve(
     update mu <- mu_growth * mu, starting from lam = 0. Stops once the
     violation reaches epsilon or the outer cap is hit.
     """
-    if mu0 <= 0:
+    if not mu0 > 0:
         raise ValueError(f"mu0 must be positive, got {mu0}")
     if pgm_cfg is None:
         pgm_cfg = PgmConfig(grad_tol=1e-6)
@@ -401,7 +404,7 @@ def alm_solve(
             break
         ninf = nonneg_violation(x.mat)
         records.append(
-            OuterRecord(rho=mu, tau=pgm_cfg.grad_tol, ninf=ninf, f_value=f.value(x.mat), upsilon=float("nan"))
+            OuterRecord(rho=mu, tau=pgm_cfg.grad_tol, ninf=ninf, f_value=f.value(x.mat))
         )
         if ninf <= epsilon:
             break

@@ -120,9 +120,9 @@ class PenaltyObjective(Objective):
     """
 
     def __init__(self, f: Objective, rho: float, gamma: float):
-        if rho < 0:
+        if not rho >= 0:
             raise ValueError(f"rho must be nonnegative, got {rho}")
-        if gamma < 0:
+        if not gamma >= 0:
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
         self.f = f
         self.rho = rho

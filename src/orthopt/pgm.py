@@ -76,13 +76,13 @@ class PgmConfig:
         check_integer_fields(self, "memory", "max_iters", "max_backtracks")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.memory < 0:
             raise ValueError(f"memory must be nonnegative, got {self.memory}")
         if not 0.0 < self.t_min <= self.t_max:
             raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_iters < 1 or self.max_backtracks < 1:
             raise ValueError("max_iters and max_backtracks must be at least 1")
@@ -122,18 +122,6 @@ class PgmTrace:
             lo = max(0, k - self.memory)
             out.append(max(self.values[lo : k + 1]))
         return out
-
-    def nonmonotone_gaps(self) -> list:
-        """sqrt(window_max[k+1] - value[k+1]) per step, recorded for inspection.
-
-        Summability of this series is a hypothesis about generated sequences
-        in whole-sequence convergence analyses; it is reported, not enforced.
-        """
-        wmax = self.window_max_values()
-        return [
-            float(np.sqrt(max(0.0, wmax[k + 1] - self.values[k + 1])))
-            for k in range(len(self.values) - 1)
-        ]
 
 
 def bb_stepsize(dx, dy, t_min: float, t_max: float, fallback: float) -> float:

@@ -291,20 +291,6 @@ def random_stiefel_start(n: int, r: int, seed: int) -> StiefelPoint:
     return StiefelPoint(qr_orthonormalize(rng.standard_normal((n, r))))
 
 
-def nonneg_start(n: int, r: int, seed: int) -> np.ndarray:
-    """Entrywise absolute Gaussian draw with unit columns.
-
-    Nonnegative by construction but orthonormal only when the column supports
-    happen to be disjoint (always for r = 1), so it is returned as a plain
-    matrix; orthonormalize before handing it to manifold solvers.
-    """
-    rng = np.random.default_rng(seed)
-    g = np.abs(rng.standard_normal((n, r)))
-    norms = np.linalg.norm(g, axis=0)
-    norms[norms == 0] = 1.0
-    return g / norms
-
-
 def svd_start(a: np.ndarray, r: int) -> StiefelPoint:
     """Feasible start from the dominant left singular subspace.
 

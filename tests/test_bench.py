@@ -11,7 +11,6 @@ from orthopt.bench import (
     ExperimentSpec,
     QaplibParseError,
     clustering_metrics,
-    format_qaplib,
     load_best_known,
     load_dense_matrix,
     parse_qaplib,
@@ -25,6 +24,14 @@ from orthopt.penalty import nonneg_violation
 from orthopt.problems import QapInstance, brute_force_qap
 
 SMALL_QAP = "2\n0 1\n1 0\n0 2\n2 0\n"
+
+
+def format_qaplib(inst: QapInstance) -> str:
+    """Test-data writer: an instance in the token stream the parser accepts."""
+    lines = [str(inst.n)]
+    for mat in (inst.a, inst.b):
+        lines.extend(" ".join("%.17g" % v for v in row) for row in mat)
+    return "\n".join(lines) + "\n"
 
 
 class TestParseQaplib:
@@ -356,6 +363,18 @@ class TestCliDefaults:
         assert code == 2
         err = capsys.readouterr().err
         assert re.match(r"^error: ValueError: ", err)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["epsilon = nan", "rho_feas_threshold = 1e3"])
+    def test_invalid_or_removed_config_key_exits_with_error(self, tmp_path, capsys, line):
+        inst = tmp_path / "c.txt"
+        save_dense_matrix(inst, default_base_point(4, 2).mat)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: \w+: ", err)
         assert err.count("\n") == 1
 
 

@@ -15,13 +15,21 @@ from orthopt.diagnostics import (
     evaluate_error_bound,
     nonexactness_probe_objective,
     nonexactness_probe_point,
-    retraction_curvature,
     sosc_probe,
     zero_row_family,
 )
 from orthopt.penalty import nonneg_violation
 from orthopt.problems import LinearObjective, ProjectionObjective
-from orthopt.stiefel import StiefelPoint, proj_tangent
+from orthopt.stiefel import StiefelPoint, polar_orthonormalize, proj_tangent
+
+
+def retraction_curvature(f, xbar: StiefelPoint, h: np.ndarray, t: float = 1e-3) -> float:
+    """Reference for sosc_probe: the central second difference of
+    t -> f(R(t H)) at zero along the polar retraction R through xbar."""
+    xm = xbar.mat
+    fp = f.value(polar_orthonormalize(xm + t * h))
+    fm = f.value(polar_orthonormalize(xm - t * h))
+    return (fp - 2.0 * f.value(xm) + fm) / (t * t)
 
 
 def reference_dist_splus(x):

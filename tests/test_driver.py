@@ -16,6 +16,7 @@ from orthopt.driver import (
     round_to_feasible,
     stationarity_residual,
 )
+from orthopt.penalty import PenaltyObjective
 from orthopt.pgm import PgmConfig
 from orthopt.problems import (
     LinearObjective,
@@ -295,7 +296,6 @@ class TestPenaltyConfig:
             assert cfg.sigma_tau == 0.95
             assert cfg.sigma_rho_small == 1.05
             assert cfg.sigma_rho_large == 1.1
-            assert cfg.rho_feas_threshold == 1e3
             assert cfg.pgm.eta == 0.1
             assert cfg.pgm.alpha == 1e-4
             assert cfg.pgm.memory == 5
@@ -330,3 +330,29 @@ def test_alm_zero_outer_budget_reports_the_start():
 def test_penalty_config_rejects_non_integer_l_max(value):
     with pytest.raises(ValueError, match="l_max"):
         PenaltyConfig(l_max=value)
+
+
+NAN = float("nan")
+_NAN_PENALTY_FIELDS = (
+    "gamma", "rho0", "rho0_scale", "rho_max", "sigma_rho_small", "sigma_rho_large", "tau0", "tau_min", "epsilon",
+)
+
+
+def _lin() -> LinearObjective:
+    return LinearObjective(np.ones((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        *(pytest.param(lambda k=k: PenaltyConfig(**{k: NAN}), k, id=f"PenaltyConfig.{k}") for k in _NAN_PENALTY_FIELDS),
+        *(pytest.param(lambda k=k: PgmConfig(**{k: NAN}), k, id=f"PgmConfig.{k}") for k in ("alpha", "grad_tol")),
+        pytest.param(lambda: PenaltyObjective(_lin(), NAN, 0.05), "rho", id="PenaltyObjective.rho"),
+        pytest.param(lambda: PenaltyObjective(_lin(), 1.0, NAN), "gamma", id="PenaltyObjective.gamma"),
+        pytest.param(lambda: AugLagObjective(_lin(), np.zeros((4, 2)), NAN), "mu", id="AugLagObjective.mu"),
+        pytest.param(lambda: alm_solve(_lin(), random_stiefel_start(4, 2, 0), NAN), "mu0", id="alm_solve.mu0"),
+    ],
+)
+def test_nan_parameter_rejected(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()

@@ -162,13 +162,6 @@ class TestPgmSolve:
         assert not trace.converged
         assert obj.value(x.mat) <= min(trace.values[-(cfg.memory + 1):]) + 1e-15
 
-    def test_nonmonotone_gaps_recorded(self):
-        obj = ProjectionObjective(np.eye(6)[:, :3])
-        _, trace = pgm_solve(obj, random_stiefel_start(6, 3, 13), PgmConfig(grad_tol=1e-8))
-        gaps = trace.nonmonotone_gaps()
-        assert len(gaps) == trace.iterations
-        assert all(g >= 0.0 for g in gaps)
-
 
 class FusedOnlyObjective(Objective):
     """Counts fused evaluations; the separate value/gradient calls must not be used."""

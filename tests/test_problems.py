@@ -16,7 +16,6 @@ from orthopt.problems import (
     QapLiftedObjective,
     brute_force_qap,
     cluster_labels,
-    nonneg_start,
     onmf_alternate,
     onmf_y_update,
     permutation_matrix,
@@ -205,19 +204,6 @@ class TestStarts:
 
     def test_gaussian_qr_orthonormal(self):
         assert random_stiefel_start(8, 4, 18).orth_residual <= 1e-12
-
-    def test_nonneg_start_unit_columns(self):
-        g = nonneg_start(7, 3, 19)
-        assert np.all(g >= 0)
-        npt.assert_allclose(np.linalg.norm(g, axis=0), 1.0, atol=1e-12)
-
-    def test_nonneg_start_feasible_for_single_column(self):
-        g = nonneg_start(9, 1, 20)
-        assert nonneg_violation(g) == 0.0
-        npt.assert_allclose(np.linalg.norm(g), 1.0, atol=1e-12)
-
-    def test_nonneg_start_deterministic(self):
-        npt.assert_array_equal(nonneg_start(5, 2, 21), nonneg_start(5, 2, 21))
 
     def test_svd_start_feasible(self):
         rng = np.random.default_rng(22)
