@@ -199,6 +199,10 @@ class ExperimentSpec:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.num_starts < 1:
             raise ValueError(f"num_starts must be at least 1, got {self.num_starts}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.mu0 is not None and not self.mu0 > 0:
+            raise ValueError(f"mu0 must be positive, got {self.mu0}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.best_known == 0:

@@ -193,6 +193,20 @@ def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
     return rho if rho > 0 else 1.0
 
 
+def _last_accepted_step(inner_traces: list) -> float | None:
+    """Step size of the latest accepted inner step over the traces, or None.
+
+    Subproblems that took no step are skipped. A stalled step is never
+    returned: it records a zero direction, and its step size is only where
+    backtracking ended.
+    """
+    for tr in reversed(inner_traces):
+        for t, v_norm in zip(reversed(tr.step_sizes), reversed(tr.v_norms)):
+            if v_norm > 0.0:
+                return t
+    return None
+
+
 def _solve_subproblem(
     obj: Objective,
     x_start: StiefelPoint,
@@ -203,11 +217,16 @@ def _solve_subproblem(
 ) -> tuple[StiefelPoint, bool]:
     """One inner solve of an outer loop, with its trace and flags recorded.
 
+    The solve's first trial step is the last step accepted by an earlier
+    subproblem of the run in ``inner_traces`` (see ``_last_accepted_step``),
+    so the step scale learned there carries over; until a step has been
+    accepted, pgm_solve starts from 1 / ||grad||.
+
     Returns (solution, True), or (x_start, False) after a line-search failure,
     which aborts the outer loop; the failed solve's partial trace is kept.
     """
     try:
-        x, tr = pgm_solve(obj, x_start, cfg)
+        x, tr = pgm_solve(obj, x_start, cfg, t_first=_last_accepted_step(inner_traces))
     except LineSearchError as err:
         inner_traces.append(err.trace)
         flags.extend([f"line_search_failure@outer={outer}", "aborted_with_partial_report"])

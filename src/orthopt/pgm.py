@@ -1,8 +1,9 @@
 """Nonmonotone line-search proximal gradient iteration on the Stiefel manifold.
 
 Each step retracts a multiple of the negative projected gradient back onto the
-manifold. The trial step size starts from a Barzilai-Borwein estimate and is
-shrunk geometrically until the new value drops below the maximum objective
+manifold. The trial step size starts from a Barzilai-Borwein estimate (the
+first from a caller-supplied step or 1 / ||grad||) and is shrunk
+geometrically until the new value drops below the maximum objective
 over a sliding window of past iterates minus a sufficient-decrease margin.
 With window memory zero the method is strictly monotone. The loop works on
 raw arrays, evaluates each trial point once, and certifies only the returned
@@ -56,7 +57,9 @@ class PgmConfig:
         alpha: sufficient-decrease weight.
         memory: the acceptance window covers the last memory + 1 values;
             0 gives a monotone method.
-        t_min, t_max: clamp range for the Barzilai-Borwein step.
+        t_min, t_max: clamp range for each iteration's starting trial step:
+            ``t_first`` of ``pgm_solve`` or 1 / ||grad|| on the first
+            iteration, the Barzilai-Borwein estimate on later ones.
         grad_tol: stop once the projected-gradient norm falls below this.
         max_iters: iteration cap per solve.
         max_backtracks: shrink budget per step; exceeding it raises
@@ -212,7 +215,7 @@ def _line_search(
 
 
 def pgm_solve(
-    obj: Objective, x0: StiefelPoint, cfg: PgmConfig
+    obj: Objective, x0: StiefelPoint, cfg: PgmConfig, t_first: float | None = None
 ) -> tuple[StiefelPoint, PgmTrace]:
     """Run the iteration from x0 until stationarity or the iteration cap.
 
@@ -221,16 +224,21 @@ def pgm_solve(
     iterate of the trailing window once ``max_iters`` is exhausted. The final
     objective value never exceeds the initial one.
 
-    The first step uses t = 1 / ||grad|| clamped to [t_min, t_max]; later
-    steps use the Barzilai-Borwein estimate with the previously accepted step
-    as fallback.
+    The first trial step is ``t_first`` when given and 1 / ||grad|| otherwise,
+    clamped to [t_min, t_max]; later steps use the Barzilai-Borwein estimate
+    with the previous step as fallback. Backtracking and its acceptance test
+    are the same for every step, so any positive ``t_first`` is admissible.
+    The outer drivers (``penalty_solve`` and ``alm_solve``) pass the last step
+    accepted by an earlier subproblem of the run.
 
     Iterates are kept as raw arrays and every trial point is evaluated once
     through ``obj.value_and_gradient``; the returned point is certified as a
     ``StiefelPoint`` on exit, and is x0 itself when no step was taken.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
-    finite.
+    finite, or when ``t_first`` is not positive.
     """
+    if t_first is not None and not t_first > 0:
+        raise ValueError(f"t_first must be positive, got {t_first}")
     trace = PgmTrace(memory=cfg.memory, grad_tol=cfg.grad_tol)
 
     def evaluate(mat: np.ndarray) -> tuple:
@@ -257,7 +265,8 @@ def pgm_solve(
             trace.converged = True
             return certified(xm), trace
         if k == 0:
-            t_init = float(min(max(1.0 / gnorm, cfg.t_min), cfg.t_max))
+            t0 = 1.0 / gnorm if t_first is None else t_first
+            t_init = float(min(max(t0, cfg.t_min), cfg.t_max))
         else:
             t_init = bb_stepsize(
                 xm - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t

@@ -3,8 +3,8 @@
 Points live on St(n, r) = {X in R^{n x r} : X^T X = I_r}, embedded in the
 space of n x r matrices with the trace inner product. ``StiefelPoint`` is the
 one place that certifies orthonormality; the other operations are pure
-functions on raw arrays (tangent projection, QR and polar orthonormalization,
-distance to the manifold), so values can be shared freely across threads.
+functions on raw arrays (tangent projection, QR orthonormalization, distance
+to the manifold), so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -59,23 +59,6 @@ def qr_orthonormalize(mat: np.ndarray) -> np.ndarray:
             "rank-deficient matrix: QR orthonormalization is not well defined"
         )
     return q * np.where(diag < 0.0, -1.0, 1.0)
-
-
-def polar_orthonormalize(mat: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor U V^T from the thin SVD U S V^T of the input.
-
-    The nearest orthonormal matrix to the input; applied to X + V it is the
-    polar retraction, which agrees with X + V to second order.
-
-    Raises:
-        RetractionError: if the input is numerically rank deficient.
-    """
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if s[-1] <= _RANK_TOL * max(1.0, float(s[0])):
-        raise RetractionError(
-            "rank-deficient matrix: polar orthonormalization is not well defined"
-        )
-    return u @ vt
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

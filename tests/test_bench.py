@@ -220,6 +220,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             spec_for_proj(kind="unknown")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("mu0", -1.0), ("mu0", 0.0), ("mu0", float("nan")), ("seed", -1)],
+    )
+    def test_bad_mu0_or_seed_rejected_up_front(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            spec_for_proj(solver="alm", **{field: value})
+
     def test_zero_best_known_rejected_up_front(self):
         with pytest.raises(ValueError, match="best_known"):
             spec_for_proj(best_known=0.0)
@@ -302,6 +310,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert re.match(r"^error: \w+", err)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mu0", "-1"], ["--mu0", "nan"], ["--seed", "-1"]],
+        ids=["mu0_negative", "mu0_nan", "seed_negative"],
+    )
+    def test_bad_mu0_or_seed_exits_with_error(self, tmp_path, capsys, flags):
+        inst = tmp_path / "tiny.dat"
+        inst.write_text(SMALL_QAP)
+        code = main(["qap", str(inst), "--solver", "alm", "--jobs", "1", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"^error: ValueError: {flags[0][2:]} must be", err)
         assert err.count("\n") == 1
 
     def test_config_overrides(self, tmp_path, capsys):

@@ -20,7 +20,25 @@ from orthopt.diagnostics import (
 )
 from orthopt.penalty import nonneg_violation
 from orthopt.problems import LinearObjective, ProjectionObjective
-from orthopt.stiefel import StiefelPoint, polar_orthonormalize, proj_tangent
+from orthopt.stiefel import RetractionError, StiefelPoint, proj_tangent
+
+
+def polar_orthonormalize(mat: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor U V^T from the thin SVD U S V^T of the input.
+
+    The nearest orthonormal matrix to the input; applied to X + V it is the
+    polar retraction, which agrees with X + V to second order. A reference
+    retraction for the tests, next to the package's QR retraction.
+
+    Raises:
+        RetractionError: if the input is numerically rank deficient.
+    """
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    if s[-1] <= 1e-12 * max(1.0, float(s[0])):
+        raise RetractionError(
+            "rank-deficient matrix: polar orthonormalization is not well defined"
+        )
+    return u @ vt
 
 
 def retraction_curvature(f, xbar: StiefelPoint, h: np.ndarray, t: float = 1e-3) -> float:

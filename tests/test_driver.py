@@ -11,13 +11,14 @@ from orthopt.diagnostics import default_base_point
 from orthopt.driver import (
     AugLagObjective,
     PenaltyConfig,
+    _last_accepted_step,
     alm_solve,
     penalty_solve,
     round_to_feasible,
     stationarity_residual,
 )
 from orthopt.penalty import PenaltyObjective
-from orthopt.pgm import PgmConfig
+from orthopt.pgm import PgmConfig, PgmTrace
 from orthopt.problems import (
     LinearObjective,
     ProjectionObjective,
@@ -247,6 +248,67 @@ class TestAlmSolve:
         c = default_base_point(4, 2)
         with pytest.raises(ValueError):
             alm_solve(ProjectionObjective(c.mat), c, mu0=0.0)
+
+
+_SOLVES = {
+    "envelope": lambda f, x0: penalty_solve(f, x0, PenaltyConfig.envelope()),
+    "quadratic": lambda f, x0: penalty_solve(f, x0, PenaltyConfig.quadratic()),
+    "alm": lambda f, x0: alm_solve(f, x0, mu0=0.5),
+}
+
+
+def _carry_case(seed: int):
+    noise = np.random.default_rng(seed).standard_normal((6, 3))
+    f = ProjectionObjective(default_base_point(6, 3).mat + 0.3 * noise)
+    return f, random_stiefel_start(6, 3, seed)
+
+
+@pytest.mark.parametrize("solve", sorted(_SOLVES))
+class TestCarriedStep:
+    def test_first_trial_is_last_accepted_step(self, solve):
+        f, x0 = _carry_case(8)
+        report = _SOLVES[solve](f, x0)
+        cfg = PgmConfig()
+        carried = None
+        assert sum(1 for tr in report.inner_traces if tr.step_sizes) >= 5
+        for tr in report.inner_traces:
+            if not tr.step_sizes:
+                continue
+            t = 1.0 / tr.grad_norms[0] if carried is None else carried
+            t = min(max(t, cfg.t_min), cfg.t_max)
+            for _ in range(tr.backtracks[0]):
+                t *= cfg.eta
+            assert tr.step_sizes[0] == t
+            assert 0.0 not in tr.v_norms  # no stalled step to skip in this case
+            carried = tr.step_sizes[-1]
+
+    def test_no_state_survives_between_solves(self, solve):
+        def summary(report):
+            return (
+                report.outer_iters,
+                report.inner_iters_total,
+                report.f_final,
+                [tr.step_sizes for tr in report.inner_traces],
+            )
+
+        f, x0 = _carry_case(8)
+        first = summary(_SOLVES[solve](f, x0))
+        other = next(name for name in sorted(_SOLVES) if name != solve)
+        _SOLVES[other](*_carry_case(9))
+        assert summary(_SOLVES[solve](f, x0)) == first
+
+
+def test_stalled_steps_and_stepless_solves_are_not_carried():
+    def trace(steps, v_norms):
+        return PgmTrace(memory=5, step_sizes=steps, v_norms=v_norms)
+
+    assert _last_accepted_step([]) is None
+    assert _last_accepted_step([trace([], [])]) is None
+    assert _last_accepted_step([trace([1e-30], [0.0])]) is None
+    # a stalled last step falls back to the step before it
+    assert _last_accepted_step([trace([0.5, 0.25, 1e-30], [1.0, 1.0, 0.0])]) == 0.25
+    # a subproblem that took no step falls back to the one before it
+    assert _last_accepted_step([trace([0.5], [1.0]), trace([], [])]) == 0.5
 
 
 class TestStationarityResidual:

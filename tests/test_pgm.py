@@ -140,6 +140,21 @@ class TestPgmSolve:
         _, trace = pgm_solve(obj, random_stiefel_start(5, 2, 9), cfg)
         assert cfg.t_min <= trace.step_sizes[0] <= cfg.t_max
 
+    @pytest.mark.parametrize("t_first,t_init", [(0.37, 0.37), (1e20, 1e12), (1e-20, 1e-12)])
+    def test_first_step_starts_from_t_first_clamped(self, t_first, t_init):
+        cfg = PgmConfig(grad_tol=1e-8)
+        obj = ProjectionObjective(np.eye(5)[:, :2])
+        _, trace = pgm_solve(obj, random_stiefel_start(5, 2, 9), cfg, t_first=t_first)
+        for _ in range(trace.backtracks[0]):
+            t_init *= cfg.eta
+        assert trace.step_sizes[0] == t_init
+
+    @pytest.mark.parametrize("t_first", [0.0, -1.0, float("nan")])
+    def test_nonpositive_t_first_rejected(self, t_first):
+        obj = ProjectionObjective(np.eye(5)[:, :2])
+        with pytest.raises(ValueError, match="t_first"):
+            pgm_solve(obj, random_stiefel_start(5, 2, 9), PgmConfig(), t_first=t_first)
+
     def test_iterates_stay_orthonormal(self):
         obj = RecordingObjective(ProjectionObjective(np.eye(6)[:, :3]))
         pgm_solve(obj, random_stiefel_start(6, 3, 10), PgmConfig(grad_tol=1e-8))
