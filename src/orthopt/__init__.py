@@ -18,11 +18,7 @@ from .penalty import (
     Objective,
     PenaltyObjective,
     nonneg_violation,
-    nonneg_violation_envelope,
-    nonneg_violation_envelope_grad,
     prox_nonneg_violation,
-    quad_penalty,
-    quad_penalty_grad,
 )
 from .pgm import LineSearchError, PgmConfig, PgmTrace, bb_stepsize, pgm_solve
 from .driver import (

@@ -135,6 +135,8 @@ def _cmd_proj(args) -> int:
 
 
 def _cmd_onmf(args) -> int:
+    if args.starts < 1:
+        raise ValueError(f"starts must be at least 1, got {args.starts}")
     a = bench.load_dense_matrix(args.instance)
     inst = OnmfInstance(a=a, r=args.clusters)
     truth = None

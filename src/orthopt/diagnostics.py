@@ -206,10 +206,12 @@ def error_bound_sweep(
     error-bound constant of the base point; pass an explicit value to probe
     hypotheses-violating bases.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if num_samples < 1:
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
+    if not seed >= 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if kappa is None:
         kappa = error_bound_constant(xbar)
     n, r = xbar.shape
@@ -258,9 +260,14 @@ def sosc_probe(
     evaluates <H, hess f(X) H> - <H^T H, X^T grad f(X)>.
 
     Raises:
-        ValueError: if the base point fails the stationarity precondition or
-            the gradient there is not finite.
+        ValueError: if ``num_dirs`` is below 1, ``seed`` is negative, the base
+            point fails the stationarity precondition or the gradient there
+            is not finite.
     """
+    if num_dirs < 1:
+        raise ValueError(f"num_dirs must be at least 1, got {num_dirs}")
+    if not seed >= 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     resid = stationarity_residual(f, xbar)
     if resid > stationarity_tol:
         raise ValueError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_value
+from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_terms
 from .pgm import LineSearchError, PgmConfig, PgmTrace, check_integer_fields, pgm_solve
 from .stiefel import StiefelPoint, check_matrix, proj_tangent
 
@@ -295,7 +295,7 @@ def penalty_solve(
     f0 = f.value(x0.mat)
     rho = _initial_rho(f0, x0, cfg)
     tau = cfg.tau0
-    upsilon = f0 + rho * penalty_value(x0.mat, cfg.gamma)
+    upsilon = f0 + rho * penalty_terms(x0.mat, cfg.gamma)[0]
 
     solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
     x_start = x0
@@ -315,7 +315,7 @@ def penalty_solve(
 
         # the same float sums as pobj.value(x.mat)
         f_val = f.value(x.mat)
-        pen = penalty_value(x.mat, cfg.gamma)
+        pen = penalty_terms(x.mat, cfg.gamma)[0]
         theta_x = f_val + rho * pen
         if theta_x > upsilon + 1e-12 * (1.0 + abs(upsilon)):
             flags.append(f"acceptance_bound_violated@outer={l}")
@@ -355,6 +355,8 @@ class AugLagObjective(Objective):
 
     value(X) = f(X) + mu/2 ||min(0, X - lam/mu)||_F^2 - ||lam||_F^2 / (2 mu)
     gradient(X) = grad f(X) + mu * min(0, X - lam/mu)
+
+    The middle term is the quadratic penalty at X - lam/mu scaled by mu/2.
     """
 
     def __init__(self, f: Objective, lam: np.ndarray, mu: float):
@@ -365,23 +367,19 @@ class AugLagObjective(Objective):
         self.mu = float(mu)
         self._shift = self.lam / self.mu
         self._lam_term = float(np.sum(self.lam * self.lam)) / (2.0 * self.mu)
-
-    def _slack(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum(0.0, x - self._shift)
-
-    def _value(self, fv: float, s: np.ndarray) -> float:
-        return fv + 0.5 * self.mu * float(np.sum(s * s)) - self._lam_term
+        self._half_mu = 0.5 * self.mu
 
     def value(self, x: np.ndarray) -> float:
-        return self._value(self.f.value(x), self._slack(x))
+        pv = penalty_terms(x - self._shift, 0.0)[0]
+        return self.f.value(x) + self._half_mu * pv - self._lam_term
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.f.gradient(x) + self.mu * self._slack(x)
+        return self.f.gradient(x) + self._half_mu * penalty_terms(x - self._shift, 0.0)[1]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         fv, fg = self.f.value_and_gradient(x)
-        s = self._slack(x)
-        return self._value(fv, s), fg + self.mu * s
+        pv, pg = penalty_terms(x - self._shift, 0.0)
+        return fv + self._half_mu * pv - self._lam_term, fg + self._half_mu * pg
 
 
 def alm_solve(

@@ -5,6 +5,10 @@ cone. Its proximal map and Moreau envelope have entrywise closed forms, which
 gives a smooth penalty; the squared Frobenius distance to the cone is the
 alternative quadratic penalty. ``gamma == 0`` is the sentinel that selects the
 quadratic penalty throughout.
+
+``penalty_terms`` is the one place where either penalty's value and gradient
+are computed: ``PenaltyObjective``, the penalty driver and the augmented
+Lagrangian in ``driver`` all go through it.
 """
 
 from __future__ import annotations
@@ -18,54 +22,42 @@ def nonneg_violation(x) -> float:
     return float(np.sum(np.maximum(0.0, -x)))
 
 
-def _check_gamma(gamma: float) -> None:
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-
-
 def prox_nonneg_violation(x, gamma: float) -> np.ndarray:
     """Proximal map of the l1 violation: entrywise min(x + gamma, max(x, 0)).
 
     Entries in [-gamma, 0] snap to zero, entries below -gamma shift up by
     gamma, nonnegative entries are fixed. 1-Lipschitz in Frobenius norm.
     """
-    _check_gamma(gamma)
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     x = np.asarray(x, dtype=float)
     return np.minimum(x + gamma, np.maximum(x, 0.0))
 
 
-def nonneg_violation_envelope(x, gamma: float) -> float:
-    """Moreau envelope of the l1 violation.
+def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
+    """Value and gradient of the penalty selected by gamma, computed together.
 
-    Entries in [-gamma, 0] contribute x^2 / (2 gamma), entries below -gamma
-    contribute -x - gamma/2, nonnegative entries contribute nothing. The
-    envelope is C^1, minorizes the violation, and shares its zero set.
+    ``gamma > 0``: the Moreau envelope of the l1 violation. Entries in
+    [-gamma, 0] contribute x^2 / (2 gamma), entries below -gamma contribute
+    -x - gamma/2, nonnegative entries contribute nothing; the gradient is
+    (x - prox(x)) / gamma, entrywise in [-1, 0]. The envelope is C^1,
+    minorizes the violation, and shares its zero set.
+
+    ``gamma == 0``: the squared Frobenius distance to the cone,
+    sum(min(x, 0)^2), with gradient 2 min(x, 0).
+
+    Raises:
+        ValueError: if gamma is negative or NaN.
     """
-    _check_gamma(gamma)
     x = np.asarray(x, dtype=float)
+    if gamma == 0:
+        neg = np.minimum(x, 0.0)
+        return float((neg**2).sum()), 2.0 * neg
+    grad = (x - prox_nonneg_violation(x, gamma)) / gamma
     quad = x * x / (2.0 * gamma)
     lin = -x - 0.5 * gamma
     per_entry = np.where(x < -gamma, lin, np.where(x < 0.0, quad, 0.0))
-    return float(per_entry.sum())
-
-
-def nonneg_violation_envelope_grad(x, gamma: float) -> np.ndarray:
-    """Gradient of the envelope: (x - prox(x)) / gamma, entrywise in [-1, 0]."""
-    _check_gamma(gamma)
-    x = np.asarray(x, dtype=float)
-    return (x - prox_nonneg_violation(x, gamma)) / gamma
-
-
-def quad_penalty(x) -> float:
-    """Squared Frobenius distance to the nonnegative cone."""
-    x = np.asarray(x, dtype=float)
-    return float((np.minimum(x, 0.0) ** 2).sum())
-
-
-def quad_penalty_grad(x) -> np.ndarray:
-    """Gradient of the quadratic penalty: entrywise 2 min(x, 0)."""
-    x = np.asarray(x, dtype=float)
-    return 2.0 * np.minimum(x, 0.0)
+    return float(per_entry.sum()), grad
 
 
 class Objective:
@@ -97,20 +89,6 @@ class Objective:
         return (self.gradient(x + step * h) - self.gradient(x)) / step
 
 
-def penalty_value(x, gamma: float) -> float:
-    """Value of the bare penalty term selected by gamma."""
-    if gamma > 0:
-        return nonneg_violation_envelope(x, gamma)
-    return quad_penalty(x)
-
-
-def penalty_grad(x, gamma: float) -> np.ndarray:
-    """Gradient of the bare penalty term selected by gamma."""
-    if gamma > 0:
-        return nonneg_violation_envelope_grad(x, gamma)
-    return quad_penalty_grad(x)
-
-
 class PenaltyObjective(Objective):
     """The composite f + rho * penalty as a plain smooth objective.
 
@@ -129,14 +107,12 @@ class PenaltyObjective(Objective):
         self.gamma = gamma
 
     def value(self, x: np.ndarray) -> float:
-        return self.f.value(x) + self.rho * penalty_value(x, self.gamma)
+        return self.f.value(x) + self.rho * penalty_terms(x, self.gamma)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.f.gradient(x) + self.rho * penalty_grad(x, self.gamma)
+        return self.f.gradient(x) + self.rho * penalty_terms(x, self.gamma)[1]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         fv, fg = self.f.value_and_gradient(x)
-        return (
-            fv + self.rho * penalty_value(x, self.gamma),
-            fg + self.rho * penalty_grad(x, self.gamma),
-        )
+        pv, pg = penalty_terms(x, self.gamma)
+        return fv + self.rho * pv, fg + self.rho * pg

@@ -287,6 +287,8 @@ def cluster_labels(x: np.ndarray) -> np.ndarray:
 
 def random_stiefel_start(n: int, r: int, seed: int) -> StiefelPoint:
     """Orthonormalized standard Gaussian draw; deterministic per seed."""
+    if not seed >= 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     return StiefelPoint(qr_orthonormalize(rng.standard_normal((n, r))))
 

@@ -32,7 +32,7 @@ from orthopt.driver import (
 from orthopt.penalty import (
     PenaltyObjective,
     nonneg_violation,
-    nonneg_violation_envelope,
+    penalty_terms,
     prox_nonneg_violation,
 )
 from orthopt.problems import (
@@ -188,7 +188,7 @@ def test_criterion_2_prox_and_envelope_closed_forms():
             gamma = gammas[k % len(gammas)]
             z_star, v_star = _grid_oracle(x, gamma)
             prox = float(prox_nonneg_violation(np.array([x]), gamma)[0])
-            env = nonneg_violation_envelope(np.array([x]), gamma)
+            env = penalty_terms(np.array([x]), gamma)[0]
             assert abs(prox - z_star) <= 1e-6
             assert abs(env - v_star) <= 1e-6
 

@@ -326,6 +326,37 @@ class TestCli:
         assert re.match(rf"^error: ValueError: {flags[0][2:]} must be", err)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("starts", ["0", "-2"])
+    def test_onmf_starts_below_one_exits_with_error(self, tmp_path, capsys, starts):
+        a_path = tmp_path / "a.txt"
+        save_dense_matrix(a_path, np.ones((6, 4)))
+        out = tmp_path / "onmf"
+        code = main([
+            "onmf", str(a_path), "--clusters", "2", "--starts", starts, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: starts must be at least 1", err)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "onmf_onmf.csv").exists()
+
+    @pytest.mark.parametrize("command", ["onmf", "diag-errorbound", "diag-sosc"])
+    def test_negative_seed_exits_naming_seed(self, tmp_path, capsys, command):
+        data = tmp_path / "data.txt"
+        if command == "onmf":
+            save_dense_matrix(data, np.ones((6, 4)))
+            argv = ["onmf", str(data), "--clusters", "2"]
+        elif command == "diag-sosc":
+            save_dense_matrix(data, default_base_point(4, 2).mat)
+            argv = ["diag-sosc", str(data), "--dirs", "10"]
+        else:
+            argv = ["diag-errorbound", "--shape", "3", "2", "--samples", "5"]
+        code = main([*argv, "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: seed must be nonnegative", err)
+        assert err.count("\n") == 1
+
     def test_config_overrides(self, tmp_path, capsys):
         c = default_base_point(4, 2)
         inst = tmp_path / "c.txt"

@@ -237,6 +237,15 @@ class TestErrorBoundSweep:
         with pytest.raises(ValueError, match="num_samples"):
             error_bound_sweep(default_base_point(3, 2), 0.05, num_samples, seed=0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected_by_name(self, delta):
+        with pytest.raises(ValueError, match="delta must be"):
+            error_bound_sweep(default_base_point(3, 2), delta, 1, seed=0)
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            error_bound_sweep(default_base_point(3, 2), 0.05, 1, seed=-1)
+
     def test_no_false_violation_next_to_feasible_point(self):
         xbar = near_feasible_point()
         x = xbar.copy()
@@ -268,9 +277,12 @@ class TestErrorBoundSweep:
             npt.assert_allclose(s.dist_cone, np.linalg.norm(np.minimum(s.x, 0.0)), rtol=0)
             npt.assert_allclose(s.dist_st, dist_to_stiefel(s.x), rtol=0)
 
-    def test_non_finite_probe_rejected(self):
+    def test_non_finite_point_rejected(self):
+        # the sweep's own probes stay finite once delta is checked, so the
+        # oracle's guard is reached through a single evaluation
+        x = np.full((3, 2), np.inf)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            error_bound_sweep(default_base_point(3, 2), np.inf, 2, seed=0)
+            evaluate_error_bound(x, error_bound_constant(default_base_point(3, 2)))
 
     @pytest.mark.parametrize("shape", [(12, 3), (19, 2)])
     def test_memory_bound(self, shape):
@@ -315,6 +327,17 @@ class TestSoscProbe:
         f = NanGradient()
         with pytest.raises(ValueError, match="NaN or Inf"):
             sosc_probe(f, c, num_dirs=10, seed=8)
+
+    @pytest.mark.parametrize("num_dirs", [0, -1])
+    def test_num_dirs_must_be_positive(self, num_dirs):
+        c = default_base_point(4, 2)
+        with pytest.raises(ValueError, match="num_dirs must be at least 1"):
+            sosc_probe(ProjectionObjective(c.mat), c, num_dirs=num_dirs, seed=0)
+
+    def test_negative_seed_rejected_by_name(self):
+        c = default_base_point(4, 2)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            sosc_probe(ProjectionObjective(c.mat), c, num_dirs=10, seed=-1)
 
     def test_matches_retraction_curvature(self):
         c = default_base_point(5, 2)

@@ -235,6 +235,19 @@ class TestAlmSolve:
             err = np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)
             assert err <= 1e-6
 
+    def test_auglag_matches_its_closed_form_bitwise(self):
+        # the penalty kernel's 2 min(y, 0) scaled by mu/2 is exactly mu min(y, 0)
+        rng = np.random.default_rng(7)
+        f = ProjectionObjective(rng.standard_normal((5, 3)))
+        for mu in (0.3, 1.0, 7.5):
+            lam = np.abs(rng.standard_normal((5, 3)))
+            x = rng.uniform(-1.0, 1.0, size=(5, 3))
+            s = np.minimum(0.0, x - lam / mu)
+            value = f.value(x) + 0.5 * mu * float(np.sum(s * s)) - float(np.sum(lam * lam)) / (2.0 * mu)
+            val, grad = AugLagObjective(f, lam, mu).value_and_gradient(x)
+            assert val == value
+            npt.assert_array_equal(grad, f.gradient(x) + mu * s)
+
     def test_projection_recovery(self):
         c = default_base_point(4, 2)
         f = ProjectionObjective(c.mat)

@@ -1,4 +1,8 @@
-"""Penalty terms: closed forms, gradients, and envelope properties."""
+"""Penalty terms: closed forms, gradients, and envelope properties.
+
+Both penalties are read through the one kernel, ``penalty_terms``: index 0
+is the value and index 1 the gradient.
+"""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,11 +13,8 @@ from hypothesis import strategies as st
 from orthopt.penalty import (
     PenaltyObjective,
     nonneg_violation,
-    nonneg_violation_envelope,
-    nonneg_violation_envelope_grad,
+    penalty_terms,
     prox_nonneg_violation,
-    quad_penalty,
-    quad_penalty_grad,
 )
 from orthopt.problems import ProjectionObjective
 
@@ -68,34 +69,41 @@ class TestProx:
             assert d <= np.linalg.norm(a - b) + 1e-12
 
 
+class TestPenaltyTerms:
+    @pytest.mark.parametrize("gamma", [-0.1, float("nan")])
+    def test_gamma_must_be_nonnegative(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            penalty_terms(np.zeros((2, 2)), gamma)
+
+
 class TestEnvelope:
     def test_zero_on_nonnegative(self):
-        assert nonneg_violation_envelope(np.array([[0.0, 2.0]]), 0.05) == 0.0
+        assert penalty_terms(np.array([[0.0, 2.0]]), 0.05)[0] == 0.0
 
     def test_quadratic_zone(self):
         npt.assert_allclose(
-            nonneg_violation_envelope(np.array([[-0.02]]), 0.05), 0.004
+            penalty_terms(np.array([[-0.02]]), 0.05)[0], 0.004
         )
 
     def test_linear_zone(self):
         npt.assert_allclose(
-            nonneg_violation_envelope(np.array([[-0.10]]), 0.05), 0.075
+            penalty_terms(np.array([[-0.10]]), 0.05)[0], 0.075
         )
 
     @given(st.lists(finite_floats, min_size=1, max_size=8), gammas)
     @settings(max_examples=200, deadline=None)
     def test_minorizes_violation(self, entries, gamma):
         x = np.asarray(entries)
-        env = nonneg_violation_envelope(x, gamma)
+        env = penalty_terms(x, gamma)[0]
         assert -1e-12 <= env <= nonneg_violation(x) + 1e-12
 
     @given(st.lists(coarse_floats, min_size=1, max_size=8), gammas)
     @settings(max_examples=200, deadline=None)
     def test_zero_sets_coincide(self, entries, gamma):
         x = np.asarray(entries)
-        zero_env = nonneg_violation_envelope(x, gamma) == 0.0
+        zero_env = penalty_terms(x, gamma)[0] == 0.0
         zero_l1 = nonneg_violation(x) == 0.0
-        zero_quad = quad_penalty(x) == 0.0
+        zero_quad = penalty_terms(x, 0.0)[0] == 0.0
         assert zero_env == zero_l1 == zero_quad
 
     def test_matches_scalar_minimization(self):
@@ -105,7 +113,7 @@ class TestEnvelope:
             grid = np.linspace(x - 1.5, x + 1.5, 600001)
             oracle = np.min((grid - x) ** 2 / (2 * gamma) + np.maximum(0.0, -grid))
             npt.assert_allclose(
-                nonneg_violation_envelope(np.array([x]), gamma), oracle, atol=1e-9
+                penalty_terms(np.array([x]), gamma)[0], oracle, atol=1e-9
             )
 
     def test_matches_joint_minimization_2x2(self):
@@ -120,7 +128,7 @@ class TestEnvelope:
             np.maximum(0.0, -zs), axis=(1, 2)
         )
         oracle = float(np.min(vals))
-        env = nonneg_violation_envelope(x, gamma)
+        env = penalty_terms(x, gamma)[0]
         assert abs(env - oracle) <= 0.02
         assert env <= oracle + 1e-12  # grid only overestimates the true minimum
 
@@ -128,13 +136,13 @@ class TestEnvelope:
 class TestEnvelopeGradient:
     def test_zero_on_nonnegative(self):
         npt.assert_array_equal(
-            nonneg_violation_envelope_grad(np.array([[1.0, 0.5]]), 0.05),
+            penalty_terms(np.array([[1.0, 0.5]]), 0.05)[1],
             np.zeros((1, 2)),
         )
 
     def test_quadratic_zone_slope(self):
         npt.assert_allclose(
-            nonneg_violation_envelope_grad(np.array([[-0.02]]), 0.05)[0, 0], -0.4
+            penalty_terms(np.array([[-0.02]]), 0.05)[1][0, 0], -0.4
         )
 
     def test_finite_difference(self, fd_grad):
@@ -146,8 +154,8 @@ class TestEnvelopeGradient:
             if np.any(np.abs(x) < 1e-4) or np.any(np.abs(x + gamma) < 1e-4):
                 continue
             count += 1
-            numeric = fd_grad(lambda z: nonneg_violation_envelope(z, gamma), x)
-            analytic = nonneg_violation_envelope_grad(x, gamma)
+            numeric = fd_grad(lambda z: penalty_terms(z, gamma)[0], x)
+            analytic = penalty_terms(x, gamma)[1]
             err = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(analytic), 1e-12)
             assert err <= 1e-6
 
@@ -155,19 +163,19 @@ class TestEnvelopeGradient:
 class TestQuadPenalty:
     def test_zero_on_nonnegative(self):
         x = np.array([[0.0, 1.0]])
-        assert quad_penalty(x) == 0.0
-        npt.assert_array_equal(quad_penalty_grad(x), np.zeros((1, 2)))
+        assert penalty_terms(x, 0.0)[0] == 0.0
+        npt.assert_array_equal(penalty_terms(x, 0.0)[1], np.zeros((1, 2)))
 
     def test_hand_values(self):
-        assert quad_penalty(np.array([[-2.0]])) == 4.0
-        npt.assert_array_equal(quad_penalty_grad(np.array([[-2.0]])), [[-4.0]])
+        assert penalty_terms(np.array([[-2.0]]), 0.0)[0] == 4.0
+        npt.assert_array_equal(penalty_terms(np.array([[-2.0]]), 0.0)[1], [[-4.0]])
 
     def test_equals_squared_cone_distance(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.standard_normal((3, 3))
             dist2 = np.linalg.norm(x - np.maximum(x, 0.0)) ** 2
-            npt.assert_allclose(quad_penalty(x), dist2, rtol=1e-12)
+            npt.assert_allclose(penalty_terms(x, 0.0)[0], dist2, rtol=1e-12)
 
     def test_finite_difference(self, fd_grad):
         rng = np.random.default_rng(4)
@@ -177,8 +185,8 @@ class TestQuadPenalty:
             if np.any(np.abs(x) < 1e-4):
                 continue
             count += 1
-            numeric = fd_grad(quad_penalty, x)
-            analytic = quad_penalty_grad(x)
+            numeric = fd_grad(lambda z: penalty_terms(z, 0.0)[0], x)
+            analytic = penalty_terms(x, 0.0)[1]
             err = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(analytic), 1e-12)
             assert err <= 1e-6
 

@@ -205,6 +205,10 @@ class TestStarts:
     def test_gaussian_qr_orthonormal(self):
         assert random_stiefel_start(8, 4, 18).orth_residual <= 1e-12
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            random_stiefel_start(6, 3, -1)
+
     def test_svd_start_feasible(self):
         rng = np.random.default_rng(22)
         x = svd_start(rng.random((8, 5)), 2)

@@ -14,7 +14,13 @@ import pytest
 
 from orthopt.bench import ExperimentSpec, run_experiment
 from orthopt.driver import PenaltyConfig, penalty_solve
-from orthopt.problems import AffinityInstance, QapInstance, QapLiftedObjective, permutation_matrix
+from orthopt.problems import (
+    AffinityInstance,
+    QapInstance,
+    QapLiftedObjective,
+    noisy_projection_target,
+    permutation_matrix,
+)
 from orthopt.stiefel import StiefelPoint
 
 
@@ -46,6 +52,13 @@ def tiny_gm() -> AffinityInstance:
     return AffinityInstance(np.random.default_rng(2025).random((16, 16)))
 
 
+def tiny_proj() -> np.ndarray:
+    """8 x 3 projection target: a seeded feasible point plus small noise."""
+    return noisy_projection_target(8, 3, 0.25 / np.sqrt(8), 5)[0]
+
+
+TINY = {"qap": tiny_qap, "gm": tiny_gm, "proj": tiny_proj}
+
 # (outer_iters, inner_iters, f_rounded) per start, starts 0..3 of seed 3
 PINNED = {
     ("qap", "seppg_plus"): [(60, 60, 152.0), (62, 96, 164.0), (59, 82, 176.0), (55, 58, 152.0)],
@@ -56,13 +69,31 @@ PINNED = {
         (220, 377, -10.926306909201417),
         (219, 416, -9.35206964683901),
     ],
+    ("qap", "alm"): [(18, 2228, 158.0), (18, 2237, 158.0), (23, 647, 176.0), (18, 362, 158.0)],
+    ("proj", "alm"): [
+        (23, 250, 0.12067544002665155),
+        (23, 248, 0.12067544002665154),
+        (23, 248, 0.12067544002665151),
+        (23, 247, 0.12067544002665154),
+    ],
+    ("proj", "seppg_plus"): [
+        (128, 861, 0.12067545821688966),
+        (128, 723, 0.12067544697831703),
+        (128, 667, 0.12067545252202842),
+        (128, 761, 0.12067544188759333),
+    ],
+    ("proj", "seppg_zero"): [
+        (153, 1684, 0.12067544005406572),
+        (153, 1679, 0.12067544004314847),
+        (153, 1582, 0.12067544004986752),
+        (153, 1641, 0.12067544004924205),
+    ],
 }
 
 
 @pytest.mark.parametrize("kind,solver", sorted(PINNED))
 def test_pinned_trajectories(kind, solver):
-    inst = tiny_qap() if kind == "qap" else tiny_gm()
-    spec = ExperimentSpec(kind=kind, name="pin", instance=inst, solver=solver, num_starts=4, seed=3)
+    spec = ExperimentSpec(kind=kind, name="pin", instance=TINY[kind](), solver=solver, num_starts=4, seed=3)
     row = run_experiment(spec)
     assert row.failures == 0
     got = [(rec.outer_iters, rec.inner_iters, rec.f_rounded) for rec in row.records]
