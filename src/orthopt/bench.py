@@ -1,8 +1,11 @@
-"""Benchmark harness: instance parsing, quality metrics, and multi-start runs.
+"""Benchmark harness: instance parsing, quality metrics, multi-start runs,
+and the one CSV writer.
 
 All randomness flows from the experiment seed; start i draws from seed XOR i.
-CSV artifacts are deterministic byte for byte for a fixed spec and seed, so
-wall-clock timings are kept out of the files and only reported in memory.
+Each start is kept as a flat ``StartRecord`` summary, not its solve trace.
+Every CSV goes through ``write_csv``; the files are deterministic byte for
+byte for a fixed spec and seed, so wall-clock timings are kept out of them
+and only reported in memory.
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import (
-    PenaltyConfig,
-    SolveReport,
-    alm_solve,
-    penalty_solve,
-    round_to_feasible,
-)
+from .driver import PenaltyConfig, alm_solve, penalty_solve, round_to_feasible
 from .problems import (
     AffinityInstance,
     GraphMatchingObjective,
@@ -211,8 +208,9 @@ class ExperimentSpec:
 
 @dataclass
 class StartRecord:
-    """Raw outcome of one start; ``x_final`` stays in memory only. A failed
-    start keeps its result fields None."""
+    """Summary of one start; ``x_final`` stays in memory only. A failed start
+    keeps its result fields None. The solve's outer records and inner traces
+    are not kept: call ``penalty_solve`` or ``alm_solve`` for those."""
 
     index: int
     seed: int
@@ -229,7 +227,6 @@ class StartRecord:
     inner_iters: int | None = None
     wall_time: float | None = None
     x_final: np.ndarray | None = None
-    report: SolveReport | None = None
 
 
 @dataclass
@@ -321,7 +318,6 @@ def _run_start(args) -> StartRecord:
         inner_iters=report.inner_iters_total,
         wall_time=report.wall_time,
         x_final=np.asarray(report.x_final.mat),
-        report=report,
     )
 
 
@@ -330,10 +326,11 @@ def run_experiment(
 ) -> MetricsRow:
     """Run ``num_starts`` independent seeded solves and aggregate the results.
 
-    Failed starts are excluded from the aggregates and counted in
-    ``failures``. With an output prefix, writes ``<prefix>_summary.csv`` and
-    ``<prefix>_starts.csv`` (and the final matrices with ``dump_x``); the CSV
-    bytes are a deterministic function of (spec, seed).
+    Records come back in start order. Failed starts are excluded from the
+    aggregates and counted in ``failures``. With an output prefix, writes
+    ``<prefix>_summary.csv`` and ``<prefix>_starts.csv`` (and the final
+    matrices with ``dump_x``); the CSV bytes are a deterministic function of
+    (spec, seed).
     """
     jobs = min(spec.jobs, spec.num_starts)
     tasks = [(spec, i) for i in range(spec.num_starts)]
@@ -342,7 +339,6 @@ def run_experiment(
             records = list(pool.map(_run_start, tasks))
     else:
         records = [_run_start(t) for t in tasks]
-    records.sort(key=lambda rec: rec.index)
 
     good = [rec for rec in records if not rec.failed]
     failures = spec.num_starts - len(good)
@@ -366,8 +362,15 @@ def run_experiment(
         records=records,
     )
     if out_prefix is not None:
-        write_summary_csv(f"{out_prefix}_summary.csv", [row])
-        write_starts_csv(f"{out_prefix}_starts.csv", records)
+        for suffix, columns, items in (
+            ("summary", _SUMMARY_COLUMNS, [row]),
+            ("starts", _START_COLUMNS, records),
+        ):
+            write_csv(
+                f"{out_prefix}_{suffix}.csv",
+                [header for header, _ in columns],
+                ([getattr(item, attr) for _, attr in columns] for item in items),
+            )
         if dump_x:
             for rec in records:
                 if rec.x_final is not None:
@@ -387,7 +390,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-# (header, attribute) per CSV column
+# (header, attribute) per CSV column; timings are left out so that the
+# bytes are reproducible for identical specs and seeds
 _SUMMARY_COLUMNS = (
     ("instance", "name"),
     ("solver", "solver"),
@@ -417,20 +421,13 @@ _START_COLUMNS = (
 )
 
 
-def _write_csv(path, columns, items) -> None:
-    lines = [",".join(header for header, _ in columns)]
-    lines += [",".join(_cell(getattr(item, attr)) for _, attr in columns) for item in items]
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row of cells. Floats keep every
+    digit, bools read 1/0, None leaves the cell empty, and commas or newlines
+    in text become ';' or ' ' so the column count holds."""
+    lines = [",".join(header)]
+    lines += [",".join(_cell(value) for value in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_summary_csv(path, rows: list[MetricsRow]) -> None:
-    """One line per experiment. Timings are intentionally not written; CSV
-    bytes must be reproducible for identical specs and seeds."""
-    _write_csv(path, _SUMMARY_COLUMNS, rows)
-
-
-def write_starts_csv(path, records: list[StartRecord]) -> None:
-    _write_csv(path, _START_COLUMNS, records)
 
 
 def default_jobs() -> int:
@@ -451,6 +448,5 @@ __all__ = [
     "relgap",
     "run_experiment",
     "save_dense_matrix",
-    "write_starts_csv",
-    "write_summary_csv",
+    "write_csv",
 ]

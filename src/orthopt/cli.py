@@ -150,30 +150,27 @@ def _cmd_onmf(args) -> int:
         def solve(obj, x):
             return alm_solve(obj, x, mu0, cfg.pgm, epsilon=cfg.epsilon)
 
-    lines = ["start,seed,objective,pidx,eidx,nmi"]
+    rows = []
     for i in range(args.starts):
         seed_i = args.seed ^ i
         x0 = random_stiefel_start(inst.a.shape[0], inst.r, seed_i)
         x, y, history = onmf_alternate(inst, x0, cfg, solve)
         resid = OnmfFactorObjective(inst.a, y).value(x.mat)
-        cells = [str(i), str(seed_i), bench._cell(resid)]
         if truth is not None:
-            pidx, eidx, nmi = bench.clustering_metrics(
-                truth, cluster_labels(x.mat), inst.r
-            )
-            cells += [bench._cell(pidx), bench._cell(eidx), bench._cell(nmi)]
+            pidx, eidx, nmi = bench.clustering_metrics(truth, cluster_labels(x.mat), inst.r)
             print(
                 f"start {i}: objective={resid:.6e} purity={pidx:.4f} "
                 f"entropy={eidx:.4f} nmi={nmi:.4f} rounds={len(history)}"
             )
         else:
-            cells += ["", "", ""]
+            pidx = eidx = nmi = None
             print(f"start {i}: objective={resid:.6e} rounds={len(history)}")
-        lines.append(",".join(cells))
+        rows.append((i, seed_i, resid, pidx, eidx, nmi))
         if args.out and args.dump_x:
             bench.save_dense_matrix(f"{args.out}_x_start{i}.txt", x.mat)
     if args.out:
-        Path(f"{args.out}_onmf.csv").write_text("\n".join(lines) + "\n")
+        header = ("start", "seed", "objective", "pidx", "eidx", "nmi")
+        bench.write_csv(f"{args.out}_onmf.csv", header, rows)
     return 0
 
 
@@ -184,31 +181,19 @@ def _cmd_diag_errorbound(args) -> int:
         base = diagnostics.default_base_point(args.shape[0], args.shape[1])
     samples = diagnostics.error_bound_sweep(base, args.delta, args.samples, args.seed)
     n, r = base.shape
-    header = [f"x{i}" for i in range(n * r)] + [
-        "dist_splus",
-        "dist_cone",
-        "dist_st",
-        "kappa",
-        "holds",
-    ]
-    lines = [",".join(header)]
-    for s in samples:
-        cells = [bench._cell(v) for v in s.x.ravel()]
-        cells += [
-            bench._cell(s.dist_splus),
-            bench._cell(s.dist_cone),
-            bench._cell(s.dist_st),
-            bench._cell(s.kappa),
-            "1" if s.holds else "0",
-        ]
-        lines.append(",".join(cells))
     violations = sum(1 for s in samples if not s.holds)
     print(
         f"shape=({n},{r}) kappa={samples[0].kappa:.4f} samples={len(samples)} "
         f"violations={violations}"
     )
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        header = [f"x{i}" for i in range(n * r)]
+        header += ["dist_splus", "dist_cone", "dist_st", "kappa", "holds"]
+        rows = (
+            [*s.x.ravel(), s.dist_splus, s.dist_cone, s.dist_st, s.kappa, s.holds]
+            for s in samples
+        )
+        bench.write_csv(args.out, header, rows)
     return 0
 
 
@@ -225,8 +210,7 @@ def _cmd_diag_sosc(args) -> int:
             f"sampled={report.sampled}"
         )
     if args.out:
-        lines = ["form"] + [bench._cell(v) for v in report.forms]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        bench.write_csv(args.out, ["form"], ([v] for v in report.forms))
     return 0
 
 

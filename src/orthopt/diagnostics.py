@@ -352,8 +352,8 @@ def zero_row_family(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def default_base_point(n: int, r: int) -> StiefelPoint:
     """Feasible base point without zero rows: rows assigned round-robin."""
-    if n < r:
-        raise ValueError(f"need n >= r, got ({n}, {r})")
+    if not n >= r >= 1:
+        raise ValueError(f"shape must satisfy n >= r >= 1, got ({n}, {r})")
     assign = np.arange(n) % r
     out = np.zeros((n, r))
     out[np.arange(n), assign] = 1.0

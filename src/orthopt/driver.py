@@ -299,7 +299,6 @@ def penalty_solve(
 
     solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
     x_start = x0
-    f_hist: list[float] = []
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
     flags: list[str] = []
@@ -321,14 +320,13 @@ def penalty_solve(
             flags.append(f"acceptance_bound_violated@outer={l}")
 
         ninf = nonneg_violation(x.mat)
-        f_hist.append(f_val)
         records.append(OuterRecord(rho=rho, tau=tau, ninf=ninf, f_value=f_val))
 
         if ninf <= cfg.epsilon:
             break
-        if ninf <= 5.0 * cfg.epsilon and len(f_hist) > _STAGNATION_LAG:
-            rel = abs(f_hist[-1] - f_hist[-1 - _STAGNATION_LAG]) / (1.0 + abs(f_hist[-1]))
-            if rel <= _STAGNATION_RTOL:
+        if ninf <= 5.0 * cfg.epsilon and len(records) > _STAGNATION_LAG:
+            f_lag = records[-1 - _STAGNATION_LAG].f_value
+            if abs(f_val - f_lag) / (1.0 + abs(f_val)) <= _STAGNATION_RTOL:
                 break
 
         sigma = cfg.sigma_rho_small if rho <= 1.0 else cfg.sigma_rho_large
@@ -341,7 +339,8 @@ def penalty_solve(
         # with no column flipped the copy is x itself and cannot win the gate
         if np.any(signs < 0.0):
             x_flip = StiefelPoint(x.mat * signs)
-            theta_flip = PenaltyObjective(f, rho, cfg.gamma).value(x_flip.mat)
+            # the same float sums as theta_plain
+            theta_flip = f.value(x_flip.mat) + rho * penalty_terms(x_flip.mat, cfg.gamma)[0]
             if theta_flip < theta_plain:
                 x_start, upsilon = x_flip, theta_flip
     else:

@@ -19,9 +19,9 @@ from orthopt.bench import (
     save_dense_matrix,
 )
 from orthopt.cli import main
-from orthopt.diagnostics import default_base_point
+from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
 from orthopt.penalty import nonneg_violation
-from orthopt.problems import QapInstance, brute_force_qap
+from orthopt.problems import ProjectionObjective, QapInstance, brute_force_qap
 
 SMALL_QAP = "2\n0 1\n1 0\n0 2\n2 0\n"
 
@@ -275,8 +275,32 @@ class TestCli:
             "--starts", "1", "--seed", "2", "--jobs", "1", "--out", str(out),
         ])
         assert code == 0
-        assert (tmp_path / "onmf_onmf.csv").exists()
+        lines = (tmp_path / "onmf_onmf.csv").read_text().splitlines()
+        assert lines[0] == "start,seed,objective,pidx,eidx,nmi"
+        assert len(lines) == 2 and lines[1].startswith("0,2,")
         assert "purity" in capsys.readouterr().out
+
+    def test_onmf_subcommand_without_labels_leaves_metric_cells_empty(self, tmp_path, capsys):
+        from orthopt.problems import planted_onmf_instance
+
+        inst, _, _, _ = planted_onmf_instance(12, 6, 2, noise=0.0, seed=4)
+        a_path = tmp_path / "a.txt"
+        save_dense_matrix(a_path, inst.a)
+        out = tmp_path / "onmf"
+        code = main([
+            "onmf", str(a_path), "--clusters", "2", "--starts", "2", "--seed", "2",
+            "--jobs", "1", "--out", str(out),
+        ])
+        assert code == 0
+        lines = (tmp_path / "onmf_onmf.csv").read_text().splitlines()
+        assert lines[0] == "start,seed,objective,pidx,eidx,nmi"
+        assert len(lines) == 3
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[:2] == [str(i), str(2 ^ i)]
+            float(cells[2])
+            assert cells[3:] == ["", "", ""]
+        assert "purity" not in capsys.readouterr().out
 
     def test_diag_errorbound_subcommand(self, tmp_path, capsys):
         out = tmp_path / "samples.csv"
@@ -289,6 +313,16 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 51
         assert lines[0].endswith("kappa,holds")
+        assert lines[0] == ",".join(
+            [f"x{i}" for i in range(6)] + ["dist_splus", "dist_cone", "dist_st", "kappa", "holds"]
+        )
+        samples = error_bound_sweep(default_base_point(3, 2), 0.05, 50, 0)
+        for line, s in zip(lines[1:], samples):
+            cells = line.split(",")
+            assert [float(c) for c in cells[:6]] == s.x.ravel().tolist()
+            floats = [float(c) for c in cells[6:10]]
+            assert floats == [s.dist_splus, s.dist_cone, s.dist_st, s.kappa]
+            assert cells[10] == ("1" if s.holds else "0")
 
     def test_diag_errorbound_without_samples_exits_with_error(self, capsys):
         code = main(["diag-errorbound", "--shape", "3", "2", "--samples", "0"])
@@ -297,12 +331,26 @@ class TestCli:
         assert re.match(r"^error: ValueError: num_samples must be at least 1", err)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("shape", [["3", "0"], ["-2", "-3"]])
+    def test_diag_errorbound_bad_shape_exits_naming_shape(self, capsys, shape):
+        code = main(["diag-errorbound", "--shape", *shape, "--samples", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: shape must satisfy n >= r >= 1", err)
+        assert err.count("\n") == 1
+
     def test_diag_sosc_subcommand(self, tmp_path, capsys):
         point = tmp_path / "x.txt"
         save_dense_matrix(point, default_base_point(5, 2).mat)
-        code = main(["diag-sosc", str(point), "--dirs", "100", "--seed", "1"])
+        out = tmp_path / "forms.csv"
+        code = main(["diag-sosc", str(point), "--dirs", "100", "--seed", "1", "--out", str(out)])
         assert code == 0
         assert "min_form" in capsys.readouterr().out
+        base = default_base_point(5, 2)
+        forms = sosc_probe(ProjectionObjective(base.mat), base, 100, 1).forms
+        lines = out.read_text().splitlines()
+        assert lines[0] == "form"
+        assert [float(c) for c in lines[1:]] == forms.tolist()
 
     def test_failure_emits_single_error_line(self, tmp_path, capsys):
         missing = tmp_path / "nope.dat"

@@ -198,6 +198,12 @@ class TestBruteForceOracle:
             brute_force_dist_splus(np.array([[1.0, -1.0], [2.0, 0.0], [0.5, -3.0]]))
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (-2, -3), (2, 3), (0, 0)])
+def test_default_base_point_rejects_bad_shape_by_name(shape):
+    with pytest.raises(ValueError, match=rf"n >= r >= 1, got \({shape[0]}, {shape[1]}\)"):
+        default_base_point(*shape)
+
+
 class TestErrorBoundSweep:
     def test_bound_holds_near_regular_base_point(self):
         base = default_base_point(3, 2)

@@ -12,14 +12,16 @@ the paper's quality claim against the augmented-Lagrangian baseline.
 import numpy as np
 import pytest
 
-from orthopt.bench import ExperimentSpec, run_experiment
+from orthopt.bench import ExperimentSpec, default_config, run_experiment
 from orthopt.driver import PenaltyConfig, penalty_solve
 from orthopt.problems import (
     AffinityInstance,
+    GraphMatchingObjective,
     QapInstance,
     QapLiftedObjective,
     noisy_projection_target,
     permutation_matrix,
+    random_stiefel_start,
 )
 from orthopt.stiefel import StiefelPoint
 
@@ -104,9 +106,12 @@ def test_later_subproblems_rarely_backtrack_on_their_first_step():
     # each subproblem's first trial starts from the step the run last
     # accepted; a restart from 1 / ||grad|| overshoots near a solution and
     # costs hundreds of backtracks per start here
-    spec = ExperimentSpec(kind="gm", name="pin", instance=tiny_gm(), solver="seppg_plus", num_starts=4, seed=3)
-    for rec in run_experiment(spec).records:
-        later = rec.report.inner_traces[1:]
+    # the starts of run_experiment(seed=3): start i draws from seed 3 XOR i
+    inst = tiny_gm()
+    cfg = default_config("seppg_plus", "gm", inst)
+    for i in range(4):
+        report = penalty_solve(GraphMatchingObjective(inst), random_stiefel_start(inst.n, inst.n, 3 ^ i), cfg)
+        later = report.inner_traces[1:]
         assert sum(tr.backtracks[0] for tr in later if tr.backtracks) <= 5
 
 
