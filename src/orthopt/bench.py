@@ -173,9 +173,8 @@ def clustering_metrics(truth, pred, r: int) -> tuple[float, float, float]:
 class ExperimentSpec:
     """A multi-start experiment on one instance.
 
-    ``config`` and ``mu0`` replace ``default_config`` and ``default_mu0``;
-    the alm solver reads ``mu0`` and the ``pgm`` and ``epsilon`` fields of the
-    configuration. Start i uses seed XOR i.
+    ``config`` replaces ``default_config`` for every solver. Start i uses
+    seed XOR i.
     """
 
     kind: str
@@ -185,7 +184,6 @@ class ExperimentSpec:
     num_starts: int = 1
     seed: int = 0
     config: PenaltyConfig | None = None
-    mu0: float | None = None
     best_known: float | None = None
     jobs: int = 1
 
@@ -198,8 +196,6 @@ class ExperimentSpec:
             raise ValueError(f"num_starts must be at least 1, got {self.num_starts}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.mu0 is not None and not self.mu0 > 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.best_known == 0:
@@ -265,26 +261,19 @@ def _problem_setup(spec: ExperimentSpec):
     return ProjectionObjective(target), target.shape[0], target.shape[1]
 
 
-def default_mu0(kind: str, instance) -> float:
-    """Initial ALM weight: 10 for qap, 0.1 for gm, and 1/||data||_2 of the proj
-    target or the onmf matrix (1 for zero data). ``default_config`` starts the
-    penalty weight of proj and onmf from the same value."""
+def default_config(solver: str, kind: str, instance) -> PenaltyConfig:
+    """The solver's preset (quadratic for seppg_zero, envelope otherwise) with
+    its initial weight rho0: 1/||data||_2 of the proj target or the onmf
+    matrix (1 for zero data) for every solver; on qap and gm, 10 and 0.1 for
+    alm, and None for the penalty solvers, which then scale it to the start."""
+    maker = PenaltyConfig.quadratic if solver == "seppg_zero" else PenaltyConfig.envelope
     if kind == "qap":
-        return 10.0
+        return maker(rho0=10.0 if solver == "alm" else None)
     if kind == "gm":
-        return 0.1
+        return maker(rho0=0.1 if solver == "alm" else None)
     data = instance.a if kind == "onmf" else instance
     scale = float(np.linalg.norm(np.asarray(data, dtype=float), 2))
-    return 1.0 / scale if scale > 0 else 1.0
-
-
-def default_config(solver: str, kind: str, instance) -> PenaltyConfig:
-    """The solver's penalty preset (quadratic for seppg_zero, envelope
-    otherwise); proj and onmf set rho0 to ``default_mu0``."""
-    maker = PenaltyConfig.quadratic if solver == "seppg_zero" else PenaltyConfig.envelope
-    if kind in ("qap", "gm"):
-        return maker()
-    return maker(rho0=default_mu0(kind, instance))
+    return maker(rho0=1.0 / scale if scale > 0 else 1.0)
 
 
 def _run_start(args) -> StartRecord:
@@ -294,11 +283,8 @@ def _run_start(args) -> StartRecord:
     x0 = random_stiefel_start(n, r, start_seed)
     cfg = spec.config or default_config(spec.solver, spec.kind, spec.instance)
     try:
-        if spec.solver == "alm":
-            mu0 = default_mu0(spec.kind, spec.instance) if spec.mu0 is None else spec.mu0
-            report = alm_solve(objective, x0, mu0, cfg.pgm, epsilon=cfg.epsilon)
-        else:
-            report = penalty_solve(objective, x0, cfg)
+        # module globals looked up per call: perfbench/tracer.py patches both by name
+        report = (alm_solve if spec.solver == "alm" else penalty_solve)(objective, x0, cfg)
     except Exception as err:  # per-start failures are recorded, not fatal
         return StartRecord(index, start_seed, failed=True, error=f"{type(err).__name__}: {err}")
     f_rounded = objective.value(round_to_feasible(report.x_final.mat).mat)
@@ -321,6 +307,16 @@ def _run_start(args) -> StartRecord:
     )
 
 
+def _map_starts(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks, results in task order, on min(jobs, len(tasks)) worker
+    processes; one job runs in this process. fn and the tasks must pickle."""
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def run_experiment(
     spec: ExperimentSpec, out_prefix: str | None = None, dump_x: bool = False
 ) -> MetricsRow:
@@ -332,14 +328,7 @@ def run_experiment(
     matrices with ``dump_x``); the CSV bytes are a deterministic function of
     (spec, seed).
     """
-    jobs = min(spec.jobs, spec.num_starts)
-    tasks = [(spec, i) for i in range(spec.num_starts)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_start, tasks))
-    else:
-        records = [_run_start(t) for t in tasks]
-
+    records = _map_starts(_run_start, [(spec, i) for i in range(spec.num_starts)], spec.jobs)
     good = [rec for rec in records if not rec.failed]
     failures = spec.num_starts - len(good)
     gaps = [rec.gap_pct for rec in good if rec.gap_pct is not None]
@@ -441,7 +430,6 @@ __all__ = [
     "StartRecord",
     "clustering_metrics",
     "default_config",
-    "default_mu0",
     "load_best_known",
     "load_dense_matrix",
     "parse_qaplib",

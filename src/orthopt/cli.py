@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, diagnostics
-from .driver import PenaltyConfig, alm_solve
+from .driver import PenaltyConfig, alm_solve, penalty_solve
 from .problems import (
     AffinityInstance,
     OnmfFactorObjective,
@@ -39,7 +39,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(inner options as pgm.<key>)",
     )
     parser.add_argument("--jobs", type=int, default=bench.default_jobs())
-    parser.add_argument("--mu0", type=float, help="initial weight for the alm solver")
     parser.add_argument(
         "--dump-x", action="store_true", help="write final matrices next to the CSVs"
     )
@@ -97,7 +96,6 @@ def _run_spec(args, kind: str, name: str, instance, best_known=None) -> int:
         num_starts=args.starts,
         seed=args.seed,
         config=_config(args, kind, instance),
-        mu0=args.mu0,
         best_known=best_known,
         jobs=args.jobs,
     )
@@ -134,40 +132,43 @@ def _cmd_proj(args) -> int:
     return _run_spec(args, "proj", Path(args.instance).stem, c)
 
 
+def _onmf_start(task):
+    """One onmf start: (final X as an array, residual, rounds)."""
+    inst, cfg, solve, seed = task
+    x0 = random_stiefel_start(inst.a.shape[0], inst.r, seed)
+    x, y, history = onmf_alternate(inst, x0, cfg, solve)
+    return x.mat, OnmfFactorObjective(inst.a, y).value(x.mat), len(history)
+
+
 def _cmd_onmf(args) -> int:
     if args.starts < 1:
         raise ValueError(f"starts must be at least 1, got {args.starts}")
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     a = bench.load_dense_matrix(args.instance)
     inst = OnmfInstance(a=a, r=args.clusters)
     truth = None
     if args.labels is not None:
         truth = np.loadtxt(args.labels, dtype=int)
     cfg = _config(args, "onmf", inst)
-    mu0 = bench.default_mu0("onmf", inst) if args.mu0 is None else args.mu0
-
-    solve = None
-    if args.solver == "alm":
-        def solve(obj, x):
-            return alm_solve(obj, x, mu0, cfg.pgm, epsilon=cfg.epsilon)
+    solve = alm_solve if args.solver == "alm" else penalty_solve
+    seeds = [args.seed ^ i for i in range(args.starts)]
+    results = bench._map_starts(_onmf_start, [(inst, cfg, solve, s) for s in seeds], args.jobs)
 
     rows = []
-    for i in range(args.starts):
-        seed_i = args.seed ^ i
-        x0 = random_stiefel_start(inst.a.shape[0], inst.r, seed_i)
-        x, y, history = onmf_alternate(inst, x0, cfg, solve)
-        resid = OnmfFactorObjective(inst.a, y).value(x.mat)
+    for i, (seed_i, (x, resid, rounds)) in enumerate(zip(seeds, results)):
         if truth is not None:
-            pidx, eidx, nmi = bench.clustering_metrics(truth, cluster_labels(x.mat), inst.r)
+            pidx, eidx, nmi = bench.clustering_metrics(truth, cluster_labels(x), inst.r)
             print(
                 f"start {i}: objective={resid:.6e} purity={pidx:.4f} "
-                f"entropy={eidx:.4f} nmi={nmi:.4f} rounds={len(history)}"
+                f"entropy={eidx:.4f} nmi={nmi:.4f} rounds={rounds}"
             )
         else:
             pidx = eidx = nmi = None
-            print(f"start {i}: objective={resid:.6e} rounds={len(history)}")
+            print(f"start {i}: objective={resid:.6e} rounds={rounds}")
         rows.append((i, seed_i, resid, pidx, eidx, nmi))
         if args.out and args.dump_x:
-            bench.save_dense_matrix(f"{args.out}_x_start{i}.txt", x.mat)
+            bench.save_dense_matrix(f"{args.out}_x_start{i}.txt", x)
     if args.out:
         header = ("start", "seed", "objective", "pidx", "eidx", "nmi")
         bench.write_csv(f"{args.out}_onmf.csv", header, rows)

@@ -25,11 +25,17 @@ _STAGNATION_LAG = 9
 _STAGNATION_RTOL = 1e-8
 # columns whose norm falls outside this range are rescaled before normalizing
 _NORM_RANGE = (1e-150, 1e150)
+# alm_solve's weight growth per outer iteration
+_MU_GROWTH = 1.2
 
 
 @dataclass
 class PenaltyConfig:
-    """Tunables for the penalty driver.
+    """Settings of both outer solvers, ``penalty_solve`` and ``alm_solve``.
+
+    Both read ``rho0`` (the initial weight), ``epsilon``, ``l_max`` and
+    ``pgm``; the schedule fields ``gamma``, ``tau*``, ``sigma_*`` and
+    ``rho_max`` apply only to ``penalty_solve``.
 
     ``gamma > 0`` runs the Moreau-envelope penalty, ``gamma == 0`` the
     quadratic one; the two presets below fix the conventional pairings of
@@ -382,50 +388,43 @@ class AugLagObjective(Objective):
 
 
 def alm_solve(
-    f: Objective,
-    x0: StiefelPoint,
-    mu0: float,
-    pgm_cfg: PgmConfig | None = None,
-    *,
-    epsilon: float = 1e-6,
-    max_outer: int = 1000,
-    mu_growth: float = 1.2,
+    f: Objective, x0: StiefelPoint, cfg: PenaltyConfig | None = None
 ) -> SolveReport:
     """Augmented-Lagrangian baseline for the same constrained problem.
 
     Alternates an approximate manifold minimization of the augmented
     Lagrangian with the multiplier update max(lam - mu X, 0) and the weight
-    update mu <- mu_growth * mu, starting from lam = 0. Stops once the
-    violation reaches epsilon or the outer cap is hit.
+    update mu <- 1.2 mu, starting from lam = 0 and mu = cfg.rho0 (chosen as
+    in ``penalty_solve`` when None). Each subproblem is solved to the fixed
+    ``cfg.pgm.grad_tol``. Stops once the violation reaches ``cfg.epsilon`` or
+    after ``cfg.l_max`` outer iterations; the schedule fields of ``cfg`` are
+    not read.
     """
-    if not mu0 > 0:
-        raise ValueError(f"mu0 must be positive, got {mu0}")
-    if pgm_cfg is None:
-        pgm_cfg = PgmConfig(grad_tol=1e-6)
+    if cfg is None:
+        cfg = PenaltyConfig()
     start_time = time.perf_counter()
 
     lam = np.zeros(x0.shape)
-    mu = float(mu0)
+    mu = cfg.rho0 if cfg.rho0 is not None else _initial_rho(f.value(x0.mat), x0, cfg)
     x = x0
-    # max_outer == 0 reports x0 against the first subproblem objective
-    obj = AugLagObjective(f, lam, mu)
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
     flags: list[str] = []
 
-    for k in range(max_outer):
+    # l_max >= 1, so obj is the last subproblem objective after the loop
+    for k in range(cfg.l_max):
         obj = AugLagObjective(f, lam, mu)
-        x, ok = _solve_subproblem(obj, x, pgm_cfg, k, inner_traces, flags)
+        x, ok = _solve_subproblem(obj, x, cfg.pgm, k, inner_traces, flags)
         if not ok:
             break
         ninf = nonneg_violation(x.mat)
         records.append(
-            OuterRecord(rho=mu, tau=pgm_cfg.grad_tol, ninf=ninf, f_value=f.value(x.mat))
+            OuterRecord(rho=mu, tau=cfg.pgm.grad_tol, ninf=ninf, f_value=f.value(x.mat))
         )
-        if ninf <= epsilon:
+        if ninf <= cfg.epsilon:
             break
         lam = np.maximum(lam - mu * x.mat, 0.0)
-        mu *= mu_growth
+        mu *= _MU_GROWTH
     else:
         flags.append("outer_budget_exhausted")
 

@@ -241,7 +241,7 @@ def onmf_alternate(
     inst: OnmfInstance,
     x0: StiefelPoint,
     cfg: PenaltyConfig | None = None,
-    solve=None,
+    solve=penalty_solve,
     *,
     max_rounds: int = 100,
     rel_tol: float = 1e-6,
@@ -254,14 +254,12 @@ def onmf_alternate(
     ``max_rounds``. Returns the final factors and the residual history, one
     value per round.
 
-    ``solve`` may override the X-update; it receives (objective, x) and must
-    return a SolveReport.
+    ``solve`` is the outer solver of the X-update, ``penalty_solve`` or
+    ``alm_solve``; it is called as solve(objective, x, cfg) and must return a
+    SolveReport.
     """
     if cfg is None:
         cfg = PenaltyConfig(rho0=1.0 / max(np.linalg.norm(inst.a, 2), 1e-12))
-    if solve is None:
-        def solve(obj, x):
-            return penalty_solve(obj, x, cfg)
 
     x = x0
     y = onmf_y_update(inst.a, x.mat)
@@ -269,7 +267,7 @@ def onmf_alternate(
     prev = np.inf
     for _ in range(max_rounds):
         obj = OnmfFactorObjective(inst.a, y)
-        report = solve(obj, x)
+        report = solve(obj, x, cfg)
         x = report.x_final
         y = onmf_y_update(inst.a, x.mat)
         resid = OnmfFactorObjective(inst.a, y).value(x.mat)

@@ -87,7 +87,7 @@ def projection_runs():
     for name, solve in [
         ("seppg_plus", lambda: penalty_solve(f, x0, tuned(PenaltyConfig.envelope))),
         ("seppg_zero", lambda: penalty_solve(f, x0, tuned(PenaltyConfig.quadratic))),
-        ("alm", lambda: alm_solve(f, x0, mu0=1.0 / scale)),
+        ("alm", lambda: alm_solve(f, x0, PenaltyConfig(rho0=1.0 / scale))),
     ]:
         t0 = time.perf_counter()
         report = solve()

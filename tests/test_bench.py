@@ -19,6 +19,7 @@ from orthopt.bench import (
     save_dense_matrix,
 )
 from orthopt.cli import main
+from orthopt.driver import PenaltyConfig
 from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
 from orthopt.penalty import nonneg_violation
 from orthopt.problems import ProjectionObjective, QapInstance, brute_force_qap
@@ -222,11 +223,43 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("mu0", -1.0), ("mu0", 0.0), ("mu0", float("nan")), ("seed", -1)],
+        [("rho0", -1.0), ("rho0", 0.0), ("rho0", float("nan")), ("seed", -1)],
     )
     def test_bad_mu0_or_seed_rejected_up_front(self, field, value):
+        # alm's initial weight is the configuration's rho0
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            spec_for_proj(solver="alm", **{field: value})
+            if field == "rho0":
+                spec_for_proj(solver="alm", config=PenaltyConfig(rho0=value))
+            else:
+                spec_for_proj(solver="alm", seed=value)
+
+    def test_failed_start_is_recorded_and_left_out_of_the_means(self, tmp_path, monkeypatch):
+        import orthopt.bench as bench
+
+        solve = bench.penalty_solve
+        calls = []
+
+        def fail_on_start_1(f, x0, cfg):
+            calls.append(x0)
+            if len(calls) == 2:
+                raise RuntimeError("boom, at start 1")
+            return solve(f, x0, cfg)
+
+        monkeypatch.setattr(bench, "penalty_solve", fail_on_start_1)
+        row = run_experiment(spec_for_proj(num_starts=3), out_prefix=str(tmp_path / "run"))
+        failed = row.records[1]
+        assert failed.failed and failed.error == "RuntimeError: boom, at start 1"
+        assert failed.f_final is None and failed.ninf is None
+        good = [row.records[0], row.records[2]]
+        assert not any(rec.failed for rec in good)
+        assert row.failures == 1
+        assert row.mean_ninf == float(np.mean([rec.ninf for rec in good]))
+        assert row.mean_orth_residual == float(np.mean([rec.orth_residual for rec in good]))
+        header, *rows = (tmp_path / "run_starts.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), rows[1].split(",")))
+        assert len(cells) == len(rows[1].split(","))
+        assert cells["failed"] == "1"
+        assert cells["error"] == "RuntimeError: boom; at start 1"
 
     def test_zero_best_known_rejected_up_front(self):
         with pytest.raises(ValueError, match="best_known"):
@@ -361,18 +394,63 @@ class TestCli:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--mu0", "-1"], ["--mu0", "nan"], ["--seed", "-1"]],
-        ids=["mu0_negative", "mu0_nan", "seed_negative"],
+        "line,flags,message",
+        [
+            ("rho0 = -1", [], "rho0 must be positive"),
+            ("rho0 = nan", [], "rho0 must be positive"),
+            ("", ["--seed", "-1"], "seed must be nonnegative"),
+        ],
+        ids=["rho0_negative", "rho0_nan", "seed_negative"],
     )
-    def test_bad_mu0_or_seed_exits_with_error(self, tmp_path, capsys, flags):
+    def test_bad_mu0_or_seed_exits_with_error(self, tmp_path, capsys, line, flags, message):
+        # alm's initial weight is the configuration's rho0
         inst = tmp_path / "tiny.dat"
         inst.write_text(SMALL_QAP)
-        code = main(["qap", str(inst), "--solver", "alm", "--jobs", "1", *flags])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        code = main(["qap", str(inst), "--solver", "alm", "--jobs", "1", "--config", str(cfg), *flags])
         assert code == 2
         err = capsys.readouterr().err
-        assert re.match(rf"^error: ValueError: {flags[0][2:]} must be", err)
+        assert re.match(rf"^error: ValueError: {message}", err)
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["qap", "gm", "proj", "onmf"])
+    def test_jobs_below_one_exits_naming_jobs(self, tmp_path, capsys, command):
+        data = tmp_path / "data.txt"
+        argv = [command, str(data)]
+        if command == "qap":
+            data.write_text(SMALL_QAP)
+        elif command == "gm":
+            save_dense_matrix(data, np.ones((4, 4)))
+        elif command == "proj":
+            save_dense_matrix(data, default_base_point(4, 2).mat)
+        else:
+            save_dense_matrix(data, np.ones((6, 4)))
+            argv += ["--clusters", "2"]
+        code = main([*argv, "--jobs", "0", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: jobs must be at least 1", err)
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize("solver", ["seppg_plus", "seppg_zero", "alm"])
+    def test_gm_subcommand_matches_run_experiment(self, tmp_path, capsys, solver):
+        from test_trajectories import tiny_gm
+
+        inst = tiny_gm()
+        path = tmp_path / "gm4.txt"
+        save_dense_matrix(path, inst.k)
+        code = main([
+            "gm", str(path), "--solver", solver, "--starts", "2", "--seed", "3",
+            "--jobs", "1", "--out", str(tmp_path / "cli"),
+        ])
+        assert code == 0
+        spec = ExperimentSpec(
+            kind="gm", name="gm4", instance=inst, solver=solver, num_starts=2, seed=3
+        )
+        run_experiment(spec, out_prefix=str(tmp_path / "lib"))
+        assert _csv_bytes(tmp_path / "cli") == _csv_bytes(tmp_path / "lib")
 
     @pytest.mark.parametrize("starts", ["0", "-2"])
     def test_onmf_starts_below_one_exits_with_error(self, tmp_path, capsys, starts):

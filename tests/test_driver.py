@@ -213,7 +213,7 @@ class TestAlmSolve:
     def test_feasible_stationary_start_terminates_at_once(self):
         c = default_base_point(4, 2)
         f = ProjectionObjective(c.mat)
-        report = alm_solve(f, c, mu0=1.0)
+        report = alm_solve(f, c, PenaltyConfig(rho0=1.0))
         assert report.outer_iters == 1
         assert report.ninf == 0.0
         npt.assert_array_equal(report.x_final.mat, c.mat)
@@ -252,21 +252,21 @@ class TestAlmSolve:
         c = default_base_point(4, 2)
         f = ProjectionObjective(c.mat)
         x0 = random_stiefel_start(4, 2, 7)
-        report = alm_solve(f, x0, mu0=1.0 / np.linalg.norm(c.mat, 2))
+        report = alm_solve(f, x0, PenaltyConfig(rho0=1.0 / np.linalg.norm(c.mat, 2)))
         assert report.ninf <= 1e-6
         assert np.linalg.norm(report.x_final.mat - c.mat) <= 1e-4
         assert report.solver == "alm"
 
     def test_mu0_must_be_positive(self):
-        c = default_base_point(4, 2)
-        with pytest.raises(ValueError):
-            alm_solve(ProjectionObjective(c.mat), c, mu0=0.0)
+        # alm_solve's initial weight is PenaltyConfig.rho0
+        with pytest.raises(ValueError, match="rho0"):
+            PenaltyConfig(rho0=0.0)
 
 
 _SOLVES = {
     "envelope": lambda f, x0: penalty_solve(f, x0, PenaltyConfig.envelope()),
     "quadratic": lambda f, x0: penalty_solve(f, x0, PenaltyConfig.quadratic()),
-    "alm": lambda f, x0: alm_solve(f, x0, mu0=0.5),
+    "alm": lambda f, x0: alm_solve(f, x0, PenaltyConfig(rho0=0.5)),
 }
 
 
@@ -386,19 +386,25 @@ class TestPenaltyConfig:
             PenaltyConfig(rho0=-1.0)
 
 
-def test_alm_zero_outer_budget_reports_the_start():
-    c = default_base_point(4, 2)
-    f = ProjectionObjective(c.mat)
-    x0 = random_stiefel_start(4, 2, 7)
-    report = alm_solve(f, x0, mu0=0.5, max_outer=0)
+class _UphillObjective(LinearObjective):
+    """<G, X> with the gradient's sign flipped: every step goes uphill."""
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return -self.coeff
+
+
+@pytest.mark.parametrize("solve", [penalty_solve, alm_solve])
+def test_line_search_failure_aborts_with_the_partial_report(solve):
+    f = _UphillObjective(np.random.default_rng(8).standard_normal((4, 2)))
+    x0 = default_base_point(4, 2)
+    report = solve(f, x0, PenaltyConfig(pgm=PgmConfig(max_backtracks=8)))
+    assert report.flags == ["line_search_failure@outer=0", "aborted_with_partial_report"]
     assert report.x_final is x0
-    assert report.outer_iters == 0
-    assert report.inner_iters_total == 0
-    assert report.inner_traces == [] and report.trace == []
-    assert report.flags == ["outer_budget_exhausted"]
-    assert report.f_final == f.value(x0.mat)
-    grad = AugLagObjective(f, np.zeros((4, 2)), 0.5).gradient(x0.mat)
-    assert report.stationarity == float(np.linalg.norm(proj_tangent(x0.mat, grad)))
+    assert report.outer_iters == 1
+    assert report.trace == []
+    # the failed solve's trace is kept
+    (tr,) = report.inner_traces
+    assert isinstance(tr, PgmTrace) and not tr.converged
 
 
 @pytest.mark.parametrize("value", [1e3, 2.5, True])
@@ -425,7 +431,6 @@ def _lin() -> LinearObjective:
         pytest.param(lambda: PenaltyObjective(_lin(), NAN, 0.05), "rho", id="PenaltyObjective.rho"),
         pytest.param(lambda: PenaltyObjective(_lin(), 1.0, NAN), "gamma", id="PenaltyObjective.gamma"),
         pytest.param(lambda: AugLagObjective(_lin(), np.zeros((4, 2)), NAN), "mu", id="AugLagObjective.mu"),
-        pytest.param(lambda: alm_solve(_lin(), random_stiefel_start(4, 2, 0), NAN), "mu0", id="alm_solve.mu0"),
     ],
 )
 def test_nan_parameter_rejected(build, name):

@@ -227,13 +227,14 @@ def test_onmf_alternate_accepts_custom_solver():
 
     from orthopt.driver import penalty_solve
 
-    def solve(obj, x):
-        calls.append(1)
-        return penalty_solve(obj, x, PenaltyConfig.quadratic(rho0=1.0))
+    def solve(obj, x, cfg):
+        calls.append(cfg)
+        return penalty_solve(obj, x, cfg)
 
     x0 = random_stiefel_start(10, 2, 24)
-    onmf_alternate(inst, x0, solve=solve, max_rounds=2)
-    assert calls
+    cfg = PenaltyConfig.quadratic(rho0=1.0)
+    onmf_alternate(inst, x0, cfg, solve=solve, max_rounds=2)
+    assert calls and all(c is cfg for c in calls)
 
 
 def _fused_cases():
