@@ -44,21 +44,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _coerce(text: str):
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    if lowered in ("none", ""):
+def _coerce(key: str, text: str):
+    """A ``--config`` value: an int, a float, or None for ``none`` or nothing."""
+    if text.lower() in ("none", ""):
         return None
     try:
-        as_int = int(text)
-        return as_int
+        return int(text)
     except ValueError:
         pass
     try:
         return float(text)
     except ValueError:
-        return text
+        raise ValueError(f"{key} must be a number or none, got {text!r}") from None
 
 
 def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
@@ -73,9 +70,9 @@ def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
             raise ValueError(f"expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("pgm."):
-            inner[key[4:]] = _coerce(value)
+            inner[key[4:]] = _coerce(key, value)
         else:
-            outer[key] = _coerce(value)
+            outer[key] = _coerce(key, value)
     if inner:
         outer["pgm"] = dataclasses.replace(base.pgm, **inner)
     return dataclasses.replace(base, **outer)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import stationarity_residual
+from .driver import ZERO_TOL, stationarity_residual
 from .penalty import Objective
 from .stiefel import (
     StiefelPoint,
@@ -24,7 +24,9 @@ from .stiefel import (
 from .problems import LinearObjective
 
 _ORACLE_PATTERN_CAP = 1_000_000
-_ZERO_ROW_TOL = 1e-8
+# sosc_probe's stationarity precondition and tangent-cone tolerance
+_SOSC_STATIONARITY_TOL = 1e-6
+_CONE_TOL = 1e-10
 
 
 class OracleSizeError(ValueError):
@@ -47,18 +49,15 @@ class ErrorBoundSample:
 
 
 def error_bound_constant(
-    xbar: StiefelPoint | np.ndarray,
-    *,
-    allow_zero_rows: bool = False,
-    zero_tol: float = _ZERO_ROW_TOL,
+    xbar: StiefelPoint | np.ndarray, *, allow_zero_rows: bool = False
 ) -> float:
     """Piecewise constant of the local error bound at a feasible base point.
 
     Returns 2.1 sqrt(n) for square shapes, 1 for single-column shapes, and
     2.1 sqrt(r) (1 + 3 r (n - r)) / (smallest nonzero entry) otherwise. The
     rectangular multi-column branch requires the base point to have no zero
-    rows; ``allow_zero_rows=True`` bypasses that hypothesis check for
-    counterexample probes.
+    rows (row norm above ``ZERO_TOL``); ``allow_zero_rows=True`` bypasses
+    that hypothesis check for counterexample probes.
     """
     mat = xbar.mat if isinstance(xbar, StiefelPoint) else check_matrix(xbar, "xbar")
     n, r = mat.shape
@@ -67,12 +66,12 @@ def error_bound_constant(
     if r == 1:
         return 1.0
     row_norms = np.linalg.norm(mat, axis=1)
-    if not allow_zero_rows and np.any(row_norms <= zero_tol):
+    if not allow_zero_rows and np.any(row_norms <= ZERO_TOL):
         raise ValueError(
             "base point has a zero row; the rectangular multi-column bound "
             "does not apply (pass allow_zero_rows=True to probe anyway)"
         )
-    nonzero = np.abs(mat[np.abs(mat) > zero_tol])
+    nonzero = np.abs(mat[np.abs(mat) > ZERO_TOL])
     if nonzero.size == 0:
         raise ValueError("base point has no nonzero entries")
     smallest = float(np.min(nonzero))
@@ -191,20 +190,15 @@ def evaluate_error_bound(x, kappa: float) -> ErrorBoundSample:
 
 
 def error_bound_sweep(
-    xbar: StiefelPoint,
-    delta: float,
-    num_samples: int,
-    seed: int,
-    *,
-    kappa: float | None = None,
+    xbar: StiefelPoint, delta: float, num_samples: int, seed: int
 ) -> list[ErrorBoundSample]:
     """Sample the Frobenius delta-ball around a feasible point and test the bound.
 
     Points are drawn uniformly from the ball, each as a direction and then a
     radius, and the whole sweep is evaluated as one (num_samples, n, r) stack:
-    one batched oracle pass and one stacked SVD. ``kappa`` defaults to the
-    error-bound constant of the base point; pass an explicit value to probe
-    hypotheses-violating bases.
+    one batched oracle pass and one stacked SVD. The constant is
+    ``error_bound_constant(xbar)``; probes of hypotheses-violating bases go
+    through ``evaluate_error_bound`` with an explicit constant.
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -212,8 +206,7 @@ def error_bound_sweep(
         raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     if not seed >= 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    if kappa is None:
-        kappa = error_bound_constant(xbar)
+    kappa = error_bound_constant(xbar)
     n, r = xbar.shape
     rng = np.random.default_rng(seed)
     probes = np.empty((num_samples, n, r))
@@ -246,22 +239,18 @@ def sosc_probe(
     xbar: StiefelPoint,
     num_dirs: int,
     seed: int,
-    *,
-    stationarity_tol: float = 1e-6,
-    cone_tol: float = 1e-10,
-    zero_tol: float = _ZERO_ROW_TOL,
 ) -> SoscReport:
     """Sample the second-order quadratic form over critical-cone directions.
 
     Directions are random tangent vectors orthogonalized against the gradient,
     kept only when -X H^T H lies in the tangent cone of the nonnegative
     orthant at the base point (entrywise nonnegative where the base vanishes,
-    checked to ``cone_tol``), then normalized. For each survivor the probe
+    checked to 1e-10), then normalized. For each survivor the probe
     evaluates <H, hess f(X) H> - <H^T H, X^T grad f(X)>.
 
     Raises:
         ValueError: if ``num_dirs`` is below 1, ``seed`` is negative, the base
-            point fails the stationarity precondition or the gradient there
+            point's stationarity residual exceeds 1e-6 or the gradient there
             is not finite.
     """
     if num_dirs < 1:
@@ -269,15 +258,15 @@ def sosc_probe(
     if not seed >= 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     resid = stationarity_residual(f, xbar)
-    if resid > stationarity_tol:
+    if resid > _SOSC_STATIONARITY_TOL:
         raise ValueError(
-            f"base point is not stationary: residual {resid:.3e} exceeds {stationarity_tol}"
+            f"base point is not stationary: residual {resid:.3e} exceeds {_SOSC_STATIONARITY_TOL}"
         )
     xm = xbar.mat
     g = f.gradient(xm)
     gf = proj_tangent(xm, g)
     gf_norm2 = float(np.sum(gf * gf))
-    zero_mask = xm < zero_tol
+    zero_mask = xm < ZERO_TOL
 
     rng = np.random.default_rng(seed)
     forms = []
@@ -290,7 +279,7 @@ def sosc_probe(
             continue
         h = h / norm
         cone_arg = -xm @ (h.T @ h)
-        if np.any(cone_arg[zero_mask] < -cone_tol):
+        if np.any(cone_arg[zero_mask] < -_CONE_TOL):
             continue
         quad = float(np.sum(h * f.hessian_vec(xm, h)))
         correction = float(np.sum((h.T @ h) * (xm.T @ g)))

@@ -27,6 +27,8 @@ _STAGNATION_RTOL = 1e-8
 _NORM_RANGE = (1e-150, 1e150)
 # alm_solve's weight growth per outer iteration
 _MU_GROWTH = 1.2
+# the data-driven initial weight is this fraction of |f(x0)| / violation(x0)
+_RHO0_SCALE = 0.1
 
 
 @dataclass
@@ -42,14 +44,13 @@ class PenaltyConfig:
     gamma and initial stationarity target.
 
     ``rho0=None`` selects the data-driven initial weight
-    rho0_scale * |f(x0)| / violation(x0), falling back to 1 when the start is
+    0.1 * |f(x0)| / violation(x0), falling back to 1 when the start is
     already nonnegative. No field rounds: a solve is rounded onto the
     feasible set only when it is reported, as in ``bench``.
     """
 
     gamma: float = 0.05
     rho0: float | None = None
-    rho0_scale: float = 0.1
     rho_max: float = 1e10
     sigma_rho_small: float = 1.05  # growth factor while rho <= 1
     sigma_rho_large: float = 1.1   # growth factor once rho > 1
@@ -66,8 +67,8 @@ class PenaltyConfig:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.rho0 is not None and not self.rho0 > 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if not (self.rho0_scale > 0 and self.rho_max > 0):
-            raise ValueError("rho0_scale and rho_max must be positive")
+        if not self.rho_max > 0:
+            raise ValueError(f"rho_max must be positive, got {self.rho_max}")
         if not (self.sigma_rho_small > 1 and self.sigma_rho_large > 1):
             raise ValueError("sigma_rho_small and sigma_rho_large must exceed 1")
         if not (self.tau0 > 0 and self.tau_min > 0):
@@ -195,7 +196,7 @@ def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
     viol = nonneg_violation(x0.mat)
     if viol <= 0:
         return 1.0
-    rho = cfg.rho0_scale * abs(f0) / viol
+    rho = _RHO0_SCALE * abs(f0) / viol
     return rho if rho > 0 else 1.0
 
 
@@ -431,35 +432,34 @@ def alm_solve(
     return _report("alm", f, obj, x, start_time, records, inner_traces, flags)
 
 
-def stationarity_residual(
-    f: Objective,
-    x: StiefelPoint,
-    *,
-    feas_tol: float = 5e-6,
-    zero_tol: float = 1e-8,
-    max_iters: int = 5000,
-) -> float:
+# entries of a feasible point below this count as zero
+ZERO_TOL = 1e-8
+# largest nonnegativity violation stationarity_residual accepts
+_FEAS_TOL = 5e-6
+
+
+def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
     """First-order residual of the constrained problem at a near-feasible point.
 
     Computes min over G in the normal cone of the nonnegative orthant at x of
     ||Proj_tangent(grad f(x) + G)||_F. The normal cone at a nonnegative point
     allows nonpositive entries where x vanishes and zeros elsewhere; entries of
-    x below ``zero_tol`` count as zero. The minimization is a small convex
+    x below ``ZERO_TOL`` count as zero. The minimization is a small convex
     least-squares over the constrained entries of G, solved by projected
-    gradient with the exact step 1/L.
+    gradient with the exact step 1/L in at most 5000 steps.
 
     Raises:
-        ValueError: if the nonnegativity violation of x exceeds ``feas_tol``,
-            or the gradient at x is not finite.
+        ValueError: if the nonnegativity violation of x exceeds 5e-6, or the
+            gradient at x is not finite.
     """
-    if nonneg_violation(x.mat) > feas_tol:
+    if nonneg_violation(x.mat) > _FEAS_TOL:
         raise ValueError(
-            f"point is not feasible to tolerance {feas_tol}: "
+            f"point is not feasible to tolerance {_FEAS_TOL}: "
             f"violation {nonneg_violation(x.mat):.3e}"
         )
     xm = x.mat
     g = check_matrix(f.gradient(xm), "gradient")
-    zero_mask = xm < zero_tol
+    zero_mask = xm < ZERO_TOL
 
     def tangent(w: np.ndarray) -> np.ndarray:
         return proj_tangent(xm, w)
@@ -469,7 +469,7 @@ def stationarity_residual(
 
     G = np.zeros_like(xm)
     h_prev = np.inf
-    for _ in range(max_iters):
+    for _ in range(5000):
         resid = tangent(g + G)
         # objective h(G) = ||resid||^2, gradient 2*resid on the free entries,
         # Lipschitz constant 2 -> exact projected-gradient step of length 1/2

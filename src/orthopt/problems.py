@@ -17,18 +17,18 @@ from .driver import PenaltyConfig, penalty_solve, round_to_feasible
 from .penalty import Objective
 from .stiefel import StiefelPoint, check_matrix, qr_orthonormalize
 
+# largest n that brute_force_qap enumerates (n! permutations)
+_BRUTE_FORCE_MAX_N = 9
+# onmf_alternate stops once the residual's relative change is at most this
+_ONMF_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class QapInstance:
-    """Quadratic assignment data: n x n weight matrices A and B.
-
-    ``best_known`` optionally carries the best published bound for gap
-    reporting.
-    """
+    """Quadratic assignment data: n x n weight matrices A and B."""
 
     a: np.ndarray
     b: np.ndarray
-    best_known: float | None = None
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -80,11 +80,11 @@ def qap_permutation_value(inst: QapInstance, perm) -> float:
     return float(np.sum(inst.a * inst.b[np.ix_(perm, perm)]))
 
 
-def brute_force_qap(inst: QapInstance, max_n: int = 9) -> tuple[float, np.ndarray]:
+def brute_force_qap(inst: QapInstance) -> tuple[float, np.ndarray]:
     """Exhaustive minimum of the assignment objective over all permutations."""
     n = inst.n
-    if n > max_n:
-        raise ValueError(f"brute force limited to n <= {max_n}, got {n}")
+    if n > _BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {_BRUTE_FORCE_MAX_N}, got {n}")
     best_val, best_perm = np.inf, None
     for perm in itertools.permutations(range(n)):
         val = qap_permutation_value(inst, perm)
@@ -126,24 +126,21 @@ class GraphMatchingObjective(Objective):
     """Maximize vec(X)^T K vec(X), implemented as its negation for minimizers.
 
     vec stacks columns. With K symmetric the gradient is -2 unvec(K vec(X)).
+    ``value`` and ``gradient`` are the parts of ``value_and_gradient``: both
+    need the product K vec(X), which dominates the cost.
     """
 
     def __init__(self, inst: AffinityInstance):
         self.inst = inst
 
-    def _vec(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(-1, order="F")
-
     def value(self, x: np.ndarray) -> float:
-        v = self._vec(x)
-        return -float(v @ (self.inst.k @ v))
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        v = self._vec(x)
-        return -2.0 * (self.inst.k @ v).reshape(x.shape, order="F")
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        v = self._vec(x)
+        v = x.reshape(-1, order="F")
         kv = self.inst.k @ v
         return -float(v @ kv), -2.0 * kv.reshape(x.shape, order="F")
 
@@ -204,18 +201,21 @@ class OnmfInstance:
 
 
 class OnmfFactorObjective(Objective):
-    """||A - X Y^T||_F^2 in X for a fixed nonnegative factor Y."""
+    """||A - X Y^T||_F^2 in X for a fixed nonnegative factor Y.
+
+    ``value`` and ``gradient`` are the parts of ``value_and_gradient``, which
+    forms the product X Y^T once for both.
+    """
 
     def __init__(self, a: np.ndarray, y: np.ndarray):
         self.a = np.asarray(a, dtype=float)
         self.y = np.asarray(y, dtype=float)
 
     def value(self, x: np.ndarray) -> float:
-        d = self.a - x @ self.y.T
-        return float(np.sum(d * d))
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (x @ self.y.T - self.a) @ self.y
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         xy = x @ self.y.T
@@ -240,27 +240,23 @@ def onmf_y_update(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def onmf_alternate(
     inst: OnmfInstance,
     x0: StiefelPoint,
-    cfg: PenaltyConfig | None = None,
+    cfg: PenaltyConfig,
     solve=penalty_solve,
     *,
     max_rounds: int = 100,
-    rel_tol: float = 1e-6,
 ) -> tuple[StiefelPoint, np.ndarray, list]:
     """Alternating minimization for orthogonal NMF.
 
     Each round updates Y by the nonnegative least-squares surrogate, then X by
     an outer solve of the factor objective from the current X. Stops when the
-    relative change of the residual drops below ``rel_tol`` or after
-    ``max_rounds``. Returns the final factors and the residual history, one
-    value per round.
+    relative change of the residual drops to 1e-6 or after ``max_rounds``.
+    Returns the final factors and the residual history, one value per round.
 
     ``solve`` is the outer solver of the X-update, ``penalty_solve`` or
     ``alm_solve``; it is called as solve(objective, x, cfg) and must return a
-    SolveReport.
+    SolveReport. ``bench.default_config(solver, "onmf", inst)`` gives the
+    harness's configuration.
     """
-    if cfg is None:
-        cfg = PenaltyConfig(rho0=1.0 / max(np.linalg.norm(inst.a, 2), 1e-12))
-
     x = x0
     y = onmf_y_update(inst.a, x.mat)
     history: list[float] = []
@@ -272,7 +268,7 @@ def onmf_alternate(
         y = onmf_y_update(inst.a, x.mat)
         resid = OnmfFactorObjective(inst.a, y).value(x.mat)
         history.append(resid)
-        if abs(prev - resid) <= rel_tol * (1.0 + abs(resid)):
+        if abs(prev - resid) <= _ONMF_REL_TOL * (1.0 + abs(resid)):
             break
         prev = resid
     return x, y, history

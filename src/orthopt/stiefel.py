@@ -94,14 +94,6 @@ class StiefelPoint:
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
 
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.mat.shape[1]
-
     def __repr__(self) -> str:
         return f"StiefelPoint(shape={self.mat.shape}, orth_residual={self.orth_residual:.2e})"
 

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from orthopt.bench import ExperimentSpec, clustering_metrics, run_experiment
+from orthopt.bench import ExperimentSpec, clustering_metrics, default_config, run_experiment
 from orthopt.diagnostics import (
     default_base_point,
     error_bound_constant,
@@ -296,7 +296,7 @@ def test_criterion_10_clustering_metrics_and_planted_recovery():
         truth = [1, 1, 2, 2, 3, 3]
         assert clustering_metrics(truth, truth, 3) == (1.0, 0.0, 1.0)
         inst, labels, _, _ = planted_onmf_instance(30, 10, 3, noise=0.0, seed=10)
-        x, _, _ = onmf_alternate(inst, svd_start(inst.a, 3))
+        x, _, _ = onmf_alternate(inst, svd_start(inst.a, 3), default_config("seppg_plus", "onmf", inst))
         pidx, _, _ = clustering_metrics(labels, cluster_labels(x.mat), 3)
         assert pidx == 1.0
         assert time.perf_counter() - start < 30.0

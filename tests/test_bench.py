@@ -544,7 +544,16 @@ class TestCliDefaults:
         assert re.match(r"^error: ValueError: ", err)
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("line", ["epsilon = nan", "rho_feas_threshold = 1e3"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "epsilon = nan",
+            "rho_feas_threshold = 1e3",
+            "rho0_scale = 0.2",
+            "gamma = true",
+            "epsilon = abc",
+        ],
+    )
     def test_invalid_or_removed_config_key_exits_with_error(self, tmp_path, capsys, line):
         inst = tmp_path / "c.txt"
         save_dense_matrix(inst, default_base_point(4, 2).mat)
@@ -555,6 +564,7 @@ class TestCliDefaults:
         err = capsys.readouterr().err
         assert re.match(r"^error: \w+: ", err)
         assert err.count("\n") == 1
+        assert line.split("=")[0].strip() in err
 
 
 def test_comma_in_instance_name_keeps_csv_shape(tmp_path, capsys):

@@ -415,7 +415,7 @@ def test_penalty_config_rejects_non_integer_l_max(value):
 
 NAN = float("nan")
 _NAN_PENALTY_FIELDS = (
-    "gamma", "rho0", "rho0_scale", "rho_max", "sigma_rho_small", "sigma_rho_large", "tau0", "tau_min", "epsilon",
+    "gamma", "rho0", "rho_max", "sigma_rho_small", "sigma_rho_large", "tau0", "tau_min", "epsilon",
 )
 
 
