@@ -262,18 +262,22 @@ def _problem_setup(spec: ExperimentSpec):
 
 
 def default_config(solver: str, kind: str, instance) -> PenaltyConfig:
-    """The solver's preset (quadratic for seppg_zero, envelope otherwise) with
-    its initial weight rho0: 1/||data||_2 of the proj target or the onmf
-    matrix (1 for zero data) for every solver; on qap and gm, 10 and 0.1 for
-    alm, and None for the penalty solvers, which then scale it to the start."""
-    maker = PenaltyConfig.quadratic if solver == "seppg_zero" else PenaltyConfig.envelope
+    """The solver's configuration: the quadratic penalty (gamma 0) for
+    seppg_zero and the default envelope otherwise, with the initial weight
+    rho0: 1/||data||_2 of the proj target or the onmf matrix (1 for zero data)
+    for every solver; on qap and gm, 10 and 0.1 for alm, and None for the
+    penalty solvers, which then scale it to the start."""
     if kind == "qap":
-        return maker(rho0=10.0 if solver == "alm" else None)
-    if kind == "gm":
-        return maker(rho0=0.1 if solver == "alm" else None)
-    data = instance.a if kind == "onmf" else instance
-    scale = float(np.linalg.norm(np.asarray(data, dtype=float), 2))
-    return maker(rho0=1.0 / scale if scale > 0 else 1.0)
+        rho0 = 10.0 if solver == "alm" else None
+    elif kind == "gm":
+        rho0 = 0.1 if solver == "alm" else None
+    else:
+        data = instance.a if kind == "onmf" else instance
+        scale = float(np.linalg.norm(np.asarray(data, dtype=float), 2))
+        rho0 = 1.0 / scale if scale > 0 else 1.0
+    if solver == "seppg_zero":
+        return PenaltyConfig(gamma=0.0, rho0=rho0)
+    return PenaltyConfig(rho0=rho0)
 
 
 def _run_start(args) -> StartRecord:

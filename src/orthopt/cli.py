@@ -45,9 +45,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _coerce(key: str, text: str):
-    """A ``--config`` value: an int, a float, or None for ``none`` or nothing."""
+    """A ``--config`` value: an int or a float, or None for ``none`` or
+    nothing on ``rho0``, the only field whose None means something (the
+    data-driven initial weight)."""
     if text.lower() in ("none", ""):
-        return None
+        if key == "rho0":
+            return None
+        raise ValueError(f"{key} must be a number, got {text!r}")
     try:
         return int(text)
     except ValueError:
@@ -55,7 +59,7 @@ def _coerce(key: str, text: str):
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"{key} must be a number or none, got {text!r}") from None
+        raise ValueError(f"{key} must be a number, got {text!r}") from None
 
 
 def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
@@ -69,6 +73,8 @@ def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
         if "=" not in line:
             raise ValueError(f"expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "pgm":
+            raise ValueError("pgm takes no value: set the inner options as pgm.<key>")
         if key.startswith("pgm."):
             inner[key[4:]] = _coerce(key, value)
         else:

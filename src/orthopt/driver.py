@@ -40,8 +40,8 @@ class PenaltyConfig:
     ``rho_max`` apply only to ``penalty_solve``.
 
     ``gamma > 0`` runs the Moreau-envelope penalty, ``gamma == 0`` the
-    quadratic one; the two presets below fix the conventional pairings of
-    gamma and initial stationarity target.
+    quadratic one. Every other default serves both penalties, so the
+    ``seppg_zero`` solver of ``bench`` is ``PenaltyConfig(gamma=0.0)``.
 
     ``rho0=None`` selects the data-driven initial weight
     0.1 * |f(x0)| / violation(x0), falling back to 1 when the start is
@@ -79,20 +79,6 @@ class PenaltyConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.l_max < 1:
             raise ValueError(f"l_max must be at least 1, got {self.l_max}")
-
-    @classmethod
-    def envelope(cls, **overrides) -> "PenaltyConfig":
-        """Preset for the smooth envelope penalty: gamma 0.05, tau0 1.0."""
-        overrides.setdefault("gamma", 0.05)
-        overrides.setdefault("tau0", 1.0)
-        return cls(**overrides)
-
-    @classmethod
-    def quadratic(cls, **overrides) -> "PenaltyConfig":
-        """Preset for the quadratic penalty: gamma 0, tau0 0.005."""
-        overrides.setdefault("gamma", 0.0)
-        overrides.setdefault("tau0", 0.005)
-        return cls(**overrides)
 
 
 @dataclass

@@ -552,6 +552,9 @@ class TestCliDefaults:
             "rho0_scale = 0.2",
             "gamma = true",
             "epsilon = abc",
+            "epsilon = none",
+            "pgm.alpha = none",
+            "pgm = 3",
         ],
     )
     def test_invalid_or_removed_config_key_exits_with_error(self, tmp_path, capsys, line):

@@ -394,7 +394,7 @@ def test_oracle_agrees_with_solver_feasibility():
     c = default_base_point(4, 2)
     f = ProjectionObjective(c.mat)
     # epsilon such that every exit path ends below violation 1e-8
-    cfg = PenaltyConfig.quadratic(rho0=1.0, tau0=1e-5, sigma_rho_large=1.6, epsilon=2e-9)
+    cfg = PenaltyConfig(gamma=0.0, rho0=1.0, tau0=1e-5, sigma_rho_large=1.6, epsilon=2e-9)
     report = penalty_solve(f, random_stiefel_start(4, 2, 8), cfg)
     assert report.ninf <= 1e-8
     dist, _ = brute_force_dist_splus(report.x_final.mat)

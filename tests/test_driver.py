@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from orthopt.bench import default_config
 from orthopt.diagnostics import default_base_point
 from orthopt.driver import (
     AugLagObjective,
@@ -139,8 +140,8 @@ def test_rounding_always_lands_in_feasible_set(x):
     assert orthogonality_residual(out) <= 1e-10
 
 
-def criterion_config(maker, scale):
-    return maker(rho0=1.0 / scale, tau0=1e-5, sigma_rho_large=1.6)
+def criterion_config(scale, **fields):
+    return PenaltyConfig(rho0=1.0 / scale, tau0=1e-5, sigma_rho_large=1.6, **fields)
 
 
 class TestPenaltySolve:
@@ -149,7 +150,7 @@ class TestPenaltySolve:
         f = ProjectionObjective(c.mat)
         rng = np.random.default_rng(2)
         x0 = StiefelPoint(qr_orthonormalize(c.mat + 0.05 * rng.standard_normal((4, 2))))
-        cfg = criterion_config(PenaltyConfig.envelope, np.linalg.norm(c.mat, 2))
+        cfg = criterion_config(np.linalg.norm(c.mat, 2))
         report = penalty_solve(f, x0, cfg)
         assert report.ninf <= 1e-6
         assert report.f_final <= 1e-8
@@ -160,7 +161,7 @@ class TestPenaltySolve:
     def test_feasible_stationary_start_stops_immediately(self):
         c = default_base_point(5, 2)
         f = ProjectionObjective(c.mat)
-        report = penalty_solve(f, c, PenaltyConfig.envelope())
+        report = penalty_solve(f, c, PenaltyConfig())
         assert report.outer_iters == 1
         assert report.ninf == 0.0
         npt.assert_array_equal(report.x_final.mat, c.mat)
@@ -169,7 +170,7 @@ class TestPenaltySolve:
         # pull toward the negative orthant so feasibility stays out of reach
         c = -np.ones((4, 2)) / 2.0
         f = ProjectionObjective(c)
-        cfg = PenaltyConfig.envelope(
+        cfg = PenaltyConfig(
             rho0=0.5, rho_max=3.0, epsilon=1e-14, l_max=60,
             pgm=PgmConfig(max_iters=200),
         )
@@ -190,20 +191,20 @@ class TestPenaltySolve:
         c = default_base_point(6, 3)
         f = ProjectionObjective(c.mat)
         x0 = random_stiefel_start(6, 3, 4)
-        report = penalty_solve(f, x0, criterion_config(PenaltyConfig.quadratic, 1.0))
+        report = penalty_solve(f, x0, criterion_config(1.0, gamma=0.0))
         assert not any("acceptance_bound_violated" in flag for flag in report.flags)
         assert not any("inner_tolerance_not_met" in flag for flag in report.flags)
 
     def test_auto_rho0_feasible_start(self):
         c = default_base_point(4, 2)
         f = ProjectionObjective(c.mat)
-        report = penalty_solve(f, default_base_point(4, 2), PenaltyConfig.quadratic())
+        report = penalty_solve(f, default_base_point(4, 2), PenaltyConfig(gamma=0.0))
         assert report.trace[0].rho == 1.0  # violation-free start selects rho0 = 1
 
     def test_budget_exhaustion_flagged(self):
         c = -np.ones((3, 2))
         f = ProjectionObjective(c)
-        cfg = PenaltyConfig.envelope(rho0=0.1, rho_max=0.2, epsilon=1e-14, l_max=5)
+        cfg = PenaltyConfig(rho0=0.1, rho_max=0.2, epsilon=1e-14, l_max=5)
         report = penalty_solve(f, random_stiefel_start(3, 2, 5), cfg)
         assert "outer_budget_exhausted" in report.flags
         assert report.outer_iters == 5
@@ -264,8 +265,8 @@ class TestAlmSolve:
 
 
 _SOLVES = {
-    "envelope": lambda f, x0: penalty_solve(f, x0, PenaltyConfig.envelope()),
-    "quadratic": lambda f, x0: penalty_solve(f, x0, PenaltyConfig.quadratic()),
+    "envelope": lambda f, x0: penalty_solve(f, x0, PenaltyConfig()),
+    "quadratic": lambda f, x0: penalty_solve(f, x0, PenaltyConfig(gamma=0.0)),
     "alm": lambda f, x0: alm_solve(f, x0, PenaltyConfig(rho0=0.5)),
 }
 
@@ -359,23 +360,25 @@ class TestStationarityResidual:
 
 class TestPenaltyConfig:
     def test_presets(self):
-        env = PenaltyConfig.envelope()
-        quad = PenaltyConfig.quadratic()
-        assert env.gamma == 0.05 and env.tau0 == 1.0
-        assert quad.gamma == 0.0 and quad.tau0 == 0.005
-        for cfg in (env, quad):
-            assert cfg.l_max == 2000
-            assert cfg.epsilon == 1e-6
-            assert cfg.rho_max == 1e10
-            assert cfg.tau_min == 1e-5
-            assert cfg.sigma_tau == 0.95
-            assert cfg.sigma_rho_small == 1.05
-            assert cfg.sigma_rho_large == 1.1
-            assert cfg.pgm.eta == 0.1
-            assert cfg.pgm.alpha == 1e-4
-            assert cfg.pgm.memory == 5
-            assert cfg.pgm.t_min == 1e-12
-            assert cfg.pgm.t_max == 1e12
+        # the penalty solvers differ only in gamma; rho0 None scales to the
+        # start, and qap and gm read nothing of the instance
+        for kind in ("qap", "gm"):
+            assert default_config("seppg_zero", kind, None) == PenaltyConfig(gamma=0.0)
+            assert default_config("seppg_plus", kind, None) == PenaltyConfig()
+        cfg = PenaltyConfig()
+        assert cfg.gamma == 0.05 and cfg.tau0 == 1.0 and cfg.rho0 is None
+        assert cfg.l_max == 2000
+        assert cfg.epsilon == 1e-6
+        assert cfg.rho_max == 1e10
+        assert cfg.tau_min == 1e-5
+        assert cfg.sigma_tau == 0.95
+        assert cfg.sigma_rho_small == 1.05
+        assert cfg.sigma_rho_large == 1.1
+        assert cfg.pgm.eta == 0.1
+        assert cfg.pgm.alpha == 1e-4
+        assert cfg.pgm.memory == 5
+        assert cfg.pgm.t_min == 1e-12
+        assert cfg.pgm.t_max == 1e12
 
     def test_validation(self):
         with pytest.raises(ValueError):

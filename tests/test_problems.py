@@ -232,7 +232,7 @@ def test_onmf_alternate_accepts_custom_solver():
         return penalty_solve(obj, x, cfg)
 
     x0 = random_stiefel_start(10, 2, 24)
-    cfg = PenaltyConfig.quadratic(rho0=1.0)
+    cfg = PenaltyConfig(gamma=0.0, rho0=1.0)
     onmf_alternate(inst, x0, cfg, solve=solve, max_rounds=2)
     assert calls and all(c is cfg for c in calls)
 
