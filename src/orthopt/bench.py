@@ -424,6 +424,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def default_jobs() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform exposes one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_terms
+from .penalty import Objective, PenaltyObjective, _recorded, nonneg_violation, penalty_terms
 from .pgm import LineSearchError, PgmConfig, PgmTrace, check_integer_fields, pgm_solve
 from .stiefel import StiefelPoint, check_matrix, proj_tangent
 
@@ -230,9 +230,18 @@ def _solve_subproblem(
     return x, True
 
 
+def _parts_at(obj: Objective, x: StiefelPoint) -> tuple:
+    """The parts of obj at x, keyed by x's array: obj's last record when it
+    was taken at the same bits (pgm_solve certifies a copy of its iterate),
+    else a new evaluation."""
+    last = obj.last
+    if last[0] is not x.mat and last[0].tobytes() == x.mat.tobytes():
+        obj.last = (x.mat, *last[1:])
+    return obj.parts(x.mat)
+
+
 def _report(
     solver: str,
-    f: Objective,
     obj: Objective,
     x: StiefelPoint,
     start_time: float,
@@ -240,14 +249,17 @@ def _report(
     inner_traces: list,
     flags: list,
 ) -> SolveReport:
-    """Report of x; stationarity is measured on the last subproblem objective."""
+    """Report of x; stationarity is measured on the last subproblem objective,
+    whose record the callers leave at x."""
+    # answered from obj.last, or evaluated and stored there
+    _, grad = obj.value_and_gradient(x.mat)
     return SolveReport(
         solver=solver,
         x_final=x,
-        f_final=f.value(x.mat),
+        f_final=obj.last[1],
         ninf=nonneg_violation(x.mat),
         orth_residual=x.orth_residual,
-        stationarity=float(np.linalg.norm(proj_tangent(x.mat, obj.gradient(x.mat)))),
+        stationarity=float(np.linalg.norm(proj_tangent(x.mat, grad))),
         outer_iters=len(inner_traces),
         inner_iters_total=sum(tr.iterations for tr in inner_traces),
         wall_time=time.perf_counter() - start_time,
@@ -277,18 +289,20 @@ def penalty_solve(
     describes that subproblem's warm start (the previous iterate, or its
     sign-flipped copy) and carries flags.
 
-    Each outer iteration evaluates f and the penalty term once at the solved
-    iterate and builds both penalized values (for the weight just solved and
-    the grown one) from those two terms.
+    f and the penalty are evaluated once per point, value and gradient
+    together: the parts (f, grad f, p, grad p) of each subproblem's last
+    evaluation at its solution, or of a winning sign-flip candidate, give the
+    penalized values at both weights, the next subproblem's first evaluation
+    and the report, each combined as f + rho * p.
     """
     if cfg is None:
         cfg = PenaltyConfig()
     start_time = time.perf_counter()
 
-    f0 = f.value(x0.mat)
-    rho = _initial_rho(f0, x0, cfg)
+    start = (x0.mat, *f.value_and_gradient(x0.mat), *penalty_terms(x0.mat, cfg.gamma))
+    rho = _initial_rho(start[1], x0, cfg)
     tau = cfg.tau0
-    upsilon = f0 + rho * penalty_terms(x0.mat, cfg.gamma)[0]
+    upsilon = start[1] + rho * start[3]
 
     solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
     x_start = x0
@@ -298,16 +312,18 @@ def penalty_solve(
 
     # l_max >= 1, so pobj is the last subproblem objective after the loop
     for l in range(cfg.l_max):
-        pobj = PenaltyObjective(f, rho, cfg.gamma)
+        # the first evaluation, at x_start, reuses its parts
+        pobj = PenaltyObjective(f, rho, cfg.gamma, start)
         x, ok = _solve_subproblem(
             pobj, x_start, replace(cfg.pgm, grad_tol=tau), l, inner_traces, flags
         )
         if not ok:
+            pobj.last = start
             break
 
+        start = _parts_at(pobj, x)
+        _, f_val, _, pen, _ = start
         # the same float sums as pobj.value(x.mat)
-        f_val = f.value(x.mat)
-        pen = penalty_terms(x.mat, cfg.gamma)[0]
         theta_x = f_val + rho * pen
         if theta_x > upsilon + 1e-12 * (1.0 + abs(upsilon)):
             flags.append(f"acceptance_bound_violated@outer={l}")
@@ -332,14 +348,15 @@ def penalty_solve(
         # with no column flipped the copy is x itself and cannot win the gate
         if np.any(signs < 0.0):
             x_flip = StiefelPoint(x.mat * signs)
+            flip = PenaltyObjective(f, rho, cfg.gamma).parts(x_flip.mat)
             # the same float sums as theta_plain
-            theta_flip = f.value(x_flip.mat) + rho * penalty_terms(x_flip.mat, cfg.gamma)[0]
+            theta_flip = flip[1] + rho * flip[3]
             if theta_flip < theta_plain:
-                x_start, upsilon = x_flip, theta_flip
+                x_start, upsilon, start = x_flip, theta_flip, flip
     else:
         flags.append("outer_budget_exhausted")
 
-    return _report(solver, f, pobj, x, start_time, records, inner_traces, flags)
+    return _report(solver, pobj, x, start_time, records, inner_traces, flags)
 
 
 class AugLagObjective(Objective):
@@ -349,12 +366,18 @@ class AugLagObjective(Objective):
     gradient(X) = grad f(X) + mu * min(0, X - lam/mu)
 
     The middle term is the quadratic penalty at X - lam/mu scaled by mu/2.
+
+    ``last`` records the parts of the latest evaluation, (x, f(x), grad f(x),
+    p(x), grad p(x)) with p the quadratic penalty at x - lam/mu. A record
+    passed in needs only the f part: its p part belongs to the earlier
+    multiplier and weight, so the penalty is always recomputed.
     """
 
-    def __init__(self, f: Objective, lam: np.ndarray, mu: float):
+    def __init__(self, f: Objective, lam: np.ndarray, mu: float, last: tuple | None = None):
         if not mu > 0:
             raise ValueError(f"mu must be positive, got {mu}")
         self.f = f
+        self.last = last
         self.lam = np.asarray(lam, dtype=float)
         self.mu = float(mu)
         self._shift = self.lam / self.mu
@@ -368,9 +391,16 @@ class AugLagObjective(Objective):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.f.gradient(x) + self._half_mu * penalty_terms(x - self._shift, 0.0)[1]
 
+    def parts(self, x: np.ndarray) -> tuple:
+        """The record (x, f(x), grad f(x), p(x), grad p(x)); the f part is
+        reused from ``last`` when that was taken at this read-only array."""
+        last = self.last
+        fv, fg = last[1:3] if _recorded(last, x) else self.f.value_and_gradient(x)
+        last = self.last = (x, fv, fg, *penalty_terms(x - self._shift, 0.0))
+        return last
+
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        fv, fg = self.f.value_and_gradient(x)
-        pv, pg = penalty_terms(x - self._shift, 0.0)
+        _, fv, fg, pv, pg = self.parts(x)
         return fv + self._half_mu * pv - self._lam_term, fg + self._half_mu * pg
 
 
@@ -386,13 +416,18 @@ def alm_solve(
     ``cfg.pgm.grad_tol``. Stops once the violation reaches ``cfg.epsilon`` or
     after ``cfg.l_max`` outer iterations; the schedule fields of ``cfg`` are
     not read.
+
+    f is evaluated once per point: each subproblem's first evaluation, the
+    outer records and the report reuse the f part of the evaluation at the
+    solved iterate.
     """
     if cfg is None:
         cfg = PenaltyConfig()
     start_time = time.perf_counter()
 
     lam = np.zeros(x0.shape)
-    mu = cfg.rho0 if cfg.rho0 is not None else _initial_rho(f.value(x0.mat), x0, cfg)
+    start = (x0.mat, *f.value_and_gradient(x0.mat))
+    mu = cfg.rho0 if cfg.rho0 is not None else _initial_rho(start[1], x0, cfg)
     x = x0
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
@@ -400,13 +435,15 @@ def alm_solve(
 
     # l_max >= 1, so obj is the last subproblem objective after the loop
     for k in range(cfg.l_max):
-        obj = AugLagObjective(f, lam, mu)
+        obj = AugLagObjective(f, lam, mu, start)
         x, ok = _solve_subproblem(obj, x, cfg.pgm, k, inner_traces, flags)
         if not ok:
+            obj.last = start
             break
+        start = _parts_at(obj, x)
         ninf = nonneg_violation(x.mat)
         records.append(
-            OuterRecord(rho=mu, tau=cfg.pgm.grad_tol, ninf=ninf, f_value=f.value(x.mat))
+            OuterRecord(rho=mu, tau=cfg.pgm.grad_tol, ninf=ninf, f_value=start[1])
         )
         if ninf <= cfg.epsilon:
             break
@@ -415,7 +452,7 @@ def alm_solve(
     else:
         flags.append("outer_budget_exhausted")
 
-    return _report("alm", f, obj, x, start_time, records, inner_traces, flags)
+    return _report("alm", obj, x, start_time, records, inner_traces, flags)
 
 
 # entries of a feasible point below this count as zero

@@ -89,15 +89,30 @@ class Objective:
         return (self.gradient(x + step * h) - self.gradient(x)) / step
 
 
+def _recorded(last: tuple | None, x: np.ndarray) -> bool:
+    """Whether the record ``last`` was taken at the array x itself.
+
+    Records are keyed by array identity, and only a read-only array (such as
+    a ``StiefelPoint``'s) is trusted not to have changed since.
+    """
+    return last is not None and last[0] is x and not x.flags.writeable
+
+
 class PenaltyObjective(Objective):
     """The composite f + rho * penalty as a plain smooth objective.
 
     ``gamma > 0`` selects the Moreau-envelope penalty, ``gamma == 0`` the
     quadratic penalty. ``rho == 0`` is allowed and reduces the composite to
     the bare objective.
+
+    ``last`` records the parts of the latest evaluation, the tuple
+    (x, f(x), grad f(x), p(x), grad p(x)). Since p does not depend on rho,
+    an outer driver passes the record of one subproblem's solution to the
+    next subproblem, whose first evaluation at that read-only array then
+    calls neither f nor the penalty kernel.
     """
 
-    def __init__(self, f: Objective, rho: float, gamma: float):
+    def __init__(self, f: Objective, rho: float, gamma: float, last: tuple | None = None):
         if not rho >= 0:
             raise ValueError(f"rho must be nonnegative, got {rho}")
         if not gamma >= 0:
@@ -105,6 +120,7 @@ class PenaltyObjective(Objective):
         self.f = f
         self.rho = rho
         self.gamma = gamma
+        self.last = last
 
     def value(self, x: np.ndarray) -> float:
         return self.f.value(x) + self.rho * penalty_terms(x, self.gamma)[0]
@@ -112,7 +128,15 @@ class PenaltyObjective(Objective):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.f.gradient(x) + self.rho * penalty_terms(x, self.gamma)[1]
 
+    def parts(self, x: np.ndarray) -> tuple:
+        """The record (x, f(x), grad f(x), p(x), grad p(x)), reused from
+        ``last`` when that was taken at this read-only array."""
+        last = self.last
+        if not _recorded(last, x):
+            fv, fg = self.f.value_and_gradient(x)
+            last = self.last = (x, fv, fg, *penalty_terms(x, self.gamma))
+        return last
+
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        fv, fg = self.f.value_and_gradient(x)
-        pv, pg = penalty_terms(x, self.gamma)
+        _, fv, fg, pv, pg = self.parts(x)
         return fv + self.rho * pv, fg + self.rho * pg

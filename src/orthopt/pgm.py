@@ -21,9 +21,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .penalty import Objective
-from .stiefel import StiefelPoint, check_matrix, proj_tangent, qr_orthonormalize
+from .stiefel import (
+    StiefelPoint,
+    check_matrix,
+    frobenius_norm,
+    proj_tangent,
+    qr_orthonormalize,
+)
 
 _BB_DEGENERACY = 1e-16
+_EPS = float(np.finfo(float).eps)
 
 
 def check_integer_fields(cfg, *names: str) -> None:
@@ -98,7 +105,9 @@ class PgmTrace:
     ``values`` and ``grad_norms`` cover every iterate including the start;
     the remaining lists have one entry per accepted step. ``evaluations``
     counts the objective evaluations (``value_and_gradient`` calls) of the
-    solve: one at the start and one per trial point.
+    solve: one at the start and one per trial point. The start is counted
+    even when the objective answers it from a record handed in by an outer
+    driver (see ``PenaltyObjective.last``).
     """
 
     memory: int
@@ -163,7 +172,7 @@ def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
     """Tangent projection of grad at xm and its norm; a non-finite gradient
     raises ValueError (its norm is then non-finite, so finite runs skip the scan)."""
     rgrad = proj_tangent(xm, grad)
-    gnorm = float(np.linalg.norm(rgrad))
+    gnorm = frobenius_norm(rgrad)
     if not math.isfinite(gnorm):
         check_matrix(grad, "gradient")
     return rgrad, gnorm
@@ -195,12 +204,15 @@ def _line_search(
     representable scales raises LineSearchError once the backtrack budget is
     exhausted, and a non-finite trial point raises ValueError.
     """
-    resolution = np.finfo(float).eps * (1.0 + abs(window_max))
+    resolution = _EPS * (1.0 + abs(window_max))
     t = float(t_init)
     for bt in range(cfg.max_backtracks + 1):
         v = -t * g
         cand = qr_orthonormalize(xm + v)
-        check_matrix(cand, "retracted trial point")
+        # a finite orthonormal factor has entries in [-1, 1], so its sum is
+        # finite exactly when every entry is; the full check names the fault
+        if not math.isfinite(cand.sum()):
+            check_matrix(cand, "retracted trial point")
         val, grad = evaluate(cand)
         val = float(val)
         demand = (cfg.alpha / (2.0 * t)) * float((v * v).sum())
@@ -285,7 +297,7 @@ def pgm_solve(
         trace.values.append(val)
         trace.grad_norms.append(gnorm)
         trace.step_sizes.append(trial.step)
-        trace.v_norms.append(float(np.linalg.norm(trial.direction)))
+        trace.v_norms.append(frobenius_norm(trial.direction))
         trace.backtracks.append(trial.backtracks)
         window.append((val, xm))
 

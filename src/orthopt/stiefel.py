@@ -5,14 +5,28 @@ space of n x r matrices with the trace inner product. ``StiefelPoint`` is the
 one place that certifies orthonormality; the other operations are pure
 functions on raw arrays (tangent projection, QR orthonormalization, distance
 to the manifold), so values can be shared freely across threads.
+
+The QR orthonormalization calls numpy's own LAPACK gufuncs (geqrf, then
+orgqr) directly, the kernels behind ``np.linalg.qr``, so it returns the same
+bits without that wrapper's per-call type checks and ``triu`` copy.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 ORTH_TOL = 1e-10
 _RANK_TOL = 1e-12
+
+# geqrf: Householder QR in place, returning tau. numpy >= 2 has one gufunc;
+# numpy 1.22-1.26 has one for n <= r and one for n > r, as np.linalg.qr picks
+if hasattr(_umath_linalg, "qr_r_raw"):
+    _geqrf_wide = _geqrf_tall = _umath_linalg.qr_r_raw
+else:
+    _geqrf_wide, _geqrf_tall = _umath_linalg.qr_r_raw_m, _umath_linalg.qr_r_raw_n
 
 
 class RetractionError(RuntimeError):
@@ -42,18 +56,32 @@ def orthogonality_residual(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat.T @ mat - np.eye(mat.shape[1])))
 
 
+def frobenius_norm(mat: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real array, computed as it computes it (the
+    square root of the flattened array's dot product with itself) without
+    its per-call dispatch, so the bits are the same."""
+    flat = mat.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def qr_orthonormalize(mat: np.ndarray) -> np.ndarray:
     """Q factor of the thin QR decomposition, with diag(R) forced positive.
 
     The sign convention makes the factor a deterministic function of the
-    input, so repeated runs produce bit-identical results.
+    input, so repeated runs produce bit-identical results. The factor comes
+    from numpy's geqrf and orgqr gufuncs called directly, and is bit-identical
+    to the Q of ``np.linalg.qr``; diag(R) is read off the factored copy.
 
     Raises:
         RetractionError: if the input is numerically rank deficient.
     """
-    q, rr = np.linalg.qr(mat)
-    diag = np.diagonal(rr)
-    scale = max(1.0, float(np.linalg.norm(mat)))
+    # geqrf overwrites its input with R and the Householder vectors
+    a = np.array(mat, dtype=float)
+    scale = max(1.0, frobenius_norm(a))
+    geqrf = _geqrf_wide if a.shape[0] <= a.shape[1] else _geqrf_tall
+    tau = geqrf(a, signature="d->d")
+    q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    diag = a.diagonal()
     if float(np.abs(diag).min()) <= _RANK_TOL * scale:
         raise RetractionError(
             "rank-deficient matrix: QR orthonormalization is not well defined"

@@ -1,5 +1,6 @@
 """Instance parsing, metrics, experiment harness, and the CLI surface."""
 
+import os
 import re
 import statistics
 
@@ -11,6 +12,7 @@ from orthopt.bench import (
     ExperimentSpec,
     QaplibParseError,
     clustering_metrics,
+    default_jobs,
     load_best_known,
     load_dense_matrix,
     parse_qaplib,
@@ -580,3 +582,15 @@ def test_comma_in_instance_name_keeps_csv_shape(tmp_path, capsys):
         lines = (tmp_path / ("run" + suffix)).read_text().splitlines()
         widths = {len(line.split(",")) for line in lines}
         assert len(widths) == 1, f"{suffix}: cell counts {sorted(widths)}"
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
+    # a container or taskset may allow fewer CPUs than the machine has
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert default_jobs() == 3
+    # platforms without affinity masks fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_jobs() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_jobs() == 1

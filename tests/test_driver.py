@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from orthopt import driver
 from orthopt.bench import default_config
 from orthopt.diagnostics import default_base_point
 from orthopt.driver import (
@@ -23,6 +24,7 @@ from orthopt.pgm import PgmConfig, PgmTrace
 from orthopt.problems import (
     LinearObjective,
     ProjectionObjective,
+    QapLiftedObjective,
     permutation_matrix,
     random_stiefel_start,
 )
@@ -32,6 +34,7 @@ from orthopt.stiefel import (
     proj_tangent,
     qr_orthonormalize,
 )
+from test_trajectories import tiny_qap
 
 
 def assert_feasible(point: StiefelPoint, atol=1e-12):
@@ -439,3 +442,95 @@ def _lin() -> LinearObjective:
 def test_nan_parameter_rejected(build, name):
     with pytest.raises(ValueError, match=name):
         build()
+
+
+class CountingObjective(QapLiftedObjective):
+    """The pinned QAP objective, counting every call that evaluates f."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.calls = 0
+
+    def value(self, x):
+        self.calls += 1
+        return super().value(x)
+
+    def gradient(self, x):
+        self.calls += 1
+        return super().gradient(x)
+
+    def value_and_gradient(self, x):
+        self.calls += 1
+        return super().value_and_gradient(x)
+
+
+def _counted_solves(monkeypatch, solve, solver):
+    """Each start of the pinned QAP run: (f calls, report, solved iterates)."""
+    solved = []
+
+    def spy(obj, x0, cfg, t_first=None):
+        out = pgm_solve(obj, x0, cfg, t_first)
+        solved.append(out[0])
+        return out
+
+    pgm_solve = driver.pgm_solve
+    monkeypatch.setattr(driver, "pgm_solve", spy)
+    inst = tiny_qap()
+    for i in range(4):
+        solved.clear()
+        f = CountingObjective(inst)
+        x0 = random_stiefel_start(inst.n, inst.n, 3 ^ i)
+        report = solve(f, x0, default_config(solver, "qap", inst))
+        assert not report.flags
+        yield f.calls, report, list(solved)
+
+
+@pytest.mark.parametrize("solver", ["seppg_plus", "seppg_zero"])
+def test_penalty_solve_evaluates_each_point_once(monkeypatch, solver):
+    """f is called once at the start, once per trial point of the inner
+    solves, and once per sign-flip candidate, and nowhere else.
+
+    ``PgmTrace.evaluations`` counts the first evaluation of every subproblem,
+    at its warm start, although the driver hands that one in from the
+    previous subproblem's solution or the flip gate; hence the - 1 per
+    subproblem. A flip candidate is built from every solved iterate but the
+    last that has a column of negative sum.
+    """
+    flipped = 0
+    for calls, report, solved in _counted_solves(monkeypatch, penalty_solve, solver):
+        trials = sum(tr.evaluations - 1 for tr in report.inner_traces)
+        candidates = sum(bool(np.any(x.mat.sum(axis=0) < 0.0)) for x in solved[:-1])
+        assert calls == 1 + trials + candidates
+        flipped += candidates
+    assert flipped > 0
+
+
+def test_alm_solve_evaluates_each_point_once(monkeypatch):
+    """As for the penalty driver, without flip candidates: the f part of each
+    solved iterate serves the outer record, the next subproblem's first
+    evaluation (counted by ``PgmTrace.evaluations``) and the report."""
+    for calls, report, _ in _counted_solves(monkeypatch, alm_solve, "alm"):
+        assert calls == 1 + sum(tr.evaluations - 1 for tr in report.inner_traces)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda f: PenaltyObjective(f, 2.0, 0.05), lambda f: AugLagObjective(f, np.ones((6, 6)), 2.0)],
+    ids=["penalty", "auglag"],
+)
+def test_record_is_reused_only_at_the_same_read_only_array(make):
+    obj = make(CountingObjective(tiny_qap()))
+    x = random_stiefel_start(6, 6, 1).mat
+    val, grad = obj.value_and_gradient(x)
+    again = obj.value_and_gradient(x)
+    assert obj.f.calls == 1
+    assert again[0] == val and np.array_equal(again[1], grad)
+    # equal bits in another array, and an array changed in place, are
+    # evaluated anew
+    y = x.copy()
+    obj.value_and_gradient(y)
+    y[0, 0] += 0.5
+    val, grad = obj.value_and_gradient(y)
+    assert obj.f.calls == 3
+    fresh = make(CountingObjective(tiny_qap())).value_and_gradient(y)
+    assert val == fresh[0] and np.array_equal(grad, fresh[1])

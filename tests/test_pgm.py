@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthopt.penalty import Objective
-from orthopt.pgm import LineSearchError, PgmConfig, bb_stepsize, pgm_solve
+from orthopt.pgm import LineSearchError, PgmConfig, _line_search, bb_stepsize, pgm_solve
 from orthopt.problems import ProjectionObjective, random_stiefel_start
 from orthopt.stiefel import StiefelPoint, orthogonality_residual
 
@@ -248,6 +248,20 @@ class TestNonFinite:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="NaN or Inf"):
                 pgm_solve(Huge(), random_stiefel_start(5, 2, 16), cfg)
+
+
+def test_non_finite_trial_point_is_named_before_evaluation():
+    # the line search tests a trial point by the sum of its entries and names
+    # the fault with check_matrix's message; the objective is never called
+    x = random_stiefel_start(5, 2, 17).mat
+    g = np.full((5, 2), 1e300)
+
+    def evaluate(mat):
+        raise AssertionError("a non-finite trial point was evaluated")
+
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^retracted trial point contains NaN or Inf entries$"):
+            _line_search(x, g, evaluate, 1e10, 1.0, PgmConfig())
 
 
 class TestPgmConfig:

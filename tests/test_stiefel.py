@@ -160,6 +160,44 @@ def test_qr_sign_convention_deterministic():
     assert np.all(np.diag(r) > 0)
 
 
+def _reference_qr(m):
+    """np.linalg.qr's Q with the sign of each column fixed by diag(R) >= 0."""
+    q, r = np.linalg.qr(m)
+    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_qr_bits_match_numpy_qr(seed):
+    # the direct LAPACK path must return np.linalg.qr's Q bit for bit, for
+    # every memory layout of the input, and leave the input untouched
+    rng = np.random.default_rng(100 + seed)
+    r = 1 if seed % 4 == 0 else int(rng.integers(1, 9))
+    n = r if seed % 3 == 0 else r + int(rng.integers(1, 12))
+    m = rng.standard_normal((n, r)) * rng.uniform(1e-3, 1e3)
+    layouts = {
+        "C": m,
+        "F": np.asfortranarray(m),
+        "row_strided": np.repeat(m, 2, axis=0)[::2],
+        "col_strided": np.repeat(m, 3, axis=1)[:, ::3],
+        "reversed": m[::-1].copy()[::-1],
+    }
+    expected = _reference_qr(m)
+    for name, mat in layouts.items():
+        before = mat.copy()
+        got = qr_orthonormalize(mat)
+        assert got.shape == (n, r), name
+        assert np.array_equal(got, expected), name
+        assert np.array_equal(mat, before), name
+
+
+def test_qr_rank_deficient_input_raises():
+    m = np.random.default_rng(27).standard_normal((6, 3))
+    m[:, 2] = m[:, 0] - 2.0 * m[:, 1]
+    for mat in (m, np.asfortranarray(m), np.zeros((4, 1))):
+        with pytest.raises(RetractionError, match="rank-deficient"):
+            qr_orthonormalize(mat)
+
+
 class TestDistToStiefel:
     def test_zero_on_manifold(self):
         x = random_point(6, 3, 24)
