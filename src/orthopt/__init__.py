@@ -20,7 +20,7 @@ from .penalty import (
     nonneg_violation,
     prox_nonneg_violation,
 )
-from .pgm import LineSearchError, PgmConfig, PgmTrace, bb_stepsize, pgm_solve
+from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
 from .driver import (
     AugLagObjective,
     OuterRecord,

@@ -11,6 +11,7 @@ and only reported in memory.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import os
 import re
 import statistics
@@ -280,8 +281,7 @@ def default_config(solver: str, kind: str, instance) -> PenaltyConfig:
     return PenaltyConfig(rho0=rho0)
 
 
-def _run_start(args) -> StartRecord:
-    spec, index = args
+def _run_start(spec: ExperimentSpec, index: int) -> StartRecord:
     start_seed = spec.seed ^ index
     objective, n, r = _problem_setup(spec)
     x0 = random_stiefel_start(n, r, start_seed)
@@ -311,14 +311,35 @@ def _run_start(args) -> StartRecord:
     )
 
 
-def _map_starts(fn, tasks: list, jobs: int) -> list:
-    """fn over tasks, results in task order, on min(jobs, len(tasks)) worker
-    processes; one job runs in this process. fn and the tasks must pickle."""
-    jobs = min(jobs, len(tasks))
+# the data every start of a pooled map shares, set once per worker process
+_SHARED = None
+
+
+def _set_shared(shared) -> None:
+    global _SHARED
+    _SHARED = shared
+
+
+def _call_shared(fn, index: int):
+    return fn(_SHARED, index)
+
+
+def _map_starts(fn, shared, count: int, jobs: int) -> list:
+    """[fn(shared, i) for i in range(count)], in index order, on
+    min(jobs, count) worker processes; one job runs in this process.
+
+    ``shared`` reaches each worker once, through the pool's initializer (a
+    forked worker inherits it without pickling), and the tasks are the bare
+    indices, so large instance data is not pickled with every start. fn must
+    be a module-level function; its results must pickle.
+    """
+    jobs = min(jobs, count)
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, initializer=_set_shared, initargs=(shared,)
+        ) as pool:
+            return list(pool.map(functools.partial(_call_shared, fn), range(count)))
+    return [fn(shared, i) for i in range(count)]
 
 
 def run_experiment(
@@ -332,7 +353,7 @@ def run_experiment(
     matrices with ``dump_x``); the CSV bytes are a deterministic function of
     (spec, seed).
     """
-    records = _map_starts(_run_start, [(spec, i) for i in range(spec.num_starts)], spec.jobs)
+    records = _map_starts(_run_start, spec, spec.num_starts, spec.jobs)
     good = [rec for rec in records if not rec.failed]
     failures = spec.num_starts - len(good)
     gaps = [rec.gap_pct for rec in good if rec.gap_pct is not None]

@@ -135,10 +135,10 @@ def _cmd_proj(args) -> int:
     return _run_spec(args, "proj", Path(args.instance).stem, c)
 
 
-def _onmf_start(task):
-    """One onmf start: (final X as an array, residual, rounds)."""
-    inst, cfg, solve, seed = task
-    x0 = random_stiefel_start(inst.a.shape[0], inst.r, seed)
+def _onmf_start(shared, index: int):
+    """Start ``index`` of an onmf run: (final X as an array, residual, rounds)."""
+    inst, cfg, solve, seed = shared
+    x0 = random_stiefel_start(inst.a.shape[0], inst.r, seed ^ index)
     x, y, history = onmf_alternate(inst, x0, cfg, solve)
     return x.mat, OnmfFactorObjective(inst.a, y).value(x.mat), len(history)
 
@@ -155,11 +155,11 @@ def _cmd_onmf(args) -> int:
         truth = np.loadtxt(args.labels, dtype=int)
     cfg = _config(args, "onmf", inst)
     solve = alm_solve if args.solver == "alm" else penalty_solve
-    seeds = [args.seed ^ i for i in range(args.starts)]
-    results = bench._map_starts(_onmf_start, [(inst, cfg, solve, s) for s in seeds], args.jobs)
+    results = bench._map_starts(_onmf_start, (inst, cfg, solve, args.seed), args.starts, args.jobs)
 
     rows = []
-    for i, (seed_i, (x, resid, rounds)) in enumerate(zip(seeds, results)):
+    for i, (x, resid, rounds) in enumerate(results):
+        seed_i = args.seed ^ i
         if truth is not None:
             pidx, eidx, nmi = bench.clustering_metrics(truth, cluster_labels(x), inst.r)
             print(

@@ -4,15 +4,17 @@ baseline, both built on the manifold line-search iteration.
 The penalty driver approximately minimizes f + rho_l * penalty over the
 manifold for a slowly growing weight sequence rho_l and a tightening
 stationarity target tau_l, warm-starting each subproblem, and stops once the
-iterate is nonnegative to tolerance. Each warm start is the previous iterate
-or, when it has the lower penalized value at the grown weight, its copy with
-every negative-sum column negated.
+iterate is nonnegative to tolerance, or earlier with a certified feasible
+point once the iterate's support has settled. Each warm start is the previous
+iterate or, when it has the lower penalized value at the grown weight, its
+copy with every negative-sum column negated.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +31,17 @@ _NORM_RANGE = (1e-150, 1e150)
 _MU_GROWTH = 1.2
 # the data-driven initial weight is this fraction of |f(x0)| / violation(x0)
 _RHO0_SCALE = 0.1
+# penalty_solve tries its certified exit once the violation is at most
+# _EXIT_NINF and every row's largest entry has stayed in the same column over
+# the last _EXIT_HOLD outer iterations; the candidate on that support exits
+# when its stationarity residual is at most _EXIT_TOL
+_EXIT_NINF = 1e-1
+_EXIT_HOLD = 3
+_EXIT_TOL = 1e-6
+# the rectangular candidate takes at most this many masked sphere steps, and
+# stops once no entry moves by more than _FINISH_MOVE
+_FINISH_STEPS = 20
+_FINISH_MOVE = 1e-12
 
 
 @dataclass
@@ -95,10 +108,13 @@ class OuterRecord:
 class SolveReport:
     """Outcome of an outer solve.
 
-    ``ninf`` is the l1 nonnegativity violation of the final point,
+    ``ninf`` is the l1 nonnegativity violation of the final point, and
     ``stationarity`` the projected-gradient norm of the last subproblem
-    objective at exit. ``flags`` collects anomalies (inner target missed,
-    acceptance bound violated, line-search failure, budget exhausted).
+    objective at exit. After a certified exit (``certified_exit``, only from
+    ``penalty_solve``) the final point is feasible and ``stationarity`` is
+    its ``stationarity_residual`` for f. ``flags`` collects anomalies (inner
+    target missed, acceptance bound violated, line-search failure, budget
+    exhausted).
     """
 
     solver: str
@@ -113,6 +129,7 @@ class SolveReport:
     trace: list = field(default_factory=list)
     inner_traces: list = field(default_factory=list)
     flags: list = field(default_factory=list)
+    certified_exit: bool = False
 
 
 def _round_permutation(x: np.ndarray) -> np.ndarray:
@@ -204,11 +221,13 @@ def _solve_subproblem(
     obj: Objective,
     x_start: StiefelPoint,
     cfg: PgmConfig,
+    grad_tol: float,
     outer: int,
     inner_traces: list,
     flags: list,
 ) -> tuple[StiefelPoint, bool]:
-    """One inner solve of an outer loop, with its trace and flags recorded.
+    """One inner solve of an outer loop to projected-gradient norm grad_tol,
+    with its trace and flags recorded.
 
     The solve's first trial step is the last step accepted by an earlier
     subproblem of the run in ``inner_traces`` (see ``_last_accepted_step``),
@@ -219,7 +238,9 @@ def _solve_subproblem(
     which aborts the outer loop; the failed solve's partial trace is kept.
     """
     try:
-        x, tr = pgm_solve(obj, x_start, cfg, t_first=_last_accepted_step(inner_traces))
+        x, tr = pgm_solve(
+            obj, x_start, cfg, t_first=_last_accepted_step(inner_traces), grad_tol=grad_tol
+        )
     except LineSearchError as err:
         inner_traces.append(err.trace)
         flags.extend([f"line_search_failure@outer={outer}", "aborted_with_partial_report"])
@@ -248,25 +269,81 @@ def _report(
     records: list,
     inner_traces: list,
     flags: list,
+    certified: tuple | None = None,
 ) -> SolveReport:
-    """Report of x; stationarity is measured on the last subproblem objective,
-    whose record the callers leave at x."""
-    # answered from obj.last, or evaluated and stored there
-    _, grad = obj.value_and_gradient(x.mat)
+    """Report of x. Without ``certified``, stationarity is measured on the
+    last subproblem objective, whose record the callers leave at x; a
+    certified exit passes (f(x), stationarity residual) instead."""
+    if certified is None:
+        # answered from obj.last, or evaluated and stored there
+        _, grad = obj.value_and_gradient(x.mat)
+        f_final, stationarity = obj.last[1], float(np.linalg.norm(proj_tangent(x.mat, grad)))
+    else:
+        f_final, stationarity = certified
     return SolveReport(
         solver=solver,
         x_final=x,
-        f_final=obj.last[1],
+        f_final=f_final,
         ninf=nonneg_violation(x.mat),
         orth_residual=x.orth_residual,
-        stationarity=float(np.linalg.norm(proj_tangent(x.mat, grad))),
+        stationarity=stationarity,
         outer_iters=len(inner_traces),
         inner_iters_total=sum(tr.iterations for tr in inner_traces),
         wall_time=time.perf_counter() - start_time,
         trace=records,
         inner_traces=inner_traces,
         flags=flags,
+        certified_exit=certified is not None,
     )
+
+
+def _onto_support(z: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
+    """Projection of z onto the nonnegative unit columns supported on mask:
+    each column's positive part on its mask, normalized; None when a column
+    keeps no positive entry."""
+    pos = np.where(mask, np.maximum(z, 0.0), 0.0)
+    norms = np.linalg.norm(pos, axis=0)
+    if not np.all(norms > 0.0):
+        return None
+    return pos / norms
+
+
+def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple | None:
+    """A feasible point on the row support of x with f's value and gradient
+    there, (p, f(p), grad f(p)), or None; grad is grad f(x).
+
+    For n = r the point is x's rounded permutation. For n > r each row keeps
+    only its largest entry's column, and disjoint row supports reduce
+    X^T X = I to unit columns: the point comes from projected-gradient steps
+    on that product of spheres, each column with its own Barzilai-Borwein
+    step. On an objective that is an isotropic quadratic in each column there
+    (projection, the ONMF factor), the second step lands on the closed-form
+    minimizer, the normalized positive part of C or of A Y on the support.
+    """
+    n, r = x.shape
+    if n == r:
+        p = _round_permutation(x)
+        return (p, *f.value_and_gradient(p))
+    mask = np.zeros(x.shape, dtype=bool)
+    mask[np.arange(n), np.argmax(x, axis=1)] = True
+    p = _onto_support(x, mask)
+    if p is None:
+        return None
+    val, g = f.value_and_gradient(p)
+    prev, prev_g = x, grad
+    for _ in range(_FINISH_STEPS):
+        dx, dg = p - prev, g - prev_g
+        curv = (dx * dg).sum(axis=0)
+        # a column without positive curvature along its last move stays put
+        t = np.divide((dx * dx).sum(axis=0), curv, out=np.zeros(r), where=curv > 0.0)
+        q = _onto_support(p - t * g, mask)
+        if q is None:
+            return None
+        prev, prev_g, p = p, g, q
+        val, g = f.value_and_gradient(p)
+        if np.max(np.abs(p - prev)) <= _FINISH_MOVE:
+            break
+    return p, val, g
 
 
 def penalty_solve(
@@ -279,6 +356,14 @@ def penalty_solve(
     previous iteration. The driver stops when the violation drops to epsilon,
     or to 5 * epsilon with the objective stagnant over the trailing window of
     outer iterations, or when the outer budget runs out.
+
+    Certified exit: once the violation is at most 0.1 and every row's largest
+    entry has stayed in the same column for 3 outer iterations, the driver
+    builds a feasible point on that support (``_support_candidate``) and
+    returns it when its ``stationarity_residual`` is at most 1e-6; the report
+    then has ``certified_exit`` set and that residual as ``stationarity``.
+    A support is tried once: after a failed check the loop goes on unchanged
+    until the support moves and settles again.
 
     The next warm start is the solved iterate, or its copy X D with every
     negative-sum column negated (D = diag(+-1)) when that copy has the lower
@@ -293,7 +378,8 @@ def penalty_solve(
     together: the parts (f, grad f, p, grad p) of each subproblem's last
     evaluation at its solution, or of a winning sign-flip candidate, give the
     penalized values at both weights, the next subproblem's first evaluation
-    and the report, each combined as f + rho * p.
+    and the report, each combined as f + rho * p. The certified exit
+    evaluates f at its candidate points only.
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -309,14 +395,15 @@ def penalty_solve(
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
     flags: list[str] = []
+    # the row support of the latest iterates, the outer iterations it has
+    # held since it last moved, and whether the exit has tried it
+    support, held, tried = None, 0, False
 
     # l_max >= 1, so pobj is the last subproblem objective after the loop
     for l in range(cfg.l_max):
         # the first evaluation, at x_start, reuses its parts
         pobj = PenaltyObjective(f, rho, cfg.gamma, start)
-        x, ok = _solve_subproblem(
-            pobj, x_start, replace(cfg.pgm, grad_tol=tau), l, inner_traces, flags
-        )
+        x, ok = _solve_subproblem(pobj, x_start, cfg.pgm, tau, l, inner_traces, flags)
         if not ok:
             pobj.last = start
             break
@@ -337,6 +424,23 @@ def penalty_solve(
             f_lag = records[-1 - _STAGNATION_LAG].f_value
             if abs(f_val - f_lag) / (1.0 + abs(f_val)) <= _STAGNATION_RTOL:
                 break
+
+        row_max = np.argmax(x.mat, axis=1)
+        if support is not None and np.array_equal(row_max, support):
+            held += 1
+        else:
+            support, held, tried = row_max, 0, False
+        if held >= _EXIT_HOLD and ninf <= _EXIT_NINF and not tried:
+            tried = True
+            cand = _support_candidate(f, x.mat, start[2])
+            if cand is not None:
+                residual = _stationarity(cand[0], cand[2])
+                if residual <= _EXIT_TOL:
+                    x_exit = StiefelPoint(cand[0])
+                    return _report(
+                        solver, pobj, x_exit, start_time, records, inner_traces, flags,
+                        certified=(cand[1], residual),
+                    )
 
         sigma = cfg.sigma_rho_small if rho <= 1.0 else cfg.sigma_rho_large
         rho = min(sigma * rho, cfg.rho_max)
@@ -436,7 +540,7 @@ def alm_solve(
     # l_max >= 1, so obj is the last subproblem objective after the loop
     for k in range(cfg.l_max):
         obj = AugLagObjective(f, lam, mu, start)
-        x, ok = _solve_subproblem(obj, x, cfg.pgm, k, inner_traces, flags)
+        x, ok = _solve_subproblem(obj, x, cfg.pgm, cfg.pgm.grad_tol, k, inner_traces, flags)
         if not ok:
             obj.last = start
             break
@@ -467,9 +571,12 @@ def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
     Computes min over G in the normal cone of the nonnegative orthant at x of
     ||Proj_tangent(grad f(x) + G)||_F. The normal cone at a nonnegative point
     allows nonpositive entries where x vanishes and zeros elsewhere; entries of
-    x below ``ZERO_TOL`` count as zero. The minimization is a small convex
-    least-squares over the constrained entries of G, solved by projected
-    gradient with the exact step 1/L in at most 5000 steps.
+    x below ``ZERO_TOL`` count as zero. At a point whose entries are exact
+    zeros outside at most one entry of at least ``ZERO_TOL`` per row (such as
+    a permutation matrix or a rounded point), the minimum has a closed form.
+    Elsewhere it is a small convex least-squares over the constrained entries
+    of G, solved by projected gradient with the exact step 1/L in at most 5000
+    steps.
 
     Raises:
         ValueError: if the nonnegativity violation of x exceeds 5e-6, or the
@@ -480,8 +587,11 @@ def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
             f"point is not feasible to tolerance {_FEAS_TOL}: "
             f"violation {nonneg_violation(x.mat):.3e}"
         )
-    xm = x.mat
-    g = check_matrix(f.gradient(xm), "gradient")
+    return _stationarity(x.mat, check_matrix(f.gradient(x.mat), "gradient"))
+
+
+def _stationarity(xm: np.ndarray, g: np.ndarray) -> float:
+    """``stationarity_residual`` at the nonnegative point xm with gradient g."""
     zero_mask = xm < ZERO_TOL
 
     def tangent(w: np.ndarray) -> np.ndarray:
@@ -489,6 +599,19 @@ def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
 
     if not np.any(zero_mask):
         return float(np.linalg.norm(tangent(g)))
+
+    support = ~zero_mask
+    if np.all(support.sum(axis=1) <= 1) and not np.any(xm[zero_mask]):
+        # Disjoint row supports, exact zeros elsewhere: the residual is
+        # min ||g + G - X S|| over symmetric S. Entry (i, j) off the support
+        # column k of row i is g_ij + G_ij - x_ik S_kj, which S_kj = S_jk
+        # negative enough lets G_ij <= 0 cancel. Left are each column's
+        # gradient on its support off the column, and the negative gradient
+        # entries of rows without support.
+        on = np.where(support, g, 0.0)
+        on -= xm * ((on * xm).sum(axis=0) / (xm * xm).sum(axis=0))
+        off = np.minimum(g[~support.any(axis=1)], 0.0)
+        return math.sqrt(float((on * on).sum() + (off * off).sum()))
 
     G = np.zeros_like(xm)
     h_prev = np.inf

@@ -136,17 +136,15 @@ class PgmTrace:
         return out
 
 
-def bb_stepsize(dx, dy, t_min: float, t_max: float, fallback: float) -> float:
-    """Barzilai-Borwein step from iterate and gradient differences.
+def _bb_stepsize(
+    dx: np.ndarray, dy: np.ndarray, t_min: float, t_max: float, fallback: float
+) -> float:
+    """Barzilai-Borwein step from iterate and gradient differences of one shape.
 
     Returns max(min(||dx||^2/|<dx,dy>|, |<dx,dy>|/||dy||^2, t_max), t_min).
     When the curvature inner product is negligible relative to the norms, or
     either difference vanishes, the (clamped) fallback is returned instead.
     """
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    if dx.shape != dy.shape:
-        raise ValueError(f"shape mismatch: {dx.shape} vs {dy.shape}")
     nx2 = float((dx * dx).sum())
     ny2 = float((dy * dy).sum())
     ip = abs(float((dx * dy).sum()))
@@ -227,31 +225,41 @@ def _line_search(
 
 
 def pgm_solve(
-    obj: Objective, x0: StiefelPoint, cfg: PgmConfig, t_first: float | None = None
+    obj: Objective,
+    x0: StiefelPoint,
+    cfg: PgmConfig,
+    t_first: float | None = None,
+    grad_tol: float | None = None,
 ) -> tuple[StiefelPoint, PgmTrace]:
     """Run the iteration from x0 until stationarity or the iteration cap.
 
     Returns the first iterate whose projected-gradient norm is at most
-    ``cfg.grad_tol`` (``trace.converged`` is then True), or the lowest-value
-    iterate of the trailing window once ``max_iters`` is exhausted. The final
-    objective value never exceeds the initial one.
+    ``grad_tol`` (``cfg.grad_tol`` when None; ``trace.converged`` is then
+    True), or the lowest-value iterate of the trailing window once
+    ``max_iters`` is exhausted. The final objective value never exceeds the
+    initial one.
 
     The first trial step is ``t_first`` when given and 1 / ||grad|| otherwise,
     clamped to [t_min, t_max]; later steps use the Barzilai-Borwein estimate
     with the previous step as fallback. Backtracking and its acceptance test
     are the same for every step, so any positive ``t_first`` is admissible.
     The outer drivers (``penalty_solve`` and ``alm_solve``) pass the last step
-    accepted by an earlier subproblem of the run.
+    accepted by an earlier subproblem of the run, and ``penalty_solve`` its
+    stationarity target tau_l as ``grad_tol``.
 
     Iterates are kept as raw arrays and every trial point is evaluated once
     through ``obj.value_and_gradient``; the returned point is certified as a
     ``StiefelPoint`` on exit, and is x0 itself when no step was taken.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
-    finite, or when ``t_first`` is not positive.
+    finite, or when ``t_first`` or ``grad_tol`` is not positive.
     """
     if t_first is not None and not t_first > 0:
         raise ValueError(f"t_first must be positive, got {t_first}")
-    trace = PgmTrace(memory=cfg.memory, grad_tol=cfg.grad_tol)
+    if grad_tol is None:
+        grad_tol = cfg.grad_tol
+    elif not grad_tol > 0:
+        raise ValueError(f"grad_tol must be positive, got {grad_tol}")
+    trace = PgmTrace(memory=cfg.memory, grad_tol=grad_tol)
 
     def evaluate(mat: np.ndarray) -> tuple:
         trace.evaluations += 1
@@ -273,14 +281,14 @@ def pgm_solve(
     prev_rgrad: np.ndarray | None = None
 
     for k in range(cfg.max_iters):
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= grad_tol:
             trace.converged = True
             return certified(xm), trace
         if k == 0:
             t0 = 1.0 / gnorm if t_first is None else t_first
             t_init = float(min(max(t0, cfg.t_min), cfg.t_max))
         else:
-            t_init = bb_stepsize(
+            t_init = _bb_stepsize(
                 xm - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t
             )
         window_max = max(v for v, _ in window)
@@ -301,7 +309,7 @@ def pgm_solve(
         trace.backtracks.append(trial.backtracks)
         window.append((val, xm))
 
-    if gnorm <= cfg.grad_tol:
+    if gnorm <= grad_tol:
         trace.converged = True
         return certified(xm), trace
     _, best = min(window, key=lambda pair: pair[0])

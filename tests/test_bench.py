@@ -10,6 +10,7 @@ import pytest
 
 from orthopt.bench import (
     ExperimentSpec,
+    _map_starts,
     QaplibParseError,
     clustering_metrics,
     default_jobs,
@@ -35,6 +36,20 @@ def format_qaplib(inst: QapInstance) -> str:
     for mat in (inst.a, inst.b):
         lines.extend(" ".join("%.17g" % v for v in row) for row in mat)
     return "\n".join(lines) + "\n"
+
+
+class _PickleCounter:
+    """Shared data that counts how often it is pickled in this process."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return (_PickleCounter, ())
+
+
+def _tag_start(shared, index):
+    return type(shared).__name__, index
 
 
 class TestParseQaplib:
@@ -214,6 +229,14 @@ class TestRunExperiment:
         for a, b in zip(serial.records, parallel.records):
             assert a.f_final == b.f_final
             assert a.ninf == b.ninf
+
+    def test_pooled_starts_get_the_shared_data_once_per_worker(self):
+        # 5 starts over 2 workers: an uneven split, results in index order;
+        # the shared object is pickled at most once per worker (never on fork)
+        _PickleCounter.pickled = 0
+        out = _map_starts(_tag_start, _PickleCounter(), 5, 2)
+        assert out == [("_PickleCounter", i) for i in range(5)]
+        assert _PickleCounter.pickled <= 2
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from orthopt import driver
-from orthopt.bench import default_config
+from orthopt.bench import clustering_metrics, default_config
 from orthopt.diagnostics import default_base_point
 from orthopt.driver import (
     AugLagObjective,
@@ -22,10 +22,16 @@ from orthopt.driver import (
 from orthopt.penalty import PenaltyObjective
 from orthopt.pgm import PgmConfig, PgmTrace
 from orthopt.problems import (
+    GraphMatchingObjective,
     LinearObjective,
+    OnmfFactorObjective,
     ProjectionObjective,
     QapLiftedObjective,
+    cluster_labels,
+    noisy_projection_target,
+    onmf_alternate,
     permutation_matrix,
+    planted_onmf_instance,
     random_stiefel_start,
 )
 from orthopt.stiefel import (
@@ -34,7 +40,7 @@ from orthopt.stiefel import (
     proj_tangent,
     qr_orthonormalize,
 )
-from test_trajectories import tiny_qap
+from test_trajectories import TINY, tiny_qap
 
 
 def assert_feasible(point: StiefelPoint, atol=1e-12):
@@ -468,8 +474,8 @@ def _counted_solves(monkeypatch, solve, solver):
     """Each start of the pinned QAP run: (f calls, report, solved iterates)."""
     solved = []
 
-    def spy(obj, x0, cfg, t_first=None):
-        out = pgm_solve(obj, x0, cfg, t_first)
+    def spy(obj, x0, cfg, **kwargs):
+        out = pgm_solve(obj, x0, cfg, **kwargs)
         solved.append(out[0])
         return out
 
@@ -488,20 +494,36 @@ def _counted_solves(monkeypatch, solve, solver):
 @pytest.mark.parametrize("solver", ["seppg_plus", "seppg_zero"])
 def test_penalty_solve_evaluates_each_point_once(monkeypatch, solver):
     """f is called once at the start, once per trial point of the inner
-    solves, and once per sign-flip candidate, and nowhere else.
+    solves, once per sign-flip candidate, and once per certified-exit try,
+    and nowhere else.
 
     ``PgmTrace.evaluations`` counts the first evaluation of every subproblem,
     at its warm start, although the driver hands that one in from the
     previous subproblem's solution or the flip gate; hence the - 1 per
     subproblem. A flip candidate is built from every solved iterate but the
-    last that has a column of negative sum.
+    last that has a column of negative sum. On this square instance an exit
+    try evaluates f only at the rounded permutation, whose value and
+    gradient serve both the certificate and the report.
     """
+    tries = []
+
+    def candidate(f, x, grad):
+        before = f.calls
+        out = support_candidate(f, x, grad)
+        tries.append(f.calls - before)
+        return out
+
+    support_candidate = driver._support_candidate
+    monkeypatch.setattr(driver, "_support_candidate", candidate)
     flipped = 0
     for calls, report, solved in _counted_solves(monkeypatch, penalty_solve, solver):
         trials = sum(tr.evaluations - 1 for tr in report.inner_traces)
         candidates = sum(bool(np.any(x.mat.sum(axis=0) < 0.0)) for x in solved[:-1])
-        assert calls == 1 + trials + candidates
+        assert report.certified_exit
+        assert tries and set(tries) == {1}
+        assert calls == 1 + trials + candidates + len(tries)
         flipped += candidates
+        tries.clear()
     assert flipped > 0
 
 
@@ -534,3 +556,123 @@ def test_record_is_reused_only_at_the_same_read_only_array(make):
     assert obj.f.calls == 3
     fresh = make(CountingObjective(tiny_qap())).value_and_gradient(y)
     assert val == fresh[0] and np.array_equal(grad, fresh[1])
+
+
+@pytest.mark.parametrize("kind", ["qap", "gm", "proj"])
+def test_certified_exit_returns_a_feasible_stationary_point(kind):
+    inst = TINY[kind]()
+    objectives = {"qap": QapLiftedObjective, "gm": GraphMatchingObjective, "proj": ProjectionObjective}
+    f = objectives[kind](inst)
+    shape = (inst.n, inst.n) if kind != "proj" else inst.shape
+    cfg = default_config("seppg_plus", kind, inst)
+    for i in range(4):
+        report = penalty_solve(f, random_stiefel_start(*shape, 3 ^ i), cfg)
+        assert report.certified_exit
+        assert not report.flags
+        assert report.ninf == 0.0
+        assert report.orth_residual <= 1e-10
+        assert_feasible(report.x_final)
+        assert report.stationarity <= driver._EXIT_TOL
+        assert report.stationarity == stationarity_residual(f, report.x_final)
+        assert report.f_final == f.value(report.x_final.mat)
+        # the exit fires before the violation reaches the full-run tolerance
+        assert report.trace[-1].ninf > PenaltyConfig().epsilon
+
+
+def test_failed_certificate_continues_the_loop(monkeypatch):
+    # a candidate that never certifies leaves the run as it was without the exit
+    inst = tiny_qap()
+    f = QapLiftedObjective(inst)
+    x0 = random_stiefel_start(6, 6, 3)
+    cfg = default_config("seppg_plus", "qap", inst)
+    tries = []
+
+    def never(xm, g):
+        tries.append(len(tries))
+        return np.inf
+
+    monkeypatch.setattr(driver, "_stationarity", never)
+    failed = penalty_solve(f, x0, cfg)
+    monkeypatch.setattr(driver, "_EXIT_NINF", -1.0)
+    full = penalty_solve(f, x0, cfg)
+    assert tries and not failed.certified_exit
+    assert failed.outer_iters == full.outer_iters
+    assert failed.inner_iters_total == full.inner_iters_total
+    npt.assert_array_equal(failed.x_final.mat, full.x_final.mat)
+
+
+def test_onmf_evaluations_bounded_by_the_exit(monkeypatch):
+    # the full run makes 478,008 factor evaluations in these 3 rounds, most of
+    # them in subproblems that grow rho long after the support has settled
+    calls = []
+    value_and_gradient = OnmfFactorObjective.value_and_gradient
+
+    def counted(self, x):
+        calls.append(1)
+        return value_and_gradient(self, x)
+
+    monkeypatch.setattr(OnmfFactorObjective, "value_and_gradient", counted)
+    inst, labels, _, _ = planted_onmf_instance(60, 40, 4, noise=0.05, seed=4)
+    cfg = default_config("seppg_plus", "onmf", inst)
+    x, _, history = onmf_alternate(inst, random_stiefel_start(60, 4, 1), cfg, max_rounds=3)
+    assert len(history) == 3
+    assert len(calls) <= 4000
+    _, _, nmi = clustering_metrics(labels, cluster_labels(x.mat), 4)
+    assert nmi >= 0.75
+
+
+class TestSupportCandidate:
+    def test_projection_lands_on_the_closed_form(self):
+        # for ||X - C||^2 the candidate is each column's normalized positive
+        # part of C on its support
+        c = noisy_projection_target(12, 3, 0.2, 7)[0]
+        f = ProjectionObjective(c)
+        x = qr_orthonormalize(c)
+        p, val, grad = driver._support_candidate(f, x, f.gradient(x))
+        mask = np.zeros_like(c, dtype=bool)
+        mask[np.arange(12), np.argmax(x, axis=1)] = True
+        expected = np.where(mask, np.maximum(c, 0.0), 0.0)
+        npt.assert_allclose(p, expected / np.linalg.norm(expected, axis=0), atol=1e-14)
+        assert val == f.value(p)
+        assert stationarity_residual(f, StiefelPoint(p)) <= 1e-12
+
+    def test_onmf_factor_lands_on_the_normalized_positive_part_of_ay(self):
+        inst, _, x_true, y_true = planted_onmf_instance(20, 8, 2, noise=0.05, seed=1)
+        f = OnmfFactorObjective(inst.a, y_true)
+        x = qr_orthonormalize(x_true + 0.05 * np.random.default_rng(2).standard_normal((20, 2)))
+        p, _, _ = driver._support_candidate(f, x, f.gradient(x))
+        ay = inst.a @ y_true
+        mask = np.zeros_like(x, dtype=bool)
+        mask[np.arange(20), np.argmax(x, axis=1)] = True
+        expected = np.where(mask, ay, 0.0)
+        npt.assert_allclose(p, expected / np.linalg.norm(expected, axis=0), atol=1e-12)
+
+    def test_square_candidate_is_the_rounded_permutation(self):
+        x = random_stiefel_start(6, 6, 4).mat
+        f = QapLiftedObjective(tiny_qap())
+        p, val, _ = driver._support_candidate(f, x, f.gradient(x))
+        npt.assert_array_equal(p, round_to_feasible(x).mat)
+        assert val == f.value(p)
+
+    def test_column_without_positive_mass_gives_no_candidate(self):
+        # every row's largest entry lies in column 0, so column 1 has no support
+        x = np.array([[0.8, 0.1], [0.6, -0.1], [0.0, 0.0]])
+        f = ProjectionObjective(np.abs(x))
+        assert driver._support_candidate(f, x, f.gradient(x)) is None
+
+
+def test_stationarity_closed_form_matches_the_iterative_residual():
+    # at a point with disjoint row supports the closed form is the minimum
+    # the least-squares iteration approaches from above
+    rng = np.random.default_rng(5)
+    x = default_base_point(6, 2).mat.copy()
+    x[5] = 0.0
+    x /= np.linalg.norm(x, axis=0)
+    g = rng.standard_normal((6, 2))
+    exact = driver._stationarity(x, g)
+    # the same point with one zero entry nudged to 1e-300: the iterative path
+    nudged = x.copy()
+    nudged[5, 0] = 1e-300
+    iterative = driver._stationarity(nudged, g)
+    assert exact <= iterative + 1e-12
+    npt.assert_allclose(iterative, exact, rtol=1e-6, atol=1e-9)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthopt.penalty import Objective
-from orthopt.pgm import LineSearchError, PgmConfig, _line_search, bb_stepsize, pgm_solve
+from orthopt.pgm import LineSearchError, PgmConfig, _bb_stepsize, _line_search, pgm_solve
 from orthopt.problems import ProjectionObjective, random_stiefel_start
 from orthopt.stiefel import StiefelPoint, orthogonality_residual
 
@@ -15,29 +15,29 @@ from orthopt.stiefel import StiefelPoint, orthogonality_residual
 class TestBbStepsize:
     def test_equal_differences_give_one(self):
         d = np.array([1.0, 2.0, -1.0])
-        assert bb_stepsize(d, d, 1e-12, 1e12, fallback=7.0) == 1.0
+        assert _bb_stepsize(d, d, 1e-12, 1e12, fallback=7.0) == 1.0
 
     def test_hand_example(self):
-        assert bb_stepsize(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1e-12, 1e12, 1.0) == 0.5
+        assert _bb_stepsize(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1e-12, 1e12, 1.0) == 0.5
 
     def test_orthogonal_differences_fall_back(self):
-        t = bb_stepsize(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1e-12, 1e12, fallback=1.0)
+        t = _bb_stepsize(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1e-12, 1e12, fallback=1.0)
         assert t == 1.0
 
     def test_zero_differences_fall_back(self):
-        assert bb_stepsize(np.zeros(3), np.ones(3), 1e-12, 1e12, fallback=0.25) == 0.25
-        assert bb_stepsize(np.ones(3), np.zeros(3), 1e-12, 1e12, fallback=0.25) == 0.25
+        assert _bb_stepsize(np.zeros(3), np.ones(3), 1e-12, 1e12, fallback=0.25) == 0.25
+        assert _bb_stepsize(np.ones(3), np.zeros(3), 1e-12, 1e12, fallback=0.25) == 0.25
 
     def test_clamping(self):
         d = np.array([1.0])
-        assert bb_stepsize(d, 100.0 * d, 0.1, 10.0, 1.0) == 0.1
-        assert bb_stepsize(d, 0.0001 * d, 0.1, 10.0, 1.0) == 10.0
+        assert _bb_stepsize(d, 100.0 * d, 0.1, 10.0, 1.0) == 0.1
+        assert _bb_stepsize(d, 0.0001 * d, 0.1, 10.0, 1.0) == 10.0
         # fallback is clamped too
-        assert bb_stepsize(np.zeros(1), np.zeros(1), 0.1, 10.0, 99.0) == 10.0
+        assert _bb_stepsize(np.zeros(1), np.zeros(1), 0.1, 10.0, 99.0) == 10.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            bb_stepsize(np.zeros(2), np.zeros(3), 1e-12, 1e12, 1.0)
+            _bb_stepsize(np.zeros(2), np.zeros(3), 1e-12, 1e12, 1.0)
 
 
 class TestPgmStep:
@@ -154,6 +154,21 @@ class TestPgmSolve:
         obj = ProjectionObjective(np.eye(5)[:, :2])
         with pytest.raises(ValueError, match="t_first"):
             pgm_solve(obj, random_stiefel_start(5, 2, 9), PgmConfig(), t_first=t_first)
+
+    def test_grad_tol_argument_replaces_the_config_target(self):
+        obj = ProjectionObjective(np.eye(5)[:, :2])
+        x0 = random_stiefel_start(5, 2, 9)
+        x, trace = pgm_solve(obj, x0, PgmConfig(), grad_tol=1e-3)
+        y, same = pgm_solve(obj, x0, PgmConfig(grad_tol=1e-3))
+        assert trace.grad_tol == 1e-3 and trace.converged
+        assert trace.step_sizes == same.step_sizes
+        npt.assert_array_equal(x.mat, y.mat)
+
+    @pytest.mark.parametrize("grad_tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_grad_tol_rejected(self, grad_tol):
+        obj = ProjectionObjective(np.eye(5)[:, :2])
+        with pytest.raises(ValueError, match="grad_tol"):
+            pgm_solve(obj, random_stiefel_start(5, 2, 9), PgmConfig(), grad_tol=grad_tol)
 
     def test_iterates_stay_orthonormal(self):
         obj = RecordingObjective(ProjectionObjective(np.eye(6)[:, :3]))

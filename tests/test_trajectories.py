@@ -4,6 +4,8 @@ Refactors of the inner loop, the objectives or the driver must keep the
 floating-point expressions that decide each step, so every start keeps its
 outer and inner iteration counts and its rounded objective value exactly.
 A change to any of these numbers is a change of trajectory, not a refactor.
+The penalty solvers' rows end at the certified exit; with its trigger off
+they run on to the full violation tolerance.
 
 The same instances check the flipped-column trap of the penalty driver and
 the paper's quality claim against the augmented-Lagrangian baseline.
@@ -12,6 +14,7 @@ the paper's quality claim against the augmented-Lagrangian baseline.
 import numpy as np
 import pytest
 
+from orthopt import driver
 from orthopt.bench import ExperimentSpec, default_config, run_experiment
 from orthopt.driver import PenaltyConfig, penalty_solve
 from orthopt.problems import (
@@ -61,15 +64,16 @@ def tiny_proj() -> np.ndarray:
 
 TINY = {"qap": tiny_qap, "gm": tiny_gm, "proj": tiny_proj}
 
-# (outer_iters, inner_iters, f_rounded) per start, starts 0..3 of seed 3
+# (outer_iters, inner_iters, f_rounded) per start, starts 0..3 of seed 3;
+# the penalty solvers' rows end at the certified exit
 PINNED = {
-    ("qap", "seppg_plus"): [(60, 60, 152.0), (62, 96, 164.0), (59, 82, 176.0), (55, 58, 152.0)],
-    ("qap", "seppg_zero"): [(74, 67, 152.0), (70, 64, 152.0), (74, 168, 182.0), (74, 48, 152.0)],
+    ("qap", "seppg_plus"): [(10, 52, 152.0), (14, 88, 164.0), (22, 75, 176.0), (11, 46, 152.0)],
+    ("qap", "seppg_zero"): [(20, 54, 152.0), (19, 47, 152.0), (34, 159, 182.0), (20, 33, 152.0)],
     ("gm", "seppg_plus"): [
-        (185, 284, -10.926306909201417),
-        (206, 405, -9.95457153350241),
-        (220, 377, -10.926306909201417),
-        (219, 416, -9.35206964683901),
+        (61, 47, -10.926306909201417),
+        (86, 165, -9.95457153350241),
+        (96, 129, -10.926306909201417),
+        (97, 172, -9.35206964683901),
     ],
     ("qap", "alm"): [(18, 2228, 158.0), (18, 2237, 158.0), (23, 647, 176.0), (18, 362, 158.0)],
     ("proj", "alm"): [
@@ -79,16 +83,16 @@ PINNED = {
         (23, 247, 0.12067544002665154),
     ],
     ("proj", "seppg_plus"): [
-        (128, 861, 0.12067545821688966),
-        (128, 723, 0.12067544697831703),
-        (128, 667, 0.12067545252202842),
-        (128, 761, 0.12067544188759333),
+        (13, 16, 0.12067544002654884),
+        (11, 14, 0.12067544002654884),
+        (10, 13, 0.12067544002654884),
+        (11, 17, 0.12067544002654884),
     ],
     ("proj", "seppg_zero"): [
-        (153, 908, 0.12067545617826585),
-        (153, 925, 0.1206754401060334),
-        (153, 873, 0.1206754437566191),
-        (153, 887, 0.12067544516313318),
+        (30, 15, 0.12067544002654884),
+        (32, 18, 0.12067544002654884),
+        (32, 18, 0.12067544002654884),
+        (29, 12, 0.12067544002654884),
     ],
 }
 
@@ -100,6 +104,36 @@ def test_pinned_trajectories(kind, solver):
     assert row.failures == 0
     got = [(rec.outer_iters, rec.inner_iters, rec.f_rounded) for rec in row.records]
     assert got == PINNED[(kind, solver)]
+
+
+# start 0 of the penalty solvers' pinned runs with the exit's trigger off:
+# the loop runs on exactly as it did before the exit existed
+FULL_RUN_START0 = {
+    ("qap", "seppg_plus"): (60, 60, 152.0),
+    ("qap", "seppg_zero"): (74, 67, 152.0),
+    ("gm", "seppg_plus"): (185, 284, -10.926306909201417),
+    ("proj", "seppg_plus"): (128, 861, 0.12067545821688966),
+    ("proj", "seppg_zero"): (153, 908, 0.12067545617826585),
+}
+
+
+@pytest.mark.parametrize("kind,solver", sorted(FULL_RUN_START0))
+def test_certified_exit_rounds_no_worse_than_the_full_run(monkeypatch, kind, solver):
+    # with the trigger off the driver runs until ninf <= epsilon; the exit
+    # must stop earlier at the same permutation on square kinds, and at a
+    # point no worse after rounding on the tall projection
+    monkeypatch.setattr(driver, "_EXIT_NINF", -1.0)
+    spec = ExperimentSpec(kind=kind, name="pin", instance=TINY[kind](), solver=solver, num_starts=4, seed=3)
+    row = run_experiment(spec)
+    assert row.failures == 0
+    first = row.records[0]
+    assert (first.outer_iters, first.inner_iters, first.f_rounded) == FULL_RUN_START0[(kind, solver)]
+    for full, (outer, _, f_rounded) in zip(row.records, PINNED[(kind, solver)]):
+        assert outer < full.outer_iters
+        if kind == "proj":
+            assert f_rounded <= full.f_rounded
+        else:
+            assert f_rounded == full.f_rounded
 
 
 def test_later_subproblems_rarely_backtrack_on_their_first_step():
