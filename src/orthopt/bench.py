@@ -206,8 +206,10 @@ class ExperimentSpec:
 @dataclass
 class StartRecord:
     """Summary of one start; ``x_final`` stays in memory only. A failed start
-    keeps its result fields None. The solve's outer records and inner traces
-    are not kept: call ``penalty_solve`` or ``alm_solve`` for those."""
+    keeps its result fields None. ``certified_exit`` is the report's flag:
+    whether ``penalty_solve`` returned through its certified support exit
+    (never for ``alm``). The solve's outer records and inner traces are not
+    kept: call ``penalty_solve`` or ``alm_solve`` for those."""
 
     index: int
     seed: int
@@ -222,6 +224,7 @@ class StartRecord:
     stationarity: float | None = None
     outer_iters: int | None = None
     inner_iters: int | None = None
+    certified_exit: bool | None = None
     wall_time: float | None = None
     x_final: np.ndarray | None = None
 
@@ -306,6 +309,7 @@ def _run_start(spec: ExperimentSpec, index: int) -> StartRecord:
         stationarity=report.stationarity,
         outer_iters=report.outer_iters,
         inner_iters=report.inner_iters_total,
+        certified_exit=report.certified_exit,
         wall_time=report.wall_time,
         x_final=np.asarray(report.x_final.mat),
     )
@@ -432,6 +436,7 @@ _START_COLUMNS = (
     ("stationarity", "stationarity"),
     ("outer_iters", "outer_iters"),
     ("inner_iters", "inner_iters"),
+    ("certified_exit", "certified_exit"),
 )
 
 

@@ -489,11 +489,10 @@ class AugLagObjective(Objective):
         self._half_mu = 0.5 * self.mu
 
     def value(self, x: np.ndarray) -> float:
-        pv = penalty_terms(x - self._shift, 0.0)[0]
-        return self.f.value(x) + self._half_mu * pv - self._lam_term
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.f.gradient(x) + self._half_mu * penalty_terms(x - self._shift, 0.0)[1]
+        return self.value_and_gradient(x)[1]
 
     def parts(self, x: np.ndarray) -> tuple:
         """The record (x, f(x), grad f(x), p(x), grad p(x)); the f part is

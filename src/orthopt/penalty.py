@@ -41,7 +41,10 @@ def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
     [-gamma, 0] contribute x^2 / (2 gamma), entries below -gamma contribute
     -x - gamma/2, nonnegative entries contribute nothing; the gradient is
     (x - prox(x)) / gamma, entrywise in [-1, 0]. The envelope is C^1,
-    minorizes the violation, and shares its zero set.
+    minorizes the violation, and shares its zero set. It is the Huber
+    function of the negative part, computed in that form: with
+    c = min(max(x, -gamma), 0) the value is (<c, x> - <c, c> / 2) / gamma
+    and the gradient is c / gamma.
 
     ``gamma == 0``: the squared Frobenius distance to the cone,
     sum(min(x, 0)^2), with gradient 2 min(x, 0).
@@ -53,11 +56,11 @@ def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
     if gamma == 0:
         neg = np.minimum(x, 0.0)
         return float((neg**2).sum()), 2.0 * neg
-    grad = (x - prox_nonneg_violation(x, gamma)) / gamma
-    quad = x * x / (2.0 * gamma)
-    lin = -x - 0.5 * gamma
-    per_entry = np.where(x < -gamma, lin, np.where(x < 0.0, quad, 0.0))
-    return float(per_entry.sum()), grad
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    c = np.minimum(np.maximum(x, -gamma), 0.0)
+    cf = c.ravel()
+    return float((cf.dot(x.ravel()) - 0.5 * cf.dot(cf)) / gamma), c / gamma
 
 
 class Objective:
@@ -123,10 +126,10 @@ class PenaltyObjective(Objective):
         self.last = last
 
     def value(self, x: np.ndarray) -> float:
-        return self.f.value(x) + self.rho * penalty_terms(x, self.gamma)[0]
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.f.gradient(x) + self.rho * penalty_terms(x, self.gamma)[1]
+        return self.value_and_gradient(x)[1]
 
     def parts(self, x: np.ndarray) -> tuple:
         """The record (x, f(x), grad f(x), p(x), grad p(x)), reused from

@@ -179,6 +179,7 @@ def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
 def _line_search(
     xm: np.ndarray,
     g: np.ndarray,
+    egrad: np.ndarray,
     evaluate: Callable[[np.ndarray], tuple],
     t_init: float,
     window_max: float,
@@ -194,15 +195,18 @@ def _line_search(
     ``evaluate`` returns (value, gradient) at a trial matrix and is called
     once per trial; the accepted trial's gradient is handed back for reuse.
 
-    When the demanded decrease falls below the float resolution of the window
-    maximum and the trial value sits within rounding of it, no representable
-    progress exists at this scale: the search stalls (``mat`` is None, the
-    direction zero) instead of failing, so outer loops can recover (for
-    example by growing the penalty weight). A genuine persistent increase at
-    representable scales raises LineSearchError once the backtrack budget is
-    exhausted, and a non-finite trial point raises ValueError.
+    When the demanded decrease falls below the resolution of the test and
+    the trial value sits within a few resolutions of the window maximum, no
+    representable progress exists at this scale: the search stalls (``mat``
+    is None, the direction zero) instead of failing, so outer loops can
+    recover (for example by growing the penalty weight). The resolution is
+    eps * (1 + |window_max| + ||X||_F ||grad f(X)||_F): the float spacing
+    of the window maximum plus the value change that the retraction's
+    roundoff alone causes, with ``egrad`` the Euclidean gradient at xm. A
+    genuine persistent increase at representable scales raises
+    LineSearchError once the backtrack budget is exhausted, and a
+    non-finite trial point raises ValueError.
     """
-    resolution = _EPS * (1.0 + abs(window_max))
     t = float(t_init)
     for bt in range(cfg.max_backtracks + 1):
         v = -t * g
@@ -216,6 +220,8 @@ def _line_search(
         demand = (cfg.alpha / (2.0 * t)) * float((v * v).sum())
         if val <= window_max - demand:
             return _Trial(cand, t, v, val, grad, bt)
+        roundoff = frobenius_norm(xm) * frobenius_norm(egrad)
+        resolution = _EPS * (1.0 + abs(window_max) + roundoff)
         if demand <= resolution and val <= window_max + 4.0 * resolution:
             return _Trial(None, t, np.zeros_like(g), val, None, bt)
         t *= cfg.eta
@@ -293,15 +299,15 @@ def pgm_solve(
             )
         window_max = max(v for v, _ in window)
         try:
-            trial = _line_search(xm, rgrad, evaluate, t_init, window_max, cfg)
+            trial = _line_search(xm, rgrad, grad, evaluate, t_init, window_max, cfg)
         except LineSearchError as err:
             err.trace = trace
             raise
         prev_mat, prev_rgrad, prev_t = xm, rgrad, trial.step
         # a stalled step leaves the iterate, its value and its gradient unchanged
         if trial.mat is not None:
-            xm, val = trial.mat, trial.value
-            rgrad, gnorm = _projected_gradient(xm, trial.grad)
+            xm, val, grad = trial.mat, trial.value, trial.grad
+            rgrad, gnorm = _projected_gradient(xm, grad)
         trace.values.append(val)
         trace.grad_norms.append(gnorm)
         trace.step_sizes.append(trial.step)

@@ -129,14 +129,16 @@ class StiefelPoint:
 def proj_tangent(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Orthogonal projection of z onto the tangent space at an orthonormal mat.
 
-    Computes Z - (1/2) X (X^T Z + Z^T X), the projection induced by the trace
-    inner product. Idempotent, and the identity on tangent directions. Only
-    the shapes are checked: a mismatched z would otherwise broadcast.
+    Computes Z - (1/2) X (M + M^T) with M = X^T Z, the projection induced by
+    the trace inner product, from two products: Z^T X is the transpose of M,
+    so the inner matrix M + M^T is exactly symmetric. Idempotent, and the
+    identity on tangent directions. Only the shapes are checked: a
+    mismatched z would otherwise broadcast.
     """
     if z.shape != mat.shape:
         raise ValueError(f"shape mismatch: point {mat.shape}, input {z.shape}")
-    a = mat.T @ z + z.T @ mat
-    return z - 0.5 * (mat @ a)
+    m = mat.T @ z
+    return z - 0.5 * (mat @ (m + m.T))
 
 
 def dist_to_stiefel(mat) -> float | np.ndarray:

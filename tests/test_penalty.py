@@ -133,6 +133,39 @@ class TestEnvelope:
         assert env <= oracle + 1e-12  # grid only overestimates the true minimum
 
 
+def three_zone(x, gamma):
+    """The envelope's per-entry zones written out: value and gradient."""
+    value = np.where(x < -gamma, -x - 0.5 * gamma, np.where(x < 0.0, x * x / (2.0 * gamma), 0.0))
+    grad = np.where(x < -gamma, -1.0, np.where(x < 0.0, x / gamma, 0.0))
+    return float(value.sum()), grad
+
+
+@st.composite
+def _envelope_cases(draw):
+    """A gamma and entries from every zone: exactly -gamma, exactly 0 (of
+    either sign), inside (-gamma, 0), far below -gamma, and anywhere."""
+    gamma = draw(gammas)
+    entry = st.one_of(
+        st.just(-gamma),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-gamma, max_value=-1e-6).filter(lambda v: v < 0.0),
+        st.floats(min_value=-1e6, max_value=-10.0 * gamma),
+        coarse_floats,
+    )
+    return np.asarray(draw(st.lists(entry, min_size=1, max_size=12))), gamma
+
+
+@given(_envelope_cases())
+@settings(max_examples=300, deadline=None)
+def test_envelope_closed_form_matches_the_three_zones(case):
+    x, gamma = case
+    value, grad = penalty_terms(x, gamma)
+    ref_value, ref_grad = three_zone(x, gamma)
+    npt.assert_allclose(value, ref_value, rtol=1e-12, atol=0.0)
+    # exact: x / gamma on [-gamma, 0], -1 below, 0 above
+    npt.assert_array_equal(grad, ref_grad)
+
+
 class TestEnvelopeGradient:
     def test_zero_on_nonnegative(self):
         npt.assert_array_equal(

@@ -276,7 +276,7 @@ def test_non_finite_trial_point_is_named_before_evaluation():
 
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="^retracted trial point contains NaN or Inf entries$"):
-            _line_search(x, g, evaluate, 1e10, 1.0, PgmConfig())
+            _line_search(x, g, g, evaluate, 1e10, 1.0, PgmConfig())
 
 
 class TestPgmConfig:
@@ -316,29 +316,24 @@ def _stall_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_stall_cases())
-@example((4, 4, 2, 0))  # raises LineSearchError after 51 trials
+# a cancelling value: the retraction's roundoff moves it by more than the
+# float spacing of the window maximum, so the stall margin must cover both
+@example((4, 4, 2, 0))
 def test_stalled_steps_leave_value_and_iterate_unchanged(case):
     n, r, seed, memory = case
     g = np.random.default_rng([seed, 1]).standard_normal((n, r))
     obj = WrongSignLinear(g)
     x0 = random_stiefel_start(n, r, seed)
     cfg = PgmConfig(max_iters=5, memory=memory)
-    try:
-        x, trace = pgm_solve(obj, x0, cfg)
-        failed_search = 0
-    except LineSearchError as err:
-        # retraction roundoff can exceed the stall test's margin; the failed
-        # step's evaluations are not in the partial trace's backtracks
-        x, trace = x0, err.trace
-        failed_search = cfg.max_backtracks + 1
+    x, trace = pgm_solve(obj, x0, cfg)
 
-    assert trace.evaluations == 1 + sum(bt + 1 for bt in trace.backtracks) + failed_search
+    assert trace.evaluations == 1 + sum(bt + 1 for bt in trace.backtracks)
     assert obj.value(x.mat) <= trace.values[0]
     stalled = [k for k, v in enumerate(trace.v_norms) if v == 0.0]
     for k in stalled:
         assert trace.values[k + 1] == trace.values[k]
         assert trace.grad_norms[k + 1] == trace.grad_norms[k]
-    if not failed_search and trace.iterations and len(stalled) == trace.iterations:
+    if trace.iterations and len(stalled) == trace.iterations:
         assert x is x0
     if memory == 0:
         # a monotone run returns its current iterate, so a run cut after k

@@ -33,7 +33,58 @@ def random_instance(n, seed):
     return QapInstance(a=rng.random((n, n)), b=rng.random((n, n)))
 
 
+def symmetric_instance(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.random((n, n)), rng.random((n, n))
+    return QapInstance(a=a + a.T, b=b + b.T)
+
+
+def a_symmetric_instance(n, seed):
+    """A symmetric, B not: the general path."""
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n))
+    return QapInstance(a=a + a.T, b=rng.random((n, n)))
+
+
+def general_path(inst):
+    """A copy of inst whose objective takes the general (asymmetric) path."""
+    out = QapInstance(a=inst.a, b=inst.b)
+    object.__setattr__(out, "symmetric", False)
+    return out
+
+
 class TestQapLifted:
+    def test_symmetry_is_read_off_the_data(self):
+        assert symmetric_instance(5, 0).symmetric
+        assert not random_instance(5, 0).symmetric
+        assert not a_symmetric_instance(5, 0).symmetric
+        inst = symmetric_instance(5, 0)
+        assert not QapInstance(a=inst.b, b=random_instance(5, 1).b).symmetric
+
+    def test_symmetric_path_matches_general_path(self):
+        inst = symmetric_instance(7, 3)
+        fast = QapLiftedObjective(inst)
+        slow = QapLiftedObjective(general_path(inst))
+        rng = np.random.default_rng(4)
+        for seed in range(5):
+            for x in (random_stiefel_start(7, 7, seed).mat, rng.standard_normal((7, 7))):
+                val, grad = fast.value_and_gradient(x)
+                ref_val, ref_grad = slow.value_and_gradient(x)
+                npt.assert_allclose(val, ref_val, rtol=1e-12)
+                assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_integer_data_gives_the_exact_permutation_value(self, symmetric):
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 10, size=(12, 12)).astype(float)
+        b = rng.integers(0, 10, size=(12, 12)).astype(float)
+        inst = QapInstance(a=a + a.T, b=b + b.T) if symmetric else QapInstance(a=a, b=b)
+        assert inst.symmetric == symmetric
+        obj = QapLiftedObjective(inst)
+        for _ in range(20):
+            perm = rng.permutation(12)
+            assert obj.value(permutation_matrix(perm)) == qap_permutation_value(inst, perm)
+
     def test_agrees_with_classical_on_permutations(self):
         inst = random_instance(5, 0)
         obj = QapLiftedObjective(inst)
@@ -50,6 +101,13 @@ class TestQapLifted:
     def test_finite_difference(self, fd_check):
         inst = random_instance(4, 2)
         obj = QapLiftedObjective(inst)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            fd_check(obj, rng.standard_normal((4, 4)), tol=1e-6)
+
+    @pytest.mark.parametrize("make", [a_symmetric_instance, symmetric_instance])
+    def test_finite_difference_with_symmetric_data(self, fd_check, make):
+        obj = QapLiftedObjective(make(4, 2))
         rng = np.random.default_rng(3)
         for _ in range(5):
             fd_check(obj, rng.standard_normal((4, 4)), tol=1e-6)

@@ -63,6 +63,19 @@ class TestProjTangent:
         twice = proj_tangent(x.mat, once)
         assert np.linalg.norm(twice - once) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(3, 1), (6, 6), (20, 20), (600, 8)])
+    def test_inner_matrix_is_exactly_symmetric(self, shape):
+        # Z^T X is formed as the transpose of X^T Z, not by a third product
+        x = random_point(*shape, 11).mat
+        z = np.random.default_rng(12).standard_normal(shape)
+        m = x.T @ z
+        inner = m + m.T
+        npt.assert_array_equal(inner, inner.T)
+        once = proj_tangent(x, z)
+        npt.assert_array_equal(once, z - 0.5 * (x @ inner))
+        twice = proj_tangent(x, once)
+        assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(once)
+
     def test_output_is_tangent(self):
         x = random_point(7, 4, 7)
         z = np.random.default_rng(8).standard_normal((7, 4))

@@ -106,13 +106,25 @@ def test_pinned_trajectories(kind, solver):
     assert got == PINNED[(kind, solver)]
 
 
+@pytest.mark.parametrize("solver,starts,expected", [("seppg_plus", 4, "1"), ("seppg_zero", 4, "1"), ("alm", 1, "0")])
+def test_starts_csv_shows_the_certified_exit(tmp_path, solver, starts, expected):
+    spec = ExperimentSpec(kind="qap", name="pin", instance=tiny_qap(), solver=solver, num_starts=starts, seed=3)
+    row = run_experiment(spec, out_prefix=str(tmp_path / "run"))
+    assert [rec.certified_exit for rec in row.records] == [expected == "1"] * starts
+    header, *lines = (tmp_path / "run_starts.csv").read_text().splitlines()
+    names = header.split(",")
+    column = names.index("certified_exit")
+    assert names[column - 1] == "inner_iters"
+    assert [line.split(",")[column] for line in lines] == [expected] * starts
+
+
 # start 0 of the penalty solvers' pinned runs with the exit's trigger off:
 # the loop runs on exactly as it did before the exit existed
 FULL_RUN_START0 = {
     ("qap", "seppg_plus"): (60, 60, 152.0),
     ("qap", "seppg_zero"): (74, 67, 152.0),
     ("gm", "seppg_plus"): (185, 284, -10.926306909201417),
-    ("proj", "seppg_plus"): (128, 861, 0.12067545821688966),
+    ("proj", "seppg_plus"): (128, 992, 0.12067592454041909),
     ("proj", "seppg_zero"): (153, 908, 0.12067545617826585),
 }
 
