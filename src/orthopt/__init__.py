@@ -34,13 +34,11 @@ from .driver import (
 from .problems import (
     AffinityInstance,
     GraphMatchingObjective,
-    LinearObjective,
     OnmfFactorObjective,
     OnmfInstance,
     ProjectionObjective,
     QapInstance,
     QapLiftedObjective,
-    brute_force_qap,
     cluster_labels,
     onmf_alternate,
     onmf_y_update,
@@ -48,7 +46,6 @@ from .problems import (
     planted_onmf_instance,
     qap_permutation_value,
     random_stiefel_start,
-    svd_start,
 )
 from .diagnostics import (
     ErrorBoundSample,
@@ -59,10 +56,7 @@ from .diagnostics import (
     error_bound_constant,
     error_bound_sweep,
     evaluate_error_bound,
-    nonexactness_probe_objective,
-    nonexactness_probe_point,
     sosc_probe,
-    zero_row_family,
 )
 from .bench import (
     ExperimentSpec,

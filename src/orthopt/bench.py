@@ -63,6 +63,16 @@ def parse_qaplib(path) -> QapInstance:
         raise QaplibParseError(f"dimension must be positive, got {n}", first.start())
 
     need = 2 * n * n
+
+    def too_few(count: int) -> QaplibParseError:
+        return QaplibParseError(
+            f"expected {need + 1} tokens (1 + 2*{n}^2), found {count + 1}", len(data)
+        )
+
+    # k tokens take at least 2 k - 1 bytes: a file too short for its
+    # dimension is rejected before the values are allocated
+    if need > len(data) // 2:
+        raise too_few(sum(1 for _ in tokens))
     values = np.empty(need)
     count = 0
     for match in tokens:
@@ -77,9 +87,7 @@ def parse_qaplib(path) -> QapInstance:
             raise QaplibParseError(f"bad numeric token {match.group()!r}", match.start())
         count += 1
     if count < need:
-        raise QaplibParseError(
-            f"expected {need + 1} tokens (1 + 2*{n}^2), found {count + 1}", len(data)
-        )
+        raise too_few(count)
     a = values[: n * n].reshape(n, n)
     b = values[n * n :].reshape(n, n)
     return QapInstance(a=a, b=b)

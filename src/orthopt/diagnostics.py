@@ -3,8 +3,8 @@
 Provides the piecewise error-bound constant, an exhaustive projection oracle
 onto the nonnegative orthogonal set for small shapes (r^n full assignments,
 scored for a whole stack of samples at once), ball sweeps that test the
-error-bound inequality sample by sample, a sampled second-order sufficiency
-probe, and the closed-form probe families used by the tests.
+error-bound inequality sample by sample, and a sampled second-order
+sufficiency probe.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .stiefel import (
     dist_to_stiefel,
     proj_tangent,
 )
-from .problems import LinearObjective
 
 _ORACLE_PATTERN_CAP = 1_000_000
 # sosc_probe's stationarity precondition and tangent-cone tolerance
@@ -291,52 +290,6 @@ def sosc_probe(
         min_form=float(forms.min()) if forms.size else None,
         forms=forms,
     )
-
-
-def nonexactness_probe_point(k: int) -> StiefelPoint:
-    """Orthonormal 3 x 2 point with nonnegativity violation exactly 1/k^2.
-
-    Along k the points converge to the feasible optimum of the bundled linear
-    objective while the objective gap shrinks only like 1/k, so no fixed
-    weight on the l1 violation can dominate the gap: the probe family behind
-    the non-exactness tests.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    c = np.sqrt(1.0 - 1.0 / k**2)
-    mat = np.array(
-        [
-            [c, -1.0 / k**2],
-            [0.0, c],
-            [1.0 / k, c / k],
-        ]
-    )
-    return StiefelPoint(mat)
-
-
-def nonexactness_probe_objective() -> tuple[Objective, float]:
-    """Linear objective paired with nonexactness_probe_point.
-
-    Returns the objective and its constrained optimal value -4, attained at
-    rows (1, 0), (0, 1), (0, 0).
-    """
-    coeff = np.array([[-2.0, 0.0], [0.0, -2.0], [-1.0, -1.0]])
-    return LinearObjective(coeff), -4.0
-
-
-def zero_row_family(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Base point with a zero row and a nearby probe breaking the error bound.
-
-    Returns (xbar, xk) in shape (3, 2): xbar is feasible with third row zero;
-    xk puts 1/k in both entries of that row. The distance of xk to the
-    feasible set is at least 1/k while its cone and manifold distances are of
-    order 1/k^2, so the bound fails for large k at any fixed constant.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    xbar = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    xk = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 / k, 1.0 / k]])
-    return xbar, xk
 
 
 def default_base_point(n: int, r: int) -> StiefelPoint:

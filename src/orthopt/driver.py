@@ -488,11 +488,8 @@ class AugLagObjective(Objective):
         self._lam_term = float(np.sum(self.lam * self.lam)) / (2.0 * self.mu)
         self._half_mu = 0.5 * self.mu
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_gradient(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+    # perfbench/tracer.py wraps these in the class's own namespace
+    value, gradient = Objective.value, Objective.gradient
 
     def parts(self, x: np.ndarray) -> tuple:
         """The record (x, f(x), grad f(x), p(x), grad p(x)); the f part is
@@ -562,6 +559,10 @@ def alm_solve(
 ZERO_TOL = 1e-8
 # largest nonnegativity violation stationarity_residual accepts
 _FEAS_TOL = 5e-6
+# the active-set least squares takes at most this many steps, each with a
+# line search of _BISECTIONS halvings of its bracket
+_ACTIVE_SET_STEPS = 100
+_BISECTIONS = 60
 
 
 def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
@@ -573,9 +574,9 @@ def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
     x below ``ZERO_TOL`` count as zero. At a point whose entries are exact
     zeros outside at most one entry of at least ``ZERO_TOL`` per row (such as
     a permutation matrix or a rounded point), the minimum has a closed form.
-    Elsewhere it is a small convex least-squares over the constrained entries
-    of G, solved by projected gradient with the exact step 1/L in at most 5000
-    steps.
+    Elsewhere an active-set least squares over the symmetric multiplier of
+    the orthogonality constraint computes it (``_active_set``), exactly
+    unless a support entry lies within a few times ``ZERO_TOL``.
 
     Raises:
         ValueError: if the nonnegativity violation of x exceeds 5e-6, or the
@@ -592,12 +593,8 @@ def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
 def _stationarity(xm: np.ndarray, g: np.ndarray) -> float:
     """``stationarity_residual`` at the nonnegative point xm with gradient g."""
     zero_mask = xm < ZERO_TOL
-
-    def tangent(w: np.ndarray) -> np.ndarray:
-        return proj_tangent(xm, w)
-
     if not np.any(zero_mask):
-        return float(np.linalg.norm(tangent(g)))
+        return float(np.linalg.norm(proj_tangent(xm, g)))
 
     support = ~zero_mask
     if np.all(support.sum(axis=1) <= 1) and not np.any(xm[zero_mask]):
@@ -611,20 +608,75 @@ def _stationarity(xm: np.ndarray, g: np.ndarray) -> float:
         on -= xm * ((on * xm).sum(axis=0) / (xm * xm).sum(axis=0))
         off = np.minimum(g[~support.any(axis=1)], 0.0)
         return math.sqrt(float((on * on).sum() + (off * off).sum()))
+    return _active_set(xm, g, zero_mask)
 
-    G = np.zeros_like(xm)
-    h_prev = np.inf
-    for _ in range(5000):
-        resid = tangent(g + G)
-        # objective h(G) = ||resid||^2, gradient 2*resid on the free entries,
-        # Lipschitz constant 2 -> exact projected-gradient step of length 1/2
-        G_new = np.where(zero_mask, np.minimum(0.0, G - resid), 0.0)
-        h = float(np.sum(resid * resid))
-        if np.max(np.abs(G_new - G)) <= 1e-14 * (1.0 + np.max(np.abs(G))):
-            G = G_new
+
+def _active_set(xm: np.ndarray, g: np.ndarray, zero_mask: np.ndarray) -> float:
+    """The residual min ||Proj_tangent(g + G)|| over G <= 0 on zero_mask and
+    G = 0 elsewhere, by least squares over the symmetric multiplier S.
+
+    With the optimal G for a given S, the squared residual is
+    h(S) = sum of (g - X S)^2 off the zero set plus sum of min(g - X S, 0)^2
+    on it, a convex piecewise quadratic in the r (r + 1) / 2 entries of S.
+    From S = sym(X^T g), the projected gradient's multiplier, each step
+    solves the least squares whose rows are the entries off the zero set
+    and the zero-set entries where g - X S is negative, and moves toward its
+    solution to the minimum of h along the segment, found by bisection on
+    the slope. It stops when the set of those rows repeats; S then
+    minimizes h. A step that cannot lower h is blocked by zero-set entries
+    that the move would turn negative at once: they join the rows for one
+    more step, and a second such step in a row stops the loop.
+
+    The multipliers grow like 1 / (smallest support entry), so at points
+    with a support entry within a few times ``ZERO_TOL`` the least squares
+    is ill-conditioned and the result can stay above the minimum.
+    """
+    r = xm.shape[1]
+    iu, ju = np.triu_indices(r)
+    units = np.zeros((iu.size, r, r))
+    units[np.arange(iu.size), iu, ju] = 1.0
+    units[np.arange(iu.size), ju, iu] = 1.0
+    # column q holds vec(X E_q) for the q-th symmetric unit matrix E_q
+    design = (xm @ units).reshape(iu.size, -1).T
+    gv, zero = g.ravel(), zero_mask.ravel()
+
+    def clipped(raw: np.ndarray) -> np.ndarray:
+        return np.where(zero, np.minimum(raw, 0.0), raw)
+
+    m = xm.T @ g
+    s = 0.5 * (m + m.T)[iu, ju]
+    raw = gv - design @ s
+    res = clipped(raw)
+    h = float(res @ res)
+    active = zero & (raw < 0.0)
+    stalled = False
+    for _ in range(_ACTIVE_SET_STEPS):
+        rows = ~zero | active
+        step = np.linalg.lstsq(design[rows], raw[rows], rcond=None)[0]
+        dv = design @ step
+        # h(s + t step) is convex in t with slope -2 <dv, clipped(raw - t dv)>;
+        # [lo, hi] brackets its minimum over [0, 1]
+        lo = hi = 1.0
+        if dv @ clipped(raw - dv) < 0.0:
+            lo = 0.0
+            for _ in range(_BISECTIONS):
+                mid = 0.5 * (lo + hi)
+                if dv @ clipped(raw - mid * dv) < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+        blocking = zero & (raw - hi * dv < 0.0)
+        s = s + lo * step
+        raw = gv - design @ s
+        res = clipped(raw)
+        h, h_prev = float(res @ res), h
+        if h < h_prev:
+            now, stalled = zero & (raw < 0.0), False
+        elif stalled:
             break
-        if abs(h_prev - h) <= 1e-18 * (1.0 + h):
-            G = G_new
+        else:
+            now, stalled = active | blocking, True
+        if np.array_equal(now, active):
             break
-        G, h_prev = G_new, h
-    return float(np.linalg.norm(tangent(g + G)))
+        active = now
+    return math.sqrt(h)

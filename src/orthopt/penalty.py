@@ -66,25 +66,33 @@ def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
 class Objective:
     """A smooth objective over n x r matrices: value plus Euclidean gradient.
 
-    The solvers evaluate through ``value_and_gradient``. Lipschitz constants
-    are never required; the solvers use line searches instead.
-    ``hessian_vec`` defaults to a forward difference of the gradient and is
-    consumed only by diagnostics; subclasses override it where an exact form
-    is cheap.
+    A subclass defines ``value_and_gradient``, and ``value`` and
+    ``gradient`` are its parts; or it defines ``value`` and ``gradient``, and
+    ``value_and_gradient`` pairs them. A subclass that defines neither raises
+    TypeError when it is created. The solvers evaluate through
+    ``value_and_gradient``. Lipschitz constants are never required; the
+    solvers use line searches instead. ``hessian_vec`` defaults to a forward
+    difference of the gradient and is consumed only by diagnostics;
+    subclasses override it where an exact form is cheap.
     """
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.value_and_gradient is Objective.value_and_gradient and (
+            cls.value is Objective.value or cls.gradient is Objective.gradient
+        ):
+            raise TypeError(
+                f"{cls.__name__} must define value_and_gradient, or value and gradient"
+            )
+
     def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and gradient at one point; the solvers' only evaluation call.
-
-        Delegates to ``value`` and ``gradient``. Override it to share work
-        between the two, with the same floating-point expressions as they use.
-        """
+        """Value and gradient at one point; the solvers' only evaluation call."""
         return self.value(x), self.gradient(x)
 
     def hessian_vec(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -125,11 +133,8 @@ class PenaltyObjective(Objective):
         self.gamma = gamma
         self.last = last
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_gradient(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+    # perfbench/tracer.py wraps these in the class's own namespace
+    value, gradient = Objective.value, Objective.gradient
 
     def parts(self, x: np.ndarray) -> tuple:
         """The record (x, f(x), grad f(x), p(x), grad p(x)), reused from

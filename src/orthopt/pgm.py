@@ -124,17 +124,6 @@ class PgmTrace:
     def iterations(self) -> int:
         return len(self.step_sizes)
 
-    def window_max_values(self) -> list:
-        """Running maximum of the trailing memory + 1 objective values.
-
-        This sequence is nonincreasing for any run produced by the iteration.
-        """
-        out = []
-        for k in range(len(self.values)):
-            lo = max(0, k - self.memory)
-            out.append(max(self.values[lo : k + 1]))
-        return out
-
 
 def _bb_stepsize(
     dx: np.ndarray, dy: np.ndarray, t_min: float, t_max: float, fallback: float

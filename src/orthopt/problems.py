@@ -8,17 +8,14 @@ Instances are immutable and objective evaluations are pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import PenaltyConfig, penalty_solve, round_to_feasible
+from .driver import PenaltyConfig, penalty_solve
 from .penalty import Objective
 from .stiefel import StiefelPoint, check_matrix, qr_orthonormalize
 
-# largest n that brute_force_qap enumerates (n! permutations)
-_BRUTE_FORCE_MAX_N = 9
 # onmf_alternate stops once the residual's relative change is at most this
 _ONMF_REL_TOL = 1e-6
 
@@ -69,11 +66,8 @@ class QapLiftedObjective(Objective):
     def __init__(self, inst: QapInstance):
         self.inst = inst
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_gradient(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+    # perfbench/tracer.py wraps these in the class's own namespace
+    value, gradient = Objective.value, Objective.gradient
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         inst = self.inst
@@ -89,19 +83,6 @@ def qap_permutation_value(inst: QapInstance, perm) -> float:
     """Classical assignment objective sum_ij A_ij B_{p(i) p(j)}."""
     perm = np.asarray(perm, dtype=int)
     return float(np.sum(inst.a * inst.b[np.ix_(perm, perm)]))
-
-
-def brute_force_qap(inst: QapInstance) -> tuple[float, np.ndarray]:
-    """Exhaustive minimum of the assignment objective over all permutations."""
-    n = inst.n
-    if n > _BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {_BRUTE_FORCE_MAX_N}, got {n}")
-    best_val, best_perm = np.inf, None
-    for perm in itertools.permutations(range(n)):
-        val = qap_permutation_value(inst, perm)
-        if val < best_val:
-            best_val, best_perm = val, perm
-    return float(best_val), np.asarray(best_perm, dtype=int)
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -137,18 +118,14 @@ class GraphMatchingObjective(Objective):
     """Maximize vec(X)^T K vec(X), implemented as its negation for minimizers.
 
     vec stacks columns. With K symmetric the gradient is -2 unvec(K vec(X)).
-    ``value`` and ``gradient`` are the parts of ``value_and_gradient``: both
-    need the product K vec(X), which dominates the cost.
+    Value and gradient share the product K vec(X), which dominates the cost.
     """
 
     def __init__(self, inst: AffinityInstance):
         self.inst = inst
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_gradient(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+    # perfbench/tracer.py wraps these in the class's own namespace
+    value, gradient = Objective.value, Objective.gradient
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         v = x.reshape(-1, order="F")
@@ -162,11 +139,8 @@ class ProjectionObjective(Objective):
     def __init__(self, target):
         self.target = check_matrix(target, "target")
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_gradient(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+    # perfbench/tracer.py wraps these in the class's own namespace
+    value, gradient = Objective.value, Objective.gradient
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         d = x - self.target
@@ -174,22 +148,6 @@ class ProjectionObjective(Objective):
 
     def hessian_vec(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         return 2.0 * np.asarray(h, dtype=float)
-
-
-class LinearObjective(Objective):
-    """<G, X> for a fixed coefficient matrix G."""
-
-    def __init__(self, coeff):
-        self.coeff = check_matrix(coeff, "coeff")
-
-    def value(self, x: np.ndarray) -> float:
-        return float(np.sum(self.coeff * x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.coeff.copy()
-
-    def hessian_vec(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return np.zeros_like(self.coeff)
 
 
 @dataclass(frozen=True)
@@ -211,21 +169,12 @@ class OnmfInstance:
 
 
 class OnmfFactorObjective(Objective):
-    """||A - X Y^T||_F^2 in X for a fixed nonnegative factor Y.
-
-    ``value`` and ``gradient`` are the parts of ``value_and_gradient``, which
-    forms the product X Y^T once for both.
-    """
+    """||A - X Y^T||_F^2 in X for a fixed nonnegative factor Y; value and
+    gradient share the product X Y^T."""
 
     def __init__(self, a: np.ndarray, y: np.ndarray):
         self.a = np.asarray(a, dtype=float)
         self.y = np.asarray(y, dtype=float)
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_gradient(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         xy = x @ self.y.T
@@ -295,16 +244,6 @@ def random_stiefel_start(n: int, r: int, seed: int) -> StiefelPoint:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     return StiefelPoint(qr_orthonormalize(rng.standard_normal((n, r))))
-
-
-def svd_start(a: np.ndarray, r: int) -> StiefelPoint:
-    """Feasible start from the dominant left singular subspace.
-
-    Rounds the entrywise absolute value of the top-r left singular vectors
-    onto the nonnegative orthogonal set.
-    """
-    u, _, _ = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
-    return round_to_feasible(np.abs(u[:, :r]))
 
 
 def planted_onmf_instance(

@@ -18,9 +18,6 @@ from orthopt.diagnostics import (
     error_bound_constant,
     error_bound_sweep,
     evaluate_error_bound,
-    nonexactness_probe_objective,
-    nonexactness_probe_point,
-    zero_row_family,
 )
 from orthopt.driver import (
     PenaltyConfig,
@@ -42,16 +39,22 @@ from orthopt.problems import (
     ProjectionObjective,
     QapInstance,
     QapLiftedObjective,
-    brute_force_qap,
     cluster_labels,
     onmf_alternate,
     planted_onmf_instance,
     random_stiefel_start,
-    svd_start,
 )
 from orthopt.stiefel import StiefelPoint, qr_orthonormalize
 
 from conftest import central_difference_gradient
+from helpers import (
+    brute_force_qap,
+    nonexactness_probe_objective,
+    nonexactness_probe_point,
+    svd_start,
+    window_max_values,
+    zero_row_family,
+)
 
 
 @contextmanager
@@ -275,7 +278,7 @@ def test_criterion_8_nonmonotone_solver_invariants(projection_runs, qap_campaign
         ]
         assert traces
         for tr in traces:
-            wmax = tr.window_max_values()
+            wmax = window_max_values(tr)
             assert all(b <= a + 1e-12 for a, b in zip(wmax, wmax[1:]))
             if tr.converged and tr.iterations > 0:
                 assert tr.v_norms[-1] <= 1e12 * tr.grad_tol

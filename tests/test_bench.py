@@ -25,7 +25,9 @@ from orthopt.cli import main
 from orthopt.driver import PenaltyConfig
 from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
 from orthopt.penalty import nonneg_violation
-from orthopt.problems import ProjectionObjective, QapInstance, brute_force_qap
+from orthopt.problems import ProjectionObjective, QapInstance
+
+from helpers import brute_force_qap
 
 SMALL_QAP = "2\n0 1\n1 0\n0 2\n2 0\n"
 
@@ -75,6 +77,17 @@ class TestParseQaplib:
         path.write_text("2\n0 1\n1 0\n0 2\n")  # one row of B missing
         with pytest.raises(QaplibParseError, match=r"expected 9 tokens"):
             parse_qaplib(path)
+
+    @pytest.mark.parametrize("n", [100000, 1000000000])
+    def test_impossible_dimension_rejected_before_allocating(self, tmp_path, n):
+        # 2 n^2 values cannot fit in a 10-byte file; allocating them would
+        # need 149 GiB (MemoryError) or more than numpy allows (ValueError)
+        path = tmp_path / "huge.dat"
+        path.write_text(f"{n}\n1 2 3\n")
+        expected = rf"expected {2 * n * n + 1} tokens \(1 \+ 2\*{n}\^2\), found 4"
+        with pytest.raises(QaplibParseError, match=expected) as exc:
+            parse_qaplib(path)
+        assert exc.value.offset == path.stat().st_size
 
     def test_extra_tokens_rejected(self, tmp_path):
         path = tmp_path / "long.dat"

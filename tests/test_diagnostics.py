@@ -13,14 +13,18 @@ from orthopt.diagnostics import (
     error_bound_constant,
     error_bound_sweep,
     evaluate_error_bound,
-    nonexactness_probe_objective,
-    nonexactness_probe_point,
     sosc_probe,
-    zero_row_family,
 )
 from orthopt.penalty import nonneg_violation
-from orthopt.problems import LinearObjective, ProjectionObjective
+from orthopt.problems import ProjectionObjective
 from orthopt.stiefel import RetractionError, StiefelPoint, proj_tangent
+
+from helpers import (
+    LinearObjective,
+    nonexactness_probe_objective,
+    nonexactness_probe_point,
+    zero_row_family,
+)
 
 
 def polar_orthonormalize(mat: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from orthopt.penalty import PenaltyObjective
 from orthopt.pgm import PgmConfig, PgmTrace
 from orthopt.problems import (
     GraphMatchingObjective,
-    LinearObjective,
     OnmfFactorObjective,
     ProjectionObjective,
     QapLiftedObjective,
@@ -40,6 +39,7 @@ from orthopt.stiefel import (
     proj_tangent,
     qr_orthonormalize,
 )
+from helpers import DATA, LinearObjective
 from test_trajectories import TINY, tiny_qap
 
 
@@ -365,6 +365,17 @@ class TestStationarityResidual:
         g = np.where(c.mat > 0, 0.0, 1.0)  # positive on the zero pattern
         f = LinearObjective(g)
         assert stationarity_residual(f, c) <= 1e-8
+
+    def test_exact_at_a_near_feasible_point_with_shared_rows(self):
+        # an ONMF iterate in which three rows keep several entries above
+        # ZERO_TOL, so the active-set least squares runs, with one step
+        # blocked at the kink; the reference is scipy's lsq_linear (bvls) on
+        # the G-form of the residual
+        data = np.loadtxt(DATA / "onmf_near_feasible.txt")
+        x, g = StiefelPoint(data[:, :4]), data[:, 4:]
+        assert np.sum(np.sum(x.mat >= driver.ZERO_TOL, axis=1) > 1) == 3
+        resid = stationarity_residual(LinearObjective(g), x)
+        npt.assert_allclose(resid, 6.473359547e-05, rtol=1e-7)
 
 
 class TestPenaltyConfig:

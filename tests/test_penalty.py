@@ -1,4 +1,5 @@
-"""Penalty terms: closed forms, gradients, and envelope properties.
+"""Penalty terms: closed forms, gradients, and envelope properties; the
+evaluation contract of ``Objective``.
 
 Both penalties are read through the one kernel, ``penalty_terms``: index 0
 is the value and index 1 the gradient.
@@ -10,13 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthopt
+from orthopt.driver import AugLagObjective
 from orthopt.penalty import (
+    Objective,
     PenaltyObjective,
     nonneg_violation,
     penalty_terms,
     prox_nonneg_violation,
 )
-from orthopt.problems import ProjectionObjective
+from orthopt.problems import (
+    GraphMatchingObjective,
+    OnmfFactorObjective,
+    ProjectionObjective,
+    QapLiftedObjective,
+)
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # magnitudes bounded away from the subnormal range: squaring must not underflow
@@ -261,3 +270,55 @@ class TestCompositePenalty:
             PenaltyObjective(f, -1.0, 0.05)
         with pytest.raises(ValueError):
             PenaltyObjective(f, 1.0, -0.1)
+
+
+class TestObjectiveContract:
+    def test_subclass_defining_only_value_is_rejected_at_creation(self):
+        with pytest.raises(TypeError, match="value_and_gradient, or value and gradient"):
+
+            class OnlyValue(Objective):
+                def value(self, x):
+                    return 0.0
+
+    def test_value_and_gradient_alone_gives_value_and_gradient(self):
+        class Fused(Objective):
+            def value_and_gradient(self, x):
+                return float(np.sum(x)), 2.0 * x
+
+        x = np.arange(6.0).reshape(3, 2)
+        assert Fused().value(x) == 15.0
+        npt.assert_array_equal(Fused().gradient(x), 2.0 * x)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            QapLiftedObjective,
+            GraphMatchingObjective,
+            ProjectionObjective,
+            OnmfFactorObjective,
+            PenaltyObjective,
+            AugLagObjective,
+        ],
+    )
+    def test_builtin_objectives_define_only_value_and_gradient(self, cls):
+        assert "value_and_gradient" in vars(cls)
+        # the tracer-patched classes bind the base's methods in their namespace
+        assert cls.value is Objective.value
+        assert cls.gradient is Objective.gradient
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "brute_force_qap",
+        "svd_start",
+        "LinearObjective",
+        "nonexactness_probe_point",
+        "nonexactness_probe_objective",
+        "zero_row_family",
+        "window_max_values",
+    ],
+)
+def test_test_only_symbols_left_the_package(name):
+    for owner in (orthopt, orthopt.problems, orthopt.diagnostics, orthopt.PgmTrace):
+        assert not hasattr(owner, name)

@@ -5,7 +5,12 @@ and not only in the benchmark's own smoke run."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from orthopt.bench import ExperimentSpec, run_experiment
+from orthopt.driver import AugLagObjective
+from orthopt.penalty import Objective, PenaltyObjective
+from orthopt.problems import GraphMatchingObjective, ProjectionObjective, QapLiftedObjective
 from test_trajectories import tiny_qap
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -37,3 +42,25 @@ def test_tracer_patches_every_attribute_and_restores_it():
     assert metrics["stiefel.qr_calls"] > metrics["pgm.inner_iters"] > 0
     assert metrics["stiefel.proj_tangent_s"] > 0.0
     assert metrics["problems.value_calls"] == 1  # the rounded start's value
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [
+        QapLiftedObjective,
+        GraphMatchingObjective,
+        ProjectionObjective,
+        PenaltyObjective,
+        AugLagObjective,
+    ],
+)
+def test_tracer_wraps_and_restores_the_objective_methods(cls):
+    # the five classes keep value and gradient in their own namespace, bound
+    # to the base class's methods, so the tracer can replace them there
+    with _load_tracer().Tracer() as tracer:
+        patched = {(owner, attr) for owner, attr, _ in tracer._patches}
+        assert {(cls, "value"), (cls, "gradient")} <= patched
+        assert cls.value is not Objective.value
+        assert cls.gradient is not Objective.gradient
+    assert cls.__dict__["value"] is Objective.value
+    assert cls.__dict__["gradient"] is Objective.gradient

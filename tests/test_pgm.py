@@ -11,6 +11,8 @@ from orthopt.pgm import LineSearchError, PgmConfig, _bb_stepsize, _line_search, 
 from orthopt.problems import ProjectionObjective, random_stiefel_start
 from orthopt.stiefel import StiefelPoint, orthogonality_residual
 
+from helpers import window_max_values
+
 
 class TestBbStepsize:
     def test_equal_differences_give_one(self):
@@ -47,7 +49,7 @@ class TestPgmStep:
         cfg = PgmConfig()
         _, trace = pgm_solve(obj, x, cfg)
         assert trace.iterations > 0
-        wmax = trace.window_max_values()
+        wmax = window_max_values(trace)
         for k in range(trace.iterations):
             bound = wmax[k] - cfg.alpha / (2.0 * trace.step_sizes[k]) * trace.v_norms[k] ** 2
             assert trace.values[k + 1] <= bound
@@ -125,7 +127,7 @@ class TestPgmSolve:
         obj = ProjectionObjective(np.eye(6)[:, :3])
         x0 = random_stiefel_start(6, 3, 7)
         _, trace = pgm_solve(obj, x0, PgmConfig(grad_tol=1e-8, memory=5))
-        wmax = trace.window_max_values()
+        wmax = window_max_values(trace)
         assert all(b <= a + 1e-15 for a, b in zip(wmax, wmax[1:]))
 
     def test_no_value_exceeds_start(self):

@@ -8,13 +8,11 @@ from orthopt.driver import PenaltyConfig
 from orthopt.problems import (
     AffinityInstance,
     GraphMatchingObjective,
-    LinearObjective,
     OnmfFactorObjective,
     OnmfInstance,
     ProjectionObjective,
     QapInstance,
     QapLiftedObjective,
-    brute_force_qap,
     cluster_labels,
     onmf_alternate,
     onmf_y_update,
@@ -22,10 +20,11 @@ from orthopt.problems import (
     planted_onmf_instance,
     qap_permutation_value,
     random_stiefel_start,
-    svd_start,
 )
 from orthopt.bench import clustering_metrics, default_config
 from orthopt.penalty import nonneg_violation
+
+from helpers import LinearObjective, brute_force_qap, svd_start
 
 
 def random_instance(n, seed):
