@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import math
 import os
 import re
 import statistics
@@ -207,6 +208,8 @@ class ExperimentSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.best_known is not None and not math.isfinite(self.best_known):
+            raise ValueError(f"best_known must be finite, got {self.best_known}")
         if self.best_known == 0:
             raise ValueError("best_known must be nonzero: relative gaps divide by it")
 

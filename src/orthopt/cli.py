@@ -25,7 +25,7 @@ from .problems import (
     onmf_alternate,
     random_stiefel_start,
 )
-from .stiefel import StiefelPoint
+from .stiefel import StiefelPoint, check_matrix
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -131,7 +131,7 @@ def _cmd_gm(args) -> int:
 
 
 def _cmd_proj(args) -> int:
-    c = bench.load_dense_matrix(args.instance)
+    c = check_matrix(bench.load_dense_matrix(args.instance), "projection target")
     return _run_spec(args, "proj", Path(args.instance).stem, c)
 
 

@@ -207,7 +207,7 @@ def _last_accepted_step(inner_traces: list) -> float | None:
     """Step size of the latest accepted inner step over the traces, or None.
 
     Subproblems that took no step are skipped. A stalled step is never
-    returned: it records a zero direction, and its step size is only where
+    returned: it records ||V|| as 0, and its step size is only where
     backtracking ended.
     """
     for tr in reversed(inner_traces):
@@ -249,16 +249,6 @@ def _solve_subproblem(
     if not tr.converged:
         flags.append(f"inner_tolerance_not_met@outer={outer}")
     return x, True
-
-
-def _parts_at(obj: Objective, x: StiefelPoint) -> tuple:
-    """The parts of obj at x, keyed by x's array: obj's last record when it
-    was taken at the same bits (pgm_solve certifies a copy of its iterate),
-    else a new evaluation."""
-    last = obj.last
-    if last[0] is not x.mat and last[0].tobytes() == x.mat.tobytes():
-        obj.last = (x.mat, *last[1:])
-    return obj.parts(x.mat)
 
 
 def _report(
@@ -378,8 +368,10 @@ def penalty_solve(
     together: the parts (f, grad f, p, grad p) of each subproblem's last
     evaluation at its solution, or of a winning sign-flip candidate, give the
     penalized values at both weights, the next subproblem's first evaluation
-    and the report, each combined as f + rho * p. The certified exit
-    evaluates f at its candidate points only.
+    and the report, each combined as f + rho * p. The solution's record is
+    found by identity: ``pgm_solve`` returns the array it evaluated there,
+    which ``StiefelPoint`` adopts. The certified exit evaluates f at its
+    candidate points only.
     """
     if cfg is None:
         cfg = PenaltyConfig()
@@ -408,7 +400,7 @@ def penalty_solve(
             pobj.last = start
             break
 
-        start = _parts_at(pobj, x)
+        start = pobj.parts(x.mat)
         _, f_val, _, pen, _ = start
         # the same float sums as pobj.value(x.mat)
         theta_x = f_val + rho * pen
@@ -527,7 +519,7 @@ def alm_solve(
 
     lam = np.zeros(x0.shape)
     start = (x0.mat, *f.value_and_gradient(x0.mat))
-    mu = cfg.rho0 if cfg.rho0 is not None else _initial_rho(start[1], x0, cfg)
+    mu = _initial_rho(start[1], x0, cfg)
     x = x0
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
@@ -540,7 +532,7 @@ def alm_solve(
         if not ok:
             obj.last = start
             break
-        start = _parts_at(obj, x)
+        start = obj.parts(x.mat)
         ninf = nonneg_violation(x.mat)
         records.append(
             OuterRecord(rho=mu, tau=cfg.pgm.grad_tol, ninf=ninf, f_value=start[1])

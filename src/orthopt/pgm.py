@@ -5,9 +5,10 @@ manifold. The trial step size starts from a Barzilai-Borwein estimate (the
 first from a caller-supplied step or 1 / ||grad||) and is shrunk
 geometrically until the new value drops below the maximum objective
 over a sliding window of past iterates minus a sufficient-decrease margin.
-With window memory zero the method is strictly monotone. The loop works on
-raw arrays, evaluates each trial point once, and certifies only the returned
-point as a ``StiefelPoint``.
+With window memory zero the method is strictly monotone. One loop in
+``pgm_solve`` runs the iteration and its line search on raw arrays and
+evaluates each trial point once; only the returned point is certified as a
+``StiefelPoint``, which adopts the solver's own read-only array of it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -103,7 +103,8 @@ class PgmTrace:
     """Per-iteration record of a solve.
 
     ``values`` and ``grad_norms`` cover every iterate including the start;
-    the remaining lists have one entry per accepted step. ``evaluations``
+    the remaining lists have one entry per step, with ``v_norms`` 0.0 for a
+    stalled step. ``evaluations``
     counts the objective evaluations (``value_and_gradient`` calls) of the
     solve: one at the start and one per trial point. The start is counted
     even when the objective answers it from a record handed in by an outer
@@ -144,17 +145,6 @@ def _bb_stepsize(
     return float(min(max(t, t_min), t_max))
 
 
-class _Trial(NamedTuple):
-    """Outcome of the array-level line search; ``mat`` is None on a stall."""
-
-    mat: np.ndarray | None
-    step: float
-    direction: np.ndarray
-    value: float
-    grad: np.ndarray | None
-    backtracks: int
-
-
 def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
     """Tangent projection of grad at xm and its norm; a non-finite gradient
     raises ValueError (its norm is then non-finite, so finite runs skip the scan)."""
@@ -163,60 +153,6 @@ def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
     if not math.isfinite(gnorm):
         check_matrix(grad, "gradient")
     return rgrad, gnorm
-
-
-def _line_search(
-    xm: np.ndarray,
-    g: np.ndarray,
-    egrad: np.ndarray,
-    evaluate: Callable[[np.ndarray], tuple],
-    t_init: float,
-    window_max: float,
-    cfg: PgmConfig,
-) -> _Trial:
-    """One retraction step with nonmonotone backtracking, on raw arrays.
-
-    Sets V = -t * g for the projected gradient g at xm and retracts by QR,
-    multiplying t by eta until
-
-        value(X+) <= window_max - alpha / (2 t) * ||V||^2
-
-    ``evaluate`` returns (value, gradient) at a trial matrix and is called
-    once per trial; the accepted trial's gradient is handed back for reuse.
-
-    When the demanded decrease falls below the resolution of the test and
-    the trial value sits within a few resolutions of the window maximum, no
-    representable progress exists at this scale: the search stalls (``mat``
-    is None, the direction zero) instead of failing, so outer loops can
-    recover (for example by growing the penalty weight). The resolution is
-    eps * (1 + |window_max| + ||X||_F ||grad f(X)||_F): the float spacing
-    of the window maximum plus the value change that the retraction's
-    roundoff alone causes, with ``egrad`` the Euclidean gradient at xm. A
-    genuine persistent increase at representable scales raises
-    LineSearchError once the backtrack budget is exhausted, and a
-    non-finite trial point raises ValueError.
-    """
-    t = float(t_init)
-    for bt in range(cfg.max_backtracks + 1):
-        v = -t * g
-        cand = qr_orthonormalize(xm + v)
-        # a finite orthonormal factor has entries in [-1, 1], so its sum is
-        # finite exactly when every entry is; the full check names the fault
-        if not math.isfinite(cand.sum()):
-            check_matrix(cand, "retracted trial point")
-        val, grad = evaluate(cand)
-        val = float(val)
-        demand = (cfg.alpha / (2.0 * t)) * float((v * v).sum())
-        if val <= window_max - demand:
-            return _Trial(cand, t, v, val, grad, bt)
-        roundoff = frobenius_norm(xm) * frobenius_norm(egrad)
-        resolution = _EPS * (1.0 + abs(window_max) + roundoff)
-        if demand <= resolution and val <= window_max + 4.0 * resolution:
-            return _Trial(None, t, np.zeros_like(g), val, None, bt)
-        t *= cfg.eta
-    raise LineSearchError(
-        f"no acceptable step after {cfg.max_backtracks} backtracks (last t={t:.3e})"
-    )
 
 
 def pgm_solve(
@@ -242,9 +178,31 @@ def pgm_solve(
     accepted by an earlier subproblem of the run, and ``penalty_solve`` its
     stationarity target tau_l as ``grad_tol``.
 
-    Iterates are kept as raw arrays and every trial point is evaluated once
-    through ``obj.value_and_gradient``; the returned point is certified as a
-    ``StiefelPoint`` on exit, and is x0 itself when no step was taken.
+    Each step sets V = -t * g for the projected gradient g at the iterate X,
+    retracts X + V by QR, and multiplies t by eta until
+
+        value(X+) <= window_max - alpha / (2 t) * ||V||^2
+
+    with window_max the largest value over the window. When the demanded
+    decrease falls below the resolution of the test and the trial value sits
+    within a few resolutions of the window maximum, no representable progress
+    exists at this scale: the step stalls (the iterate stays, and the trace
+    records ||V|| as 0) instead of failing, so outer loops can recover (for
+    example by growing the penalty weight). The resolution is
+    eps * (1 + |window_max| + ||X||_F ||grad f(X)||_F): the float spacing of
+    the window maximum plus the value change that the retraction's roundoff
+    alone causes, with grad f(X) the Euclidean gradient at X. A genuine
+    persistent increase at representable scales raises LineSearchError once
+    the backtrack budget is exhausted.
+
+    Iterates are kept as raw arrays and every point, x0 and each trial, is
+    evaluated once through ``obj.value_and_gradient``; an accepted trial's
+    gradient is reused for the next step. The returned point is x0 itself
+    when the returned iterate is the start. Otherwise it is the solver's own
+    iterate array,
+    made read-only and adopted by ``StiefelPoint`` without a copy, so an
+    evaluation record the objective keeps of that array (see
+    ``PenaltyObjective.last``) is found by identity.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
     finite, or when ``t_first`` or ``grad_tol`` is not positive.
     """
@@ -256,15 +214,15 @@ def pgm_solve(
         raise ValueError(f"grad_tol must be positive, got {grad_tol}")
     trace = PgmTrace(memory=cfg.memory, grad_tol=grad_tol)
 
-    def evaluate(mat: np.ndarray) -> tuple:
-        trace.evaluations += 1
-        return obj.value_and_gradient(mat)
-
     def certified(mat: np.ndarray) -> StiefelPoint:
-        return x0 if mat is x0.mat else StiefelPoint(mat)
+        if mat is x0.mat:
+            return x0
+        mat.flags.writeable = False
+        return StiefelPoint(mat)
 
     xm = x0.mat
-    val, grad = evaluate(xm)
+    trace.evaluations += 1
+    val, grad = obj.value_and_gradient(xm)
     val = float(val)
     rgrad, gnorm = _projected_gradient(xm, grad)
     trace.values.append(val)
@@ -281,27 +239,45 @@ def pgm_solve(
             return certified(xm), trace
         if k == 0:
             t0 = 1.0 / gnorm if t_first is None else t_first
-            t_init = float(min(max(t0, cfg.t_min), cfg.t_max))
+            t = float(min(max(t0, cfg.t_min), cfg.t_max))
         else:
-            t_init = _bb_stepsize(
-                xm - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t
-            )
+            t = _bb_stepsize(xm - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t)
         window_max = max(v for v, _ in window)
-        try:
-            trial = _line_search(xm, rgrad, grad, evaluate, t_init, window_max, cfg)
-        except LineSearchError as err:
-            err.trace = trace
-            raise
-        prev_mat, prev_rgrad, prev_t = xm, rgrad, trial.step
+        for bt in range(cfg.max_backtracks + 1):
+            v = -t * rgrad
+            cand = qr_orthonormalize(xm + v)
+            # a finite orthonormal factor has entries in [-1, 1], so its sum is
+            # finite exactly when every entry is; the full check names the fault
+            if not math.isfinite(cand.sum()):
+                check_matrix(cand, "retracted trial point")
+            trace.evaluations += 1
+            cand_val, cand_grad = obj.value_and_gradient(cand)
+            cand_val = float(cand_val)
+            demand = (cfg.alpha / (2.0 * t)) * float((v * v).sum())
+            if cand_val <= window_max - demand:
+                v_norm = frobenius_norm(v)
+                break
+            roundoff = frobenius_norm(xm) * frobenius_norm(grad)
+            resolution = _EPS * (1.0 + abs(window_max) + roundoff)
+            if demand <= resolution and cand_val <= window_max + 4.0 * resolution:
+                cand, v_norm = None, 0.0
+                break
+            t *= cfg.eta
+        else:
+            raise LineSearchError(
+                f"no acceptable step after {cfg.max_backtracks} backtracks (last t={t:.3e})",
+                trace,
+            )
+        prev_mat, prev_rgrad, prev_t = xm, rgrad, t
         # a stalled step leaves the iterate, its value and its gradient unchanged
-        if trial.mat is not None:
-            xm, val, grad = trial.mat, trial.value, trial.grad
+        if cand is not None:
+            xm, val, grad = cand, cand_val, cand_grad
             rgrad, gnorm = _projected_gradient(xm, grad)
         trace.values.append(val)
         trace.grad_norms.append(gnorm)
-        trace.step_sizes.append(trial.step)
-        trace.v_norms.append(frobenius_norm(trial.direction))
-        trace.backtracks.append(trial.backtracks)
+        trace.step_sizes.append(t)
+        trace.v_norms.append(v_norm)
+        trace.backtracks.append(bt)
         window.append((val, xm))
 
     if gnorm <= grad_tol:

@@ -20,9 +20,14 @@ from .stiefel import StiefelPoint, check_matrix, qr_orthonormalize
 _ONMF_REL_TOL = 1e-6
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains NaN or Inf entries")
+
+
 @dataclass(frozen=True)
 class QapInstance:
-    """Quadratic assignment data: n x n weight matrices A and B.
+    """Quadratic assignment data: finite n x n weight matrices A and B.
 
     ``symmetric`` records whether A and B are both exactly symmetric, read
     off the data once; the lifted objective then needs half the products.
@@ -39,6 +44,8 @@ class QapInstance:
             raise ValueError(f"A must be square, got shape {a.shape}")
         if b.shape != a.shape:
             raise ValueError(f"B shape {b.shape} does not match A shape {a.shape}")
+        _check_finite(a, "A")
+        _check_finite(b, "B")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         symmetric = bool(np.array_equal(a, a.T) and np.array_equal(b, b.T))
@@ -94,7 +101,7 @@ def permutation_matrix(perm) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffinityInstance:
-    """Graph-matching affinity: a symmetric nonnegative n^2 x n^2 matrix.
+    """Graph-matching affinity: a finite symmetric nonnegative n^2 x n^2 matrix.
 
     The constructor symmetrizes the input; the gradient formula relies on
     symmetry, which affinity constructions guarantee up to rounding.
@@ -110,6 +117,7 @@ class AffinityInstance:
         n = int(round(np.sqrt(k.shape[0])))
         if n * n != k.shape[0]:
             raise ValueError(f"affinity size {k.shape[0]} is not a perfect square")
+        _check_finite(k, "affinity matrix")
         object.__setattr__(self, "k", 0.5 * (k + k.T))
         object.__setattr__(self, "n", n)
 
@@ -152,7 +160,7 @@ class ProjectionObjective(Objective):
 
 @dataclass(frozen=True)
 class OnmfInstance:
-    """Orthogonal NMF data: nonnegative n x p matrix and cluster count r."""
+    """Orthogonal NMF data: finite nonnegative n x p matrix and cluster count r."""
 
     a: np.ndarray
     r: int
@@ -161,6 +169,7 @@ class OnmfInstance:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"data matrix must be 2-dimensional, got {a.shape}")
+        _check_finite(a, "data matrix")
         if np.any(a < 0):
             raise ValueError("data matrix must be entrywise nonnegative")
         if not 1 <= self.r <= a.shape[0]:

@@ -89,17 +89,14 @@ def qr_orthonormalize(mat: np.ndarray) -> np.ndarray:
     return q * np.where(diag < 0.0, -1.0, 1.0)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 class StiefelPoint:
     """A matrix certified to have orthonormal columns.
 
     The constructor rejects matrices whose orthogonality residual exceeds
-    ``ORTH_TOL``. The stored array is read-only.
+    ``ORTH_TOL``. The stored array is read-only: a read-only float array
+    that owns its data is adopted as it is, so a record keyed by that array
+    (such as ``PenaltyObjective.last`` after ``pgm_solve``) stays valid; any
+    other input, a writable array or a view, is copied and the copy frozen.
 
     Attributes:
         mat: The n x r orthonormal matrix (immutable).
@@ -115,7 +112,10 @@ class StiefelPoint:
             raise ValueError(
                 f"matrix is not orthonormal: residual {res:.3e} exceeds {ORTH_TOL:.0e}"
             )
-        self.mat = _freeze(m)
+        if m.flags.writeable or not m.flags.owndata:
+            m = np.array(m)
+            m.flags.writeable = False
+        self.mat = m
         self.orth_residual = res
 
     @property

@@ -303,6 +303,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="best_known"):
             spec_for_proj(best_known=0.0)
 
+    @pytest.mark.parametrize("best", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_best_known_rejected_up_front(self, best):
+        with pytest.raises(ValueError, match="^best_known must be finite"):
+            spec_for_proj(best_known=best)
+
 
 class TestCli:
     def test_proj_subcommand(self, tmp_path, capsys):
@@ -422,6 +427,53 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "form"
         assert [float(c) for c in lines[1:]] == forms.tolist()
+
+    @pytest.mark.parametrize(
+        "command,bad,name",
+        [
+            ("qap", "nan", "B"),
+            ("qap", "inf", "B"),
+            ("gm", "nan", "affinity matrix"),
+            ("gm", "-inf", "affinity matrix"),
+            ("proj", "nan", "projection target"),
+            ("onmf", "nan", "data matrix"),
+            ("onmf", "-inf", "data matrix"),
+        ],
+        ids=["qap_nan", "qap_inf", "gm_nan", "gm_neg_inf", "proj_nan", "onmf_nan", "onmf_neg_inf"],
+    )
+    def test_non_finite_instance_data_exits_naming_it(self, tmp_path, capsys, command, bad, name):
+        data = tmp_path / "data.txt"
+        argv = [command, str(data)]
+        if command == "qap":
+            data.write_text(SMALL_QAP.replace("2 0\n", f"2 {bad}\n"))
+        else:
+            if command == "gm":
+                mat = np.ones((4, 4))
+            elif command == "proj":
+                mat = default_base_point(4, 2).mat.copy()
+            else:
+                mat = np.ones((6, 4))
+                argv += ["--clusters", "2"]
+            mat[1, 1] = float(bad)
+            save_dense_matrix(data, mat)
+        code = main([*argv, "--jobs", "1", "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"^error: ValueError: {name} contains NaN or Inf entries$", err)
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_best_known_exits_naming_it(self, tmp_path, capsys, bad):
+        inst = tmp_path / "q2.dat"
+        inst.write_text(SMALL_QAP)
+        best = tmp_path / "best.txt"
+        best.write_text(f"q2 {bad}\n")
+        code = main(["qap", str(inst), "--best-known", str(best), "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: best_known must be finite", err)
+        assert err.count("\n") == 1
 
     def test_failure_emits_single_error_line(self, tmp_path, capsys):
         missing = tmp_path / "nope.dat"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orthopt.penalty import Objective
-from orthopt.pgm import LineSearchError, PgmConfig, _bb_stepsize, _line_search, pgm_solve
+from orthopt.penalty import Objective, PenaltyObjective
+from orthopt.pgm import LineSearchError, PgmConfig, _bb_stepsize, pgm_solve
 from orthopt.problems import ProjectionObjective, random_stiefel_start
 from orthopt.stiefel import StiefelPoint, orthogonality_residual
 
@@ -186,6 +186,16 @@ class TestPgmSolve:
         # the direction the next step would take vanishes with the gradient
         assert trace.step_sizes[-1] * trace.grad_norms[-1] <= 1e-6
 
+    def test_solved_point_is_the_array_of_its_last_evaluation(self):
+        # the record is found by identity: the returned point adopts the
+        # read-only array that the objective last evaluated
+        obj = PenaltyObjective(ProjectionObjective(np.eye(6)[:, :3]), 2.0, 0.05)
+        x0 = random_stiefel_start(6, 3, 13)
+        x, trace = pgm_solve(obj, x0, PgmConfig(grad_tol=1e-8))
+        assert trace.converged and trace.iterations > 0
+        assert obj.last[0] is x.mat
+        assert not x.mat.flags.writeable
+
     def test_exhaustion_returns_best_window_point(self):
         obj = ProjectionObjective(np.eye(6)[:, :3])
         x0 = random_stiefel_start(6, 3, 12)
@@ -268,17 +278,21 @@ class TestNonFinite:
 
 
 def test_non_finite_trial_point_is_named_before_evaluation():
-    # the line search tests a trial point by the sum of its entries and names
-    # the fault with check_matrix's message; the objective is never called
-    x = random_stiefel_start(5, 2, 17).mat
-    g = np.full((5, 2), 1e300)
+    # pgm_solve tests a trial point by the sum of its entries and names the
+    # fault with check_matrix's message; the objective is evaluated at x0 only
+    x0 = random_stiefel_start(5, 2, 17)
+    seen = []
 
-    def evaluate(mat):
-        raise AssertionError("a non-finite trial point was evaluated")
+    class HugeGradient(Objective):
+        def value_and_gradient(self, x):
+            seen.append(x)
+            return 1.0, np.full((5, 2), 1e300)
 
-    with np.errstate(over="ignore"):
+    cfg = PgmConfig(t_min=1e10, t_max=1e10)
+    with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^retracted trial point contains NaN or Inf entries$"):
-            _line_search(x, g, g, evaluate, 1e10, 1.0, PgmConfig())
+            pgm_solve(HugeGradient(), x0, cfg)
+    assert len(seen) == 1 and seen[0] is x0.mat
 
 
 class TestPgmConfig:

@@ -41,6 +41,27 @@ class TestStiefelPoint:
         with pytest.raises(ValueError):
             x.mat[0, 0] = 2.0
 
+    def test_copies_a_writable_array(self):
+        a = np.eye(3)[:, :2].copy()
+        x = StiefelPoint(a)
+        assert x.mat is not a and not np.shares_memory(x.mat, a)
+        a[0, 0] = 2.0
+        assert x.mat[0, 0] == 1.0
+
+    def test_copies_a_read_only_view(self):
+        base = np.eye(3)
+        view = base[:, :2]
+        view.flags.writeable = False
+        x = StiefelPoint(view)
+        assert not np.shares_memory(x.mat, base)
+        base[0, 0] = 2.0
+        assert x.mat[0, 0] == 1.0
+
+    def test_adopts_a_read_only_array_that_owns_its_data(self):
+        a = np.eye(3)[:, :2].copy()
+        a.flags.writeable = False
+        assert StiefelPoint(a).mat is a
+
 
 class TestProjTangent:
     def test_normal_directions_project_to_zero(self):
