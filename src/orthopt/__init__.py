@@ -18,7 +18,6 @@ from .penalty import (
     Objective,
     PenaltyObjective,
     nonneg_violation,
-    prox_nonneg_violation,
 )
 from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
 from .driver import (
@@ -49,6 +48,7 @@ from .problems import (
 )
 from .diagnostics import (
     ErrorBoundSample,
+    ErrorBoundSweep,
     OracleSizeError,
     SoscReport,
     brute_force_dist_splus,

@@ -185,9 +185,9 @@ def _cmd_diag_errorbound(args) -> int:
         base = diagnostics.default_base_point(args.shape[0], args.shape[1])
     samples = diagnostics.error_bound_sweep(base, args.delta, args.samples, args.seed)
     n, r = base.shape
-    violations = sum(1 for s in samples if not s.holds)
+    violations = int(np.count_nonzero(~samples.holds))
     print(
-        f"shape=({n},{r}) kappa={samples[0].kappa:.4f} samples={len(samples)} "
+        f"shape=({n},{r}) kappa={samples.kappa:.4f} samples={len(samples)} "
         f"violations={violations}"
     )
     if args.out:

@@ -3,12 +3,14 @@
 Provides the piecewise error-bound constant, an exhaustive projection oracle
 onto the nonnegative orthogonal set for small shapes (r^n full assignments,
 scored for a whole stack of samples at once), ball sweeps that test the
-error-bound inequality sample by sample, and a sampled second-order
-sufficiency probe.
+error-bound inequality for a whole stack of probes, and a sampled
+second-order sufficiency probe.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,49 @@ class ErrorBoundSample:
     dist_st: float
     kappa: float
     holds: bool
+
+
+@dataclass(frozen=True, eq=False)
+class ErrorBoundSweep(Sequence):
+    """A whole sweep as arrays: probes ``x`` (S, n, r), the three distances and
+    ``holds`` (S,) each, and the constant shared by every sample.
+
+    A sequence of ``ErrorBoundSample``: indexing and iteration build each
+    sample on demand, its ``x`` a view into the stack.
+    """
+
+    x: np.ndarray
+    dist_splus: np.ndarray
+    dist_cone: np.ndarray
+    dist_st: np.ndarray
+    holds: np.ndarray
+    kappa: float
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __getitem__(self, k: int) -> ErrorBoundSample:
+        # negative indices and IndexError as for a list
+        k = range(len(self))[operator.index(k)]
+        return ErrorBoundSample(
+            x=self.x[k],
+            dist_splus=float(self.dist_splus[k]),
+            dist_cone=float(self.dist_cone[k]),
+            dist_st=float(self.dist_st[k]),
+            kappa=self.kappa,
+            holds=bool(self.holds[k]),
+        )
+
+    def __iter__(self) -> Iterator[ErrorBoundSample]:
+        # one conversion per field array, not one per sample
+        for x, dist_splus, dist_cone, dist_st, holds in zip(
+            self.x,
+            self.dist_splus.tolist(),
+            self.dist_cone.tolist(),
+            self.dist_st.tolist(),
+            self.holds.tolist(),
+        ):
+            yield ErrorBoundSample(x, dist_splus, dist_cone, dist_st, self.kappa, holds)
 
 
 def error_bound_constant(
@@ -86,7 +131,7 @@ def _patterns(n: int, r: int) -> np.ndarray:
     """All r^n full assignments of rows to columns, as a cached (P, n) uint8 table.
 
     Row 0 is the most significant digit, so the last row varies fastest.
-    Leaving a row unassigned never raises a column's mass, so the full
+    Adding a row to a column never lowers that column's gain, so the full
     assignments reach the maximum of the oracle's gain over all partial ones.
     """
     key = (n, r)
@@ -101,17 +146,35 @@ def _patterns(n: int, r: int) -> np.ndarray:
     return table
 
 
-def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and minimizers for a finite (S, n, r) stack of matrices.
+def _exact_gains(cols: np.ndarray, onehot: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """(m, P) gains of a pattern block for m samples, given each column's
+    entries ``cols`` (r, m, n), the block's one-hot and masses (r, m, P).
 
-    Scores every full assignment of every sample in blocks of about
-    ``_ORACLE_BLOCK`` samples x patterns, keeps the first maximal gain, builds
-    the winning minimizer and returns the direct distance ||x - minimizer||_F
-    (the closed form ||x||^2 + r - 2 gain cancels to about sqrt(eps) near the
-    feasible set).
+    On a support where every entry of x is <= 0 the best nonnegative unit
+    vector is e_i at the largest entry, so that entry is the column's gain;
+    an empty column admits no unit vector and scores -inf.
+    """
+    top = np.full(mass.shape, -np.inf)
+    for i in range(cols.shape[2]):
+        np.maximum(top, np.where(onehot[:, None, i] > 0.0, cols[:, :, i, None], -np.inf), out=top)
+    return np.where(mass > 0.0, np.sqrt(mass), top).sum(axis=0)
+
+
+def _best_patterns(
+    xs: np.ndarray, table: np.ndarray, exact: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First pattern of largest gain for each matrix of an (S, n, r) stack,
+    its gain, and the largest partial sum of a pattern with a zero-mass column.
+
+    Scores the patterns in blocks of about ``_ORACLE_BLOCK`` samples x
+    patterns. A column without positive mass gains at most 0, so a pattern's
+    gain is at most its partial sum sqrt(mass).sum over columns, with equality
+    when every column has positive mass. Where a block's first largest partial
+    sum has positive mass in every column, it is therefore the block's first
+    maximal gain. The other samples have the block scored again: exactly by
+    ``_exact_gains`` when ``exact``, else over its all-positive patterns only.
     """
     num, n, r = xs.shape
-    table = _patterns(n, r)
     pos = np.maximum(xs, 0.0)
     # (r, S, n): row masses per column, ready for one matmul per column
     pos2 = np.ascontiguousarray((pos * pos).transpose(2, 0, 1))
@@ -119,30 +182,66 @@ def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # patterns per block: the (r, n, block) one-hot and the (r, S, block)
     # masses each hold about _ORACLE_BLOCK entries per column
     block = max(1, _ORACLE_BLOCK // max(num, n))
+    rows = np.arange(num)
     best_gain = np.full(num, -np.inf)
     best = np.zeros(num, dtype=np.intp)
+    bound = np.full(num, -np.inf)
     for lo in range(0, table.shape[0], block):
         # onehot[j, i, p] = 1 where pattern lo + p sends row i to column j
         onehot = (table[lo : lo + block].T[None] == columns).astype(float)
         mass = pos2 @ onehot
-        valid = np.all(mass > 0.0, axis=0)
-        gain = np.where(valid, np.sqrt(mass).sum(axis=0), -np.inf)
+        gain = np.sqrt(mass).sum(axis=0)
         arg = np.argmax(gain, axis=1)
-        top = gain[np.arange(num), arg]
+        top = gain[rows, arg]
+        mixed = np.flatnonzero(~np.all(mass[:, rows, arg] > 0.0, axis=0))
+        if mixed.size:
+            bound[mixed] = np.maximum(bound[mixed], top[mixed])
+            if exact:
+                gain = _exact_gains(xs[mixed].transpose(2, 0, 1), onehot, mass[:, mixed])
+            else:
+                gain = np.where(np.all(mass > 0.0, axis=0)[mixed], gain[mixed], -np.inf)
+            arg[mixed] = np.argmax(gain, axis=1)
+            top[mixed] = gain[np.arange(mixed.size), arg[mixed]]
         better = top > best_gain
         best_gain[better] = top[better]
         best[better] = lo + arg[better]
-    if np.any(np.isneginf(best_gain)):
-        raise ValueError("no assignment has positive mass in every column")
+    return best_gain, best, bound
+
+
+def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and minimizers for a finite (S, n, r) stack of matrices.
+
+    Scores every full assignment of every sample, keeps the first maximal
+    gain, builds the winning minimizer and returns the direct distance
+    ||x - minimizer||_F (the closed form ||x||^2 + r - 2 gain cancels to
+    about sqrt(eps) near the feasible set). Patterns with a zero-mass column
+    can win only far from the feasible set, so the first pass scores the
+    all-positive patterns, and only samples where a zero-mass pattern's
+    partial sum beats the best of them are scored again exactly.
+    """
+    num, n, r = xs.shape
+    table = _patterns(n, r)
+    best_gain, best, bound = _best_patterns(xs, table, exact=False)
+    rescore = np.flatnonzero(bound > best_gain)
+    if rescore.size:
+        best[rescore] = _best_patterns(xs[rescore], table, exact=True)[1]
+    pos = np.maximum(xs, 0.0)
     assigned = table[best][:, :, None] == np.arange(r)
     kept = np.where(assigned, pos, 0.0)
-    minimizers = kept / np.linalg.norm(kept, axis=1, keepdims=True)
+    norms = np.linalg.norm(kept, axis=1, keepdims=True)
+    empty, cols = np.nonzero(norms[:, 0] == 0.0)
+    if empty.size:
+        # a zero-mass column's minimizer is e_i at its largest assigned entry
+        tops = np.argmax(np.where(assigned[empty, :, cols], xs[empty, :, cols], -np.inf), axis=1)
+        kept[empty, tops, cols] = 1.0
+        norms[empty, 0, cols] = 1.0
+    minimizers = kept / norms
     dists = np.linalg.norm((xs - minimizers).reshape(num, -1), axis=1)
     return dists, minimizers
 
 
-def _evaluate(xs: np.ndarray, kappa: float) -> list[ErrorBoundSample]:
-    """Fill one ErrorBoundSample per matrix of an (S, n, r) stack."""
+def _evaluate(xs: np.ndarray, kappa: float) -> ErrorBoundSweep:
+    """Test the bound on every matrix of an (S, n, r) stack."""
     # validates the stack (shape, finite entries) before the oracle runs
     dist_st = dist_to_stiefel(xs)
     num = xs.shape[0]
@@ -151,17 +250,7 @@ def _evaluate(xs: np.ndarray, kappa: float) -> list[ErrorBoundSample]:
     # one dot product per sample, as np.linalg.norm sums a single matrix
     dist_cone = np.sqrt((neg[:, None, :] @ neg[:, :, None]).reshape(num))
     holds = dist_splus <= (kappa + 1.0) * (dist_cone + dist_st)
-    return [
-        ErrorBoundSample(
-            x=xs[k],
-            dist_splus=float(dist_splus[k]),
-            dist_cone=float(dist_cone[k]),
-            dist_st=float(dist_st[k]),
-            kappa=kappa,
-            holds=bool(holds[k]),
-        )
-        for k in range(num)
-    ]
+    return ErrorBoundSweep(xs, dist_splus, dist_cone, dist_st, holds, kappa)
 
 
 def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
@@ -169,14 +258,13 @@ def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
 
     Enumerates the r^n full assignments of rows to columns (``_patterns``).
     For a fixed assignment the best feasible point puts, in each column, the
-    normalized positive part of x restricted to that column's rows;
-    assignments leaving any column without positive mass admit no such point
-    and are skipped. Returns the minimal distance, measured directly as
-    ||x - minimizer||_F, and a minimizer.
+    normalized positive part of x restricted to that column's rows; a column
+    whose rows carry no positive entry takes e_i at its largest entry.
+    Returns the minimal distance, measured directly as ||x - minimizer||_F,
+    and a minimizer.
 
     Raises:
         OracleSizeError: if r^n exceeds the one-million-pattern cap.
-        ValueError: if no assignment has positive mass in every column.
     """
     x = check_matrix(x, "x")
     dists, minimizers = _oracle(x[None])
@@ -190,14 +278,14 @@ def evaluate_error_bound(x, kappa: float) -> ErrorBoundSample:
 
 def error_bound_sweep(
     xbar: StiefelPoint, delta: float, num_samples: int, seed: int
-) -> list[ErrorBoundSample]:
+) -> ErrorBoundSweep:
     """Sample the Frobenius delta-ball around a feasible point and test the bound.
 
     Points are drawn uniformly from the ball, each as a direction and then a
-    radius, and the whole sweep is evaluated as one (num_samples, n, r) stack:
-    one batched oracle pass and one stacked SVD. The constant is
-    ``error_bound_constant(xbar)``; probes of hypotheses-violating bases go
-    through ``evaluate_error_bound`` with an explicit constant.
+    radius, into one (num_samples, n, r) stack, and the whole sweep is
+    evaluated at once: one batched oracle pass and one stacked SVD. The
+    constant is ``error_bound_constant(xbar)``; probes of hypotheses-violating
+    bases go through ``evaluate_error_bound`` with an explicit constant.
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
@@ -207,13 +295,19 @@ def error_bound_sweep(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     kappa = error_bound_constant(xbar)
     n, r = xbar.shape
+    dim = n * r
     rng = np.random.default_rng(seed)
-    probes = np.empty((num_samples, n, r))
+    directions = np.empty((num_samples, dim))
+    radii = np.empty((num_samples, 1))
+    # per sample, in this order: the direction's normals, then the radius's
+    # uniform; the scalar ** keeps the bits of the one-sample draw
     for k in range(num_samples):
-        direction = rng.standard_normal(n * r)
-        direction /= np.linalg.norm(direction)
-        radius = delta * rng.random() ** (1.0 / (n * r))
-        probes[k] = xbar.mat + radius * direction.reshape(n, r)
+        rng.standard_normal(out=directions[k])
+        radii[k] = delta * rng.random() ** (1.0 / dim)
+    # the same bits as np.linalg.norm of each direction
+    directions /= np.sqrt(directions[:, None, :] @ directions[:, :, None]).reshape(num_samples, 1)
+    directions *= radii
+    probes = xbar.mat + directions.reshape(num_samples, n, r)
     return _evaluate(probes, kappa)
 
 

@@ -22,18 +22,6 @@ def nonneg_violation(x) -> float:
     return float(np.sum(np.maximum(0.0, -x)))
 
 
-def prox_nonneg_violation(x, gamma: float) -> np.ndarray:
-    """Proximal map of the l1 violation: entrywise min(x + gamma, max(x, 0)).
-
-    Entries in [-gamma, 0] snap to zero, entries below -gamma shift up by
-    gamma, nonnegative entries are fixed. 1-Lipschitz in Frobenius norm.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    x = np.asarray(x, dtype=float)
-    return np.minimum(x + gamma, np.maximum(x, 0.0))
-
-
 def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
     """Value and gradient of the penalty selected by gamma, computed together.
 

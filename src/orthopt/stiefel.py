@@ -118,6 +118,10 @@ class StiefelPoint:
         self.mat = m
         self.orth_residual = res
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled point is read-only too
+        return type(self), (self.mat,)
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.mat.shape

@@ -48,6 +48,18 @@ def brute_force_qap(inst: QapInstance) -> tuple[float, np.ndarray]:
     return float(best_val), np.asarray(best_perm, dtype=int)
 
 
+def prox_nonneg_violation(x, gamma: float) -> np.ndarray:
+    """Proximal map of the l1 violation: entrywise min(x + gamma, max(x, 0)).
+
+    Entries in [-gamma, 0] snap to zero, entries below -gamma shift up by
+    gamma, nonnegative entries are fixed. 1-Lipschitz in Frobenius norm.
+    """
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    x = np.asarray(x, dtype=float)
+    return np.minimum(x + gamma, np.maximum(x, 0.0))
+
+
 def svd_start(a: np.ndarray, r: int) -> StiefelPoint:
     """Feasible start from the dominant left singular subspace.
 

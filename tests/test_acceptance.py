@@ -30,7 +30,6 @@ from orthopt.penalty import (
     PenaltyObjective,
     nonneg_violation,
     penalty_terms,
-    prox_nonneg_violation,
 )
 from orthopt.problems import (
     AffinityInstance,
@@ -51,6 +50,7 @@ from helpers import (
     brute_force_qap,
     nonexactness_probe_objective,
     nonexactness_probe_point,
+    prox_nonneg_violation,
     svd_start,
     window_max_values,
     zero_row_family,

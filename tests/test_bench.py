@@ -1,5 +1,6 @@
 """Instance parsing, metrics, experiment harness, and the CLI surface."""
 
+import hashlib
 import os
 import re
 import statistics
@@ -399,6 +400,17 @@ class TestCli:
             floats = [float(c) for c in cells[6:10]]
             assert floats == [s.dist_splus, s.dist_cone, s.dist_st, s.kappa]
             assert cells[10] == ("1" if s.holds else "0")
+
+    def test_diag_errorbound_csv_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "eb.csv"
+        code = main([
+            "diag-errorbound", "--shape", "8", "2", "--samples", "200",
+            "--seed", "3", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == "shape=(8,2) kappa=219.7688 samples=200 violations=0\n"
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "0c9ff018f5202dfe449baa55ffb1980e76d4b41311b0eb55a5a9cbe9ec42b618"
 
     def test_diag_errorbound_without_samples_exits_with_error(self, capsys):
         code = main(["diag-errorbound", "--shape", "3", "2", "--samples", "0"])

@@ -1,5 +1,6 @@
 """Error-bound constant, projection oracle, ball sweeps, curvature probe."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from orthopt.diagnostics import (
+    ErrorBoundSample,
+    ErrorBoundSweep,
     OracleSizeError,
     brute_force_dist_splus,
     default_base_point,
@@ -57,24 +60,27 @@ def retraction_curvature(f, xbar: StiefelPoint, h: np.ndarray, t: float = 1e-3) 
 def reference_dist_splus(x):
     """The earlier oracle: every (r+1)^n assignment of rows to a column or to none.
 
-    Kept as an independent reference. It measures the distance directly from
-    its minimizer, since the closed form ||x||^2 + r - 2 gain that it once
-    returned cancels to about sqrt(eps) near the feasible set.
+    Kept as an independent reference. A column with positive mass gains the
+    norm of its positive part; a column whose rows carry no positive entry
+    gains its largest entry; an empty column admits no feasible point. It
+    measures the distance directly from its minimizer, since the closed form
+    ||x||^2 + r - 2 gain cancels to about sqrt(eps) near the feasible set.
     """
     n, r = x.shape
     grids = np.meshgrid(*([np.arange(r + 1)] * n), indexing="ij")
     table = np.stack([g.reshape(-1) for g in grids], axis=1)
-    onehot = (table[:, :, None] == np.arange(r)[None, None, :]).astype(float)
+    onehot = table[:, :, None] == np.arange(r)[None, None, :]
     pos = np.maximum(x, 0.0)
-    s = np.sqrt(np.einsum("pij,ij->pj", onehot, pos * pos))
-    valid = np.all(s > 0.0, axis=1)
-    if not np.any(valid):
-        raise ValueError("no assignment has positive mass in every column")
-    best = int(np.argmax(np.where(valid, s.sum(axis=1), -np.inf)))
+    s = np.sqrt(np.einsum("pij,ij->pj", onehot.astype(float), pos * pos))
+    top = np.where(onehot, x[None], -np.inf).max(axis=1)
+    best = int(np.argmax(np.where(s > 0.0, s, top).sum(axis=1)))
     minimizer = np.zeros_like(x)
     for j in range(r):
-        rows = table[best] == j
-        minimizer[rows, j] = pos[rows, j] / np.linalg.norm(pos[rows, j])
+        rows = np.flatnonzero(table[best] == j)
+        if np.any(pos[rows, j] > 0.0):
+            minimizer[rows, j] = pos[rows, j] / np.linalg.norm(pos[rows, j])
+        else:
+            minimizer[rows[np.argmax(x[rows, j])], j] = 1.0
     return float(np.linalg.norm(x - minimizer)), minimizer
 
 
@@ -180,12 +186,7 @@ class TestBruteForceOracle:
                     # a row with no positive entry
                     row = rng.integers(n)
                     x[row] = -np.abs(x[row])
-                try:
-                    expected, _ = reference_dist_splus(x)
-                except ValueError:
-                    with pytest.raises(ValueError, match="positive mass"):
-                        brute_force_dist_splus(x)
-                    continue
+                expected, _ = reference_dist_splus(x)
                 dist, m = brute_force_dist_splus(x)
                 assert abs(dist - expected) <= 1e-12, (n, r, k)
                 npt.assert_allclose(np.linalg.norm(x - m), dist, rtol=1e-15)
@@ -197,15 +198,44 @@ class TestBruteForceOracle:
         assert dist <= 1e-15
         npt.assert_allclose(minimizer, near_feasible_point(), atol=1e-15)
 
-    def test_no_positive_mass_raises(self):
-        with pytest.raises(ValueError, match="positive mass"):
-            brute_force_dist_splus(np.array([[1.0, -1.0], [2.0, 0.0], [0.5, -3.0]]))
+    def test_zero_mass_column_takes_its_largest_entry(self):
+        # the second column's support holds no positive entry, so its best
+        # unit vector is e_i at the largest entry there
+        dist, m = brute_force_dist_splus(np.array([[1.0, 0.01], [0.01, -0.5]]))
+        npt.assert_allclose(dist, np.sqrt(2e-4 + 1.5**2), rtol=1e-15)
+        npt.assert_array_equal(m, np.eye(2))
+        # no assignment gives both columns positive mass
+        dist, m = brute_force_dist_splus(np.array([[1.0, 0.5], [-0.1, -0.2]]))
+        npt.assert_allclose(dist, np.sqrt(1.7), rtol=1e-15)
+        npt.assert_array_equal(m, np.eye(2))
+        x = np.array([[1.0, -1.0], [2.0, 0.0], [0.5, -3.0]])
+        dist, m = brute_force_dist_splus(x)
+        npt.assert_allclose(dist, reference_dist_splus(x)[0], rtol=1e-15)
+        npt.assert_array_equal(m[:, 1], [0.0, 1.0, 0.0])
+
+    def test_zero_mass_sweep_agrees_with_reference(self):
+        # a wide ball around a square base reaches zero-mass columns
+        base = default_base_point(3, 3)
+        sweep = error_bound_sweep(base, 1.5, 200, seed=3)
+        rescored = 0
+        for s in sweep:
+            expected, m = reference_dist_splus(s.x)
+            assert abs(s.dist_splus - expected) <= 1e-12
+            rescored += np.any(np.all(np.maximum(s.x, 0.0) * m == 0.0, axis=0))
+        assert rescored > 0
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (-2, -3), (2, 3), (0, 0)])
 def test_default_base_point_rejects_bad_shape_by_name(shape):
     with pytest.raises(ValueError, match=rf"n >= r >= 1, got \({shape[0]}, {shape[1]}\)"):
         default_base_point(*shape)
+
+
+def _assert_same_sample(a, b):
+    npt.assert_array_equal(a.x, b.x)
+    assert (a.dist_splus, a.dist_cone, a.dist_st, a.kappa, a.holds) == (
+        b.dist_splus, b.dist_cone, b.dist_st, b.kappa, b.holds
+    )
 
 
 class TestErrorBoundSweep:
@@ -286,6 +316,31 @@ class TestErrorBoundSweep:
             npt.assert_allclose(single.dist_splus, s.dist_splus, rtol=1e-14)
             npt.assert_allclose(s.dist_cone, np.linalg.norm(np.minimum(s.x, 0.0)), rtol=0)
             npt.assert_allclose(s.dist_st, dist_to_stiefel(s.x), rtol=0)
+
+    def test_sweep_is_a_sequence_of_samples(self):
+        sweep = error_bound_sweep(default_base_point(4, 2), 0.3, 7, seed=5)
+        assert isinstance(sweep, ErrorBoundSweep) and len(sweep) == 7
+        assert sweep.x.shape == (7, 4, 2) and sweep.holds.shape == (7,)
+        samples = list(sweep)
+        assert len(samples) == 7
+        for k, s in enumerate(samples):
+            assert isinstance(s, ErrorBoundSample)
+            _assert_same_sample(s, sweep[k])
+            _assert_same_sample(s, sweep[k - 7])
+            assert type(s.dist_splus) is float and type(s.holds) is bool
+            assert s.kappa == sweep.kappa
+        for k in (7, -8):
+            with pytest.raises(IndexError):
+                sweep[k]
+
+    def test_sweep_survives_pickle(self):
+        sweep = error_bound_sweep(default_base_point(4, 2), 0.3, 7, seed=5)
+        back = pickle.loads(pickle.dumps(sweep))
+        for name in ("x", "dist_splus", "dist_cone", "dist_st", "holds"):
+            npt.assert_array_equal(getattr(back, name), getattr(sweep, name))
+        assert back.kappa == sweep.kappa
+        for a, b in zip(back, sweep, strict=True):
+            _assert_same_sample(a, b)
 
     def test_non_finite_point_rejected(self):
         # the sweep's own probes stay finite once delta is checked, so the

@@ -18,7 +18,6 @@ from orthopt.penalty import (
     PenaltyObjective,
     nonneg_violation,
     penalty_terms,
-    prox_nonneg_violation,
 )
 from orthopt.problems import (
     GraphMatchingObjective,
@@ -26,6 +25,8 @@ from orthopt.problems import (
     ProjectionObjective,
     QapLiftedObjective,
 )
+
+from helpers import prox_nonneg_violation
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 # magnitudes bounded away from the subnormal range: squaring must not underflow

@@ -1,5 +1,7 @@
 """Manifold primitives: projections, orthonormalizations, distances."""
 
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -61,6 +63,13 @@ class TestStiefelPoint:
         a = np.eye(3)[:, :2].copy()
         a.flags.writeable = False
         assert StiefelPoint(a).mat is a
+
+    def test_stays_read_only_through_pickle(self):
+        x = StiefelPoint(np.eye(3)[:, :2])
+        y = pickle.loads(pickle.dumps(x))
+        assert not y.mat.flags.writeable
+        npt.assert_array_equal(y.mat, x.mat)
+        assert y.orth_residual == x.orth_residual
 
 
 class TestProjTangent:
