@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
@@ -39,6 +40,7 @@ class ErrorBoundSample:
     """One probe point with its three distances and the bound check.
 
     ``holds`` records dist_splus <= (kappa + 1) * (dist_cone + dist_st).
+    Two samples are equal when their fields are, ``x`` compared entrywise.
     """
 
     x: np.ndarray
@@ -48,6 +50,17 @@ class ErrorBoundSample:
     kappa: float
     holds: bool
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ErrorBoundSample):
+            return NotImplemented
+        return np.array_equal(self.x, other.x) and (
+            self.dist_splus,
+            self.dist_cone,
+            self.dist_st,
+            self.kappa,
+            self.holds,
+        ) == (other.dist_splus, other.dist_cone, other.dist_st, other.kappa, other.holds)
+
 
 @dataclass(frozen=True, eq=False)
 class ErrorBoundSweep(Sequence):
@@ -55,7 +68,9 @@ class ErrorBoundSweep(Sequence):
     ``holds`` (S,) each, and the constant shared by every sample.
 
     A sequence of ``ErrorBoundSample``: indexing and iteration build each
-    sample on demand, its ``x`` a view into the stack.
+    sample on demand, its ``x`` a view into the stack, so every access
+    returns a new sample and setting its fields leaves the sweep unchanged.
+    A slice is an ``ErrorBoundSweep`` over the sliced arrays.
     """
 
     x: np.ndarray
@@ -68,7 +83,22 @@ class ErrorBoundSweep(Sequence):
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, k: int) -> ErrorBoundSample:
+    @overload
+    def __getitem__(self, k: int) -> ErrorBoundSample: ...
+
+    @overload
+    def __getitem__(self, k: slice) -> ErrorBoundSweep: ...
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ErrorBoundSweep(
+                self.x[k],
+                self.dist_splus[k],
+                self.dist_cone[k],
+                self.dist_st[k],
+                self.holds[k],
+                self.kappa,
+            )
         # negative indices and IndexError as for a list
         k = range(len(self))[operator.index(k)]
         return ErrorBoundSample(
@@ -160,19 +190,17 @@ def _exact_gains(cols: np.ndarray, onehot: np.ndarray, mass: np.ndarray) -> np.n
     return np.where(mass > 0.0, np.sqrt(mass), top).sum(axis=0)
 
 
-def _best_patterns(
-    xs: np.ndarray, table: np.ndarray, exact: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First pattern of largest gain for each matrix of an (S, n, r) stack,
-    its gain, and the largest partial sum of a pattern with a zero-mass column.
+def _best_patterns(xs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """First pattern of largest gain for each matrix of an (S, n, r) stack.
 
     Scores the patterns in blocks of about ``_ORACLE_BLOCK`` samples x
     patterns. A column without positive mass gains at most 0, so a pattern's
     gain is at most its partial sum sqrt(mass).sum over columns, with equality
     when every column has positive mass. Where a block's first largest partial
     sum has positive mass in every column, it is therefore the block's first
-    maximal gain. The other samples have the block scored again: exactly by
-    ``_exact_gains`` when ``exact``, else over its all-positive patterns only.
+    maximal gain. The other samples have the block scored exactly by
+    ``_exact_gains``, unless that partial sum is no larger than their best
+    gain so far, which the block then cannot beat.
     """
     num, n, r = xs.shape
     pos = np.maximum(xs, 0.0)
@@ -185,7 +213,6 @@ def _best_patterns(
     rows = np.arange(num)
     best_gain = np.full(num, -np.inf)
     best = np.zeros(num, dtype=np.intp)
-    bound = np.full(num, -np.inf)
     for lo in range(0, table.shape[0], block):
         # onehot[j, i, p] = 1 where pattern lo + p sends row i to column j
         onehot = (table[lo : lo + block].T[None] == columns).astype(float)
@@ -193,19 +220,18 @@ def _best_patterns(
         gain = np.sqrt(mass).sum(axis=0)
         arg = np.argmax(gain, axis=1)
         top = gain[rows, arg]
-        mixed = np.flatnonzero(~np.all(mass[:, rows, arg] > 0.0, axis=0))
+        # a block whose largest partial sum does not beat the best so far
+        # cannot win, whatever its exact gains
+        filled = np.all(mass[:, rows, arg] > 0.0, axis=0)
+        mixed = np.flatnonzero(~filled & (top > best_gain))
         if mixed.size:
-            bound[mixed] = np.maximum(bound[mixed], top[mixed])
-            if exact:
-                gain = _exact_gains(xs[mixed].transpose(2, 0, 1), onehot, mass[:, mixed])
-            else:
-                gain = np.where(np.all(mass > 0.0, axis=0)[mixed], gain[mixed], -np.inf)
+            gain = _exact_gains(xs[mixed].transpose(2, 0, 1), onehot, mass[:, mixed])
             arg[mixed] = np.argmax(gain, axis=1)
             top[mixed] = gain[np.arange(mixed.size), arg[mixed]]
         better = top > best_gain
         best_gain[better] = top[better]
         best[better] = lo + arg[better]
-    return best_gain, best, bound
+    return best
 
 
 def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,17 +240,11 @@ def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Scores every full assignment of every sample, keeps the first maximal
     gain, builds the winning minimizer and returns the direct distance
     ||x - minimizer||_F (the closed form ||x||^2 + r - 2 gain cancels to
-    about sqrt(eps) near the feasible set). Patterns with a zero-mass column
-    can win only far from the feasible set, so the first pass scores the
-    all-positive patterns, and only samples where a zero-mass pattern's
-    partial sum beats the best of them are scored again exactly.
+    about sqrt(eps) near the feasible set).
     """
     num, n, r = xs.shape
     table = _patterns(n, r)
-    best_gain, best, bound = _best_patterns(xs, table, exact=False)
-    rescore = np.flatnonzero(bound > best_gain)
-    if rescore.size:
-        best[rescore] = _best_patterns(xs[rescore], table, exact=True)[1]
+    best = _best_patterns(xs, table)
     pos = np.maximum(xs, 0.0)
     assigned = table[best][:, :, None] == np.arange(r)
     kept = np.where(assigned, pos, 0.0)

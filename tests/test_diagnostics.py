@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from orthopt import diagnostics
 from orthopt.diagnostics import (
     ErrorBoundSample,
     ErrorBoundSweep,
@@ -213,10 +214,16 @@ class TestBruteForceOracle:
         npt.assert_allclose(dist, reference_dist_splus(x)[0], rtol=1e-15)
         npt.assert_array_equal(m[:, 1], [0.0, 1.0, 0.0])
 
-    def test_zero_mass_sweep_agrees_with_reference(self):
-        # a wide ball around a square base reaches zero-mass columns
+    @pytest.mark.parametrize("block", [None, 1, 400])
+    def test_zero_mass_sweep_agrees_with_reference(self, block, monkeypatch):
+        # a wide ball around a square base reaches zero-mass columns; small
+        # blocks split the 27 patterns into 27 or 14 blocks
         base = default_base_point(3, 3)
+        whole = error_bound_sweep(base, 1.5, 200, seed=3)
+        if block is not None:
+            monkeypatch.setattr(diagnostics, "_ORACLE_BLOCK", block)
         sweep = error_bound_sweep(base, 1.5, 200, seed=3)
+        npt.assert_array_equal(sweep.dist_splus, whole.dist_splus)
         rescored = 0
         for s in sweep:
             expected, m = reference_dist_splus(s.x)
@@ -332,6 +339,22 @@ class TestErrorBoundSweep:
         for k in (7, -8):
             with pytest.raises(IndexError):
                 sweep[k]
+        # samples compare by value, x entrywise
+        assert sweep[1] == samples[1] and sweep[1] != sweep[2]
+        assert sweep[1] in sweep and sweep.index(sweep[3]) == 3
+        assert sweep.count(sweep[4]) == 1
+        moved = evaluate_error_bound(sweep[0].x + 0.01, sweep.kappa)
+        assert moved not in sweep
+        assert list(reversed(sweep)) == samples[::-1]
+        for part, k in ((sweep[2:5], slice(2, 5)), (sweep[::-2], slice(None, None, -2))):
+            assert isinstance(part, ErrorBoundSweep) and part.kappa == sweep.kappa
+            assert list(part) == samples[k]
+        assert len(sweep[7:]) == 0
+        # every access builds a new sample: setting a field leaves the sweep as it was
+        first = sweep[0]
+        first.holds = not first.holds
+        assert sweep[0].holds is not first.holds
+        assert sweep[0] is not sweep[0]
 
     def test_sweep_survives_pickle(self):
         sweep = error_bound_sweep(default_base_point(4, 2), 0.3, 7, seed=5)
