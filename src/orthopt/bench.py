@@ -30,6 +30,7 @@ from .problems import (
     QapLiftedObjective,
     random_stiefel_start,
 )
+from .stiefel import check_count
 
 SOLVERS = ("seppg_plus", "seppg_zero", "alm")
 KINDS = ("qap", "gm", "proj")
@@ -95,15 +96,18 @@ def parse_qaplib(path) -> QapInstance:
 
 
 def load_best_known(path) -> dict[str, float]:
-    """Read a sidecar of ``name value`` lines; '#' starts a comment."""
+    """Read a sidecar of ``name value`` lines; '#' starts a comment, and a
+    name may appear once."""
     out: dict[str, float] = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"expected 'name value', got {raw!r}")
+        if parts[0] in out:
+            raise ValueError(f"duplicate name {parts[0]!r} on line {lineno}")
         out[parts[0]] = float(parts[1])
     return out
 
@@ -138,6 +142,7 @@ def clustering_metrics(truth, pred, r: int) -> tuple[float, float, float]:
     Metrics depend only on the confusion counts, so they are invariant to
     relabeling of the prediction.
     """
+    check_count(r, "r")
     t = np.asarray(truth, dtype=int)
     p = np.asarray(pred, dtype=int)
     if t.ndim != 1 or t.shape != p.shape or t.size == 0:
@@ -202,12 +207,9 @@ class ExperimentSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        if self.num_starts < 1:
-            raise ValueError(f"num_starts must be at least 1, got {self.num_starts}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        check_count(self.num_starts, "num_starts")
+        check_count(self.seed, "seed", minimum=0)
+        check_count(self.jobs, "jobs")
         if self.best_known is not None and not math.isfinite(self.best_known):
             raise ValueError(f"best_known must be finite, got {self.best_known}")
         if self.best_known == 0:

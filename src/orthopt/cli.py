@@ -25,7 +25,7 @@ from .problems import (
     onmf_alternate,
     random_stiefel_start,
 )
-from .stiefel import StiefelPoint, check_matrix
+from .stiefel import StiefelPoint, check_count, check_matrix
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -144,10 +144,8 @@ def _onmf_start(shared, index: int):
 
 
 def _cmd_onmf(args) -> int:
-    if args.starts < 1:
-        raise ValueError(f"starts must be at least 1, got {args.starts}")
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    check_count(args.starts, "starts")
+    check_count(args.jobs, "jobs")
     a = bench.load_dense_matrix(args.instance)
     inst = OnmfInstance(a=a, r=args.clusters)
     truth = None

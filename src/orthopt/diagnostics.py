@@ -20,6 +20,7 @@ from .driver import ZERO_TOL, stationarity_residual
 from .penalty import Objective
 from .stiefel import (
     StiefelPoint,
+    check_count,
     check_matrix,
     dist_to_stiefel,
     proj_tangent,
@@ -309,10 +310,8 @@ def error_bound_sweep(
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
-    if not seed >= 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_count(num_samples, "num_samples")
+    check_count(seed, "seed", minimum=0)
     kappa = error_bound_constant(xbar)
     n, r = xbar.shape
     dim = n * r
@@ -362,14 +361,12 @@ def sosc_probe(
     evaluates <H, hess f(X) H> - <H^T H, X^T grad f(X)>.
 
     Raises:
-        ValueError: if ``num_dirs`` is below 1, ``seed`` is negative, the base
-            point's stationarity residual exceeds 1e-6 or the gradient there
-            is not finite.
+        ValueError: if ``num_dirs`` is not an integer of at least 1, ``seed``
+            is not a nonnegative integer, the base point's stationarity
+            residual exceeds 1e-6 or the gradient there is not finite.
     """
-    if num_dirs < 1:
-        raise ValueError(f"num_dirs must be at least 1, got {num_dirs}")
-    if not seed >= 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_count(num_dirs, "num_dirs")
+    check_count(seed, "seed", minimum=0)
     resid = stationarity_residual(f, xbar)
     if resid > _SOSC_STATIONARITY_TOL:
         raise ValueError(
@@ -408,8 +405,8 @@ def sosc_probe(
 
 def default_base_point(n: int, r: int) -> StiefelPoint:
     """Feasible base point without zero rows: rows assigned round-robin."""
-    if not n >= r >= 1:
-        raise ValueError(f"shape must satisfy n >= r >= 1, got ({n}, {r})")
+    check_count(r, "r")
+    check_count(n, "n", minimum=r)
     assign = np.arange(n) % r
     out = np.zeros((n, r))
     out[np.arange(n), assign] = 1.0

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .penalty import Objective, PenaltyObjective, _recorded, nonneg_violation, penalty_terms
-from .pgm import LineSearchError, PgmConfig, PgmTrace, check_integer_fields, pgm_solve
-from .stiefel import StiefelPoint, check_matrix, proj_tangent
+from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
+from .stiefel import StiefelPoint, check_count, check_matrix, proj_tangent
 
 # outer-loop f-stagnation lag and relative tolerance for the early stop
 _STAGNATION_LAG = 9
@@ -75,7 +75,7 @@ class PenaltyConfig:
     pgm: PgmConfig = field(default_factory=PgmConfig)
 
     def __post_init__(self):
-        check_integer_fields(self, "l_max")
+        check_count(self.l_max, "l_max")
         if not self.gamma >= 0:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.rho0 is not None and not self.rho0 > 0:
@@ -90,8 +90,6 @@ class PenaltyConfig:
             raise ValueError(f"sigma_tau must lie in (0, 1), got {self.sigma_tau}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.l_max < 1:
-            raise ValueError(f"l_max must be at least 1, got {self.l_max}")
 
 
 @dataclass

@@ -14,7 +14,6 @@ evaluates each trial point once; only the returned point is certified as a
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ import numpy as np
 from .penalty import Objective
 from .stiefel import (
     StiefelPoint,
+    check_count,
     check_matrix,
     frobenius_norm,
     proj_tangent,
@@ -31,15 +31,6 @@ from .stiefel import (
 
 _BB_DEGENERACY = 1e-16
 _EPS = float(np.finfo(float).eps)
-
-
-def check_integer_fields(cfg, *names: str) -> None:
-    """Raise ValueError unless each named field of cfg is an integer; bools
-    and integral floats such as 1e3 are rejected too."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class LineSearchError(RuntimeError):
@@ -83,19 +74,17 @@ class PgmConfig:
     max_backtracks: int = 50
 
     def __post_init__(self):
-        check_integer_fields(self, "memory", "max_iters", "max_backtracks")
+        check_count(self.memory, "memory", minimum=0)
+        check_count(self.max_iters, "max_iters")
+        check_count(self.max_backtracks, "max_backtracks")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.memory < 0:
-            raise ValueError(f"memory must be nonnegative, got {self.memory}")
         if not 0.0 < self.t_min <= self.t_max:
             raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("max_iters and max_backtracks must be at least 1")
 
 
 @dataclass

@@ -14,20 +14,15 @@ import numpy as np
 
 from .driver import PenaltyConfig, penalty_solve
 from .penalty import Objective
-from .stiefel import StiefelPoint, check_matrix, qr_orthonormalize
+from .stiefel import StiefelPoint, check_count, check_matrix, qr_orthonormalize
 
 # onmf_alternate stops once the residual's relative change is at most this
 _ONMF_REL_TOL = 1e-6
 
 
-def _check_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
-
-
 @dataclass(frozen=True)
 class QapInstance:
-    """Quadratic assignment data: finite n x n weight matrices A and B.
+    """Quadratic assignment data: finite n x n weight matrices A and B, n >= 1.
 
     ``symmetric`` records whether A and B are both exactly symmetric, read
     off the data once; the lifted objective then needs half the products.
@@ -44,8 +39,8 @@ class QapInstance:
             raise ValueError(f"A must be square, got shape {a.shape}")
         if b.shape != a.shape:
             raise ValueError(f"B shape {b.shape} does not match A shape {a.shape}")
-        _check_finite(a, "A")
-        _check_finite(b, "B")
+        check_matrix(a, "A")
+        check_matrix(b, "B")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         symmetric = bool(np.array_equal(a, a.T) and np.array_equal(b, b.T))
@@ -101,7 +96,8 @@ def permutation_matrix(perm) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffinityInstance:
-    """Graph-matching affinity: a finite symmetric nonnegative n^2 x n^2 matrix.
+    """Graph-matching affinity: a finite symmetric nonnegative n^2 x n^2
+    matrix, n >= 1.
 
     The constructor symmetrizes the input; the gradient formula relies on
     symmetry, which affinity constructions guarantee up to rounding.
@@ -117,7 +113,7 @@ class AffinityInstance:
         n = int(round(np.sqrt(k.shape[0])))
         if n * n != k.shape[0]:
             raise ValueError(f"affinity size {k.shape[0]} is not a perfect square")
-        _check_finite(k, "affinity matrix")
+        check_matrix(k, "affinity matrix")
         object.__setattr__(self, "k", 0.5 * (k + k.T))
         object.__setattr__(self, "n", n)
 
@@ -160,7 +156,8 @@ class ProjectionObjective(Objective):
 
 @dataclass(frozen=True)
 class OnmfInstance:
-    """Orthogonal NMF data: finite nonnegative n x p matrix and cluster count r."""
+    """Orthogonal NMF data: finite nonnegative n x p matrix, p >= 1, and cluster
+    count r, 1 <= r <= n."""
 
     a: np.ndarray
     r: int
@@ -169,11 +166,13 @@ class OnmfInstance:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"data matrix must be 2-dimensional, got {a.shape}")
-        _check_finite(a, "data matrix")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("data matrix contains NaN or Inf entries")
         if np.any(a < 0):
             raise ValueError("data matrix must be entrywise nonnegative")
-        if not 1 <= self.r <= a.shape[0]:
-            raise ValueError(f"cluster count {self.r} out of range for {a.shape[0]} rows")
+        check_count(self.r, "r")
+        check_count(a.shape[0], "data matrix row count", minimum=self.r)
+        check_count(a.shape[1], "data matrix column count")
         object.__setattr__(self, "a", a)
 
 
@@ -191,18 +190,10 @@ class OnmfFactorObjective(Objective):
         return float(np.sum(d * d)), 2.0 * (xy - self.a) @ self.y
 
 
-def onmf_y_update(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Nonnegative least-squares surrogate max(0, A^T X (X^T X)^{-1}).
-
-    For orthonormal X the Gram matrix is the identity and this reduces to
-    max(0, A^T X), the exact minimizer over nonnegative Y.
-    """
-    gram = x.T @ x
-    try:
-        sol = np.linalg.solve(gram, (a.T @ x).T).T
-    except np.linalg.LinAlgError:
-        sol = (a.T @ x) @ np.linalg.pinv(gram)
-    return np.maximum(0.0, sol)
+def onmf_y_update(a: np.ndarray, x: StiefelPoint) -> np.ndarray:
+    """max(0, A^T X): for orthonormal X the exact minimizer of
+    ||A - X Y^T||_F^2 over nonnegative Y."""
+    return np.maximum(0.0, a.T @ x.mat)
 
 
 def onmf_alternate(
@@ -225,15 +216,16 @@ def onmf_alternate(
     SolveReport. ``bench.default_config(solver, "onmf", inst)`` gives the
     harness's configuration.
     """
+    check_count(max_rounds, "max_rounds")
     x = x0
-    y = onmf_y_update(inst.a, x.mat)
+    y = onmf_y_update(inst.a, x)
     history: list[float] = []
     prev = np.inf
     for _ in range(max_rounds):
         obj = OnmfFactorObjective(inst.a, y)
         report = solve(obj, x, cfg)
         x = report.x_final
-        y = onmf_y_update(inst.a, x.mat)
+        y = onmf_y_update(inst.a, x)
         resid = OnmfFactorObjective(inst.a, y).value(x.mat)
         history.append(resid)
         if abs(prev - resid) <= _ONMF_REL_TOL * (1.0 + abs(resid)):
@@ -249,8 +241,9 @@ def cluster_labels(x: np.ndarray) -> np.ndarray:
 
 def random_stiefel_start(n: int, r: int, seed: int) -> StiefelPoint:
     """Orthonormalized standard Gaussian draw; deterministic per seed."""
-    if not seed >= 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_count(r, "r")
+    check_count(n, "n", minimum=r)
+    check_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     return StiefelPoint(qr_orthonormalize(rng.standard_normal((n, r))))
 
@@ -266,8 +259,10 @@ def planted_onmf_instance(
     dominant blocks so clusters are separated at low noise. Returns the
     instance, the 1-based truth labels, and the planted factors.
     """
-    if not 1 <= r <= min(n, p):
-        raise ValueError(f"need 1 <= r <= min(n, p), got r={r}")
+    check_count(r, "r")
+    check_count(n, "n", minimum=r)
+    check_count(p, "p", minimum=r)
+    check_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     labels = 1 + (np.arange(n) % r)
     x_true = np.zeros((n, r))
@@ -294,6 +289,9 @@ def noisy_projection_target(
     standard Gaussian N. A deliberately simple, documented generator; at
     moderate xi the feasible X* remains the unique projection.
     """
+    check_count(r, "r")
+    check_count(n, "n", minimum=r)
+    check_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     assign = rng.integers(0, r, size=n)
     # guarantee every column at least one row

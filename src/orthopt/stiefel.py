@@ -14,6 +14,7 @@ bits without that wrapper's per-call type checks and ``triu`` copy.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -48,6 +49,16 @@ def check_matrix(a, name: str = "matrix", *, stacked: bool = False) -> np.ndarra
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
+
+
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Raise ValueError naming ``name`` unless value is an integer of at least
+    ``minimum``; bools and integral floats such as 1e3 are rejected too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def orthogonality_residual(mat: np.ndarray) -> float:

@@ -1,0 +1,96 @@
+"""Count, seed and shape arguments and instance data are checked where they
+enter the library, and a wrong one raises ValueError naming it."""
+
+import re
+
+import numpy as np
+import pytest
+
+from orthopt.bench import ExperimentSpec, clustering_metrics, load_best_known, run_experiment
+from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
+from orthopt.driver import PenaltyConfig
+from orthopt.problems import (
+    AffinityInstance,
+    OnmfInstance,
+    ProjectionObjective,
+    QapInstance,
+    noisy_projection_target,
+    onmf_alternate,
+    random_stiefel_start,
+)
+
+
+def _run_proj(**fields):
+    base = default_base_point(4, 2)
+    return run_experiment(ExperimentSpec(kind="proj", name="p", instance=base.mat, **fields))
+
+
+def _probe_at_base(num_dirs):
+    base = default_base_point(4, 2)
+    return sosc_probe(ProjectionObjective(base.mat), base, num_dirs, 0)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: random_stiefel_start(2, 3, 0), "n must be at least 3, got 2"),
+        (lambda: random_stiefel_start(3, 0, 0), "r must be at least 1, got 0"),
+        (lambda: noisy_projection_target(2, 3, 0.1, 0), "n must be at least 3, got 2"),
+        (lambda: _run_proj(seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: _run_proj(jobs=1.5), "jobs must be an integer, got 1.5"),
+        (lambda: _run_proj(num_starts=True), "num_starts must be an integer, got True"),
+        (
+            lambda: error_bound_sweep(default_base_point(4, 2), 0.05, 2.5, 0),
+            "num_samples must be an integer, got 2.5",
+        ),
+        (lambda: _probe_at_base(2.5), "num_dirs must be an integer, got 2.5"),
+        (lambda: default_base_point(3.0, 2), "n must be an integer, got 3.0"),
+        (lambda: OnmfInstance(np.ones((3, 3)), 2.5), "r must be an integer, got 2.5"),
+        (lambda: OnmfInstance(np.ones((3, 0)), 2), "data matrix column count must be at least 1, got 0"),
+        (
+            lambda: onmf_alternate(
+                OnmfInstance(np.ones((4, 3)), 2), default_base_point(4, 2), PenaltyConfig(), max_rounds=0
+            ),
+            "max_rounds must be at least 1, got 0",
+        ),
+        (lambda: clustering_metrics([1, 2], [1, 2], 2.5), "r must be an integer, got 2.5"),
+    ],
+    ids=[
+        "start_n_below_r",
+        "start_r_zero",
+        "projection_target_n_below_r",
+        "spec_float_seed",
+        "spec_float_jobs",
+        "spec_bool_num_starts",
+        "sweep_float_num_samples",
+        "sosc_float_num_dirs",
+        "base_point_float_n",
+        "onmf_float_cluster_count",
+        "onmf_no_columns",
+        "onmf_zero_rounds",
+        "clustering_float_r",
+    ],
+)
+def test_bad_count_seed_or_shape_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: QapInstance(np.zeros((0, 0)), np.zeros((0, 0))), "A"),
+        (lambda: AffinityInstance(np.zeros((0, 0))), "affinity matrix"),
+    ],
+    ids=["qap", "affinity"],
+)
+def test_empty_instance_is_rejected_naming_the_matrix(build, name):
+    with pytest.raises(ValueError, match=rf"^{name} must have n >= r >= 1, got shape \(0, 0\)$"):
+        build()
+
+
+def test_sidecar_name_given_twice_is_rejected(tmp_path):
+    path = tmp_path / "best.txt"
+    path.write_text("# bounds\na 1\nb 3\na 2\n")
+    with pytest.raises(ValueError, match=r"^duplicate name 'a' on line 4$"):
+        load_best_known(path)

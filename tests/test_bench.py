@@ -424,7 +424,7 @@ class TestCli:
         code = main(["diag-errorbound", "--shape", *shape, "--samples", "5"])
         assert code == 2
         err = capsys.readouterr().err
-        assert re.match(r"^error: ValueError: shape must satisfy n >= r >= 1", err)
+        assert re.match(rf"^error: ValueError: r must be at least 1, got {shape[1]}$", err)
         assert err.count("\n") == 1
 
     def test_diag_sosc_subcommand(self, tmp_path, capsys):

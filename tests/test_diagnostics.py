@@ -234,7 +234,9 @@ class TestBruteForceOracle:
 
 @pytest.mark.parametrize("shape", [(3, 0), (-2, -3), (2, 3), (0, 0)])
 def test_default_base_point_rejects_bad_shape_by_name(shape):
-    with pytest.raises(ValueError, match=rf"n >= r >= 1, got \({shape[0]}, {shape[1]}\)"):
+    n, r = shape
+    message = f"r must be at least 1, got {r}" if r < 1 else f"n must be at least {r}, got {n}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         default_base_point(*shape)
 
 

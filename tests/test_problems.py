@@ -209,10 +209,13 @@ class TestLinearObjective:
 
 class TestOnmf:
     def test_y_update_reduces_for_orthonormal_x(self):
+        # the Gram matrix of a Stiefel point is I to roundoff, so max(0, A^T X)
+        # agrees with the least-squares surrogate max(0, A^T X (X^T X)^{-1})
         rng = np.random.default_rng(10)
         a = rng.random((6, 4))
         x = random_stiefel_start(6, 2, 11)
-        npt.assert_allclose(onmf_y_update(a, x.mat), np.maximum(0.0, a.T @ x.mat), atol=1e-12)
+        surrogate = np.linalg.solve(x.mat.T @ x.mat, (a.T @ x.mat).T).T
+        npt.assert_allclose(onmf_y_update(a, x), np.maximum(0.0, surrogate), atol=1e-12)
 
     def test_factor_gradient(self, fd_check):
         rng = np.random.default_rng(12)

@@ -9,6 +9,7 @@ import pytest
 from orthopt.stiefel import (
     RetractionError,
     StiefelPoint,
+    check_count,
     dist_to_stiefel,
     orthogonality_residual,
     proj_tangent,
@@ -20,6 +21,30 @@ from test_diagnostics import polar_orthonormalize
 def random_point(n, r, seed):
     rng = np.random.default_rng(seed)
     return StiefelPoint(qr_orthonormalize(rng.standard_normal((n, r))))
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value,minimum", [(1, 1), (7, 1), (np.int64(3), 3), (0, 0)])
+    def test_accepts_integers_from_the_minimum(self, value, minimum):
+        check_count(value, "k", minimum=minimum)
+
+    @pytest.mark.parametrize(
+        "value,minimum,message",
+        [
+            (True, 0, "k must be an integer, got True"),
+            (np.bool_(True), 0, "k must be an integer, got "),
+            (2.0, 1, "k must be an integer, got 2.0"),
+            (1e3, 1, "k must be an integer, got 1000.0"),
+            ("3", 1, "k must be an integer, got '3'"),
+            (None, 1, "k must be an integer, got None"),
+            (0, 1, "k must be at least 1, got 0"),
+            (2, 3, "k must be at least 3, got 2"),
+            (-1, 0, "k must be nonnegative, got -1"),
+        ],
+    )
+    def test_rejects_by_name(self, value, minimum, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_count(value, "k", minimum=minimum)
 
 
 class TestStiefelPoint:
