@@ -30,7 +30,7 @@ from .problems import (
     QapLiftedObjective,
     random_stiefel_start,
 )
-from .stiefel import check_count
+from .stiefel import check_count, check_matrix
 
 SOLVERS = ("seppg_plus", "seppg_zero", "alm")
 KINDS = ("qap", "gm", "proj")
@@ -188,7 +188,10 @@ def clustering_metrics(truth, pred, r: int) -> tuple[float, float, float]:
 class ExperimentSpec:
     """A multi-start experiment on one instance.
 
-    ``config`` replaces ``default_config`` for every solver. Start i uses
+    ``instance`` must fit ``kind``: a ``QapInstance`` for qap, an
+    ``AffinityInstance`` for gm, and a finite n x r matrix with n >= r for
+    proj; otherwise the constructor raises ValueError naming it. ``config``
+    replaces ``default_config`` for every solver. Start i uses
     seed XOR i.
     """
 
@@ -214,6 +217,16 @@ class ExperimentSpec:
             raise ValueError(f"best_known must be finite, got {self.best_known}")
         if self.best_known == 0:
             raise ValueError("best_known must be nonzero: relative gaps divide by it")
+        want = {"qap": QapInstance, "gm": AffinityInstance}.get(self.kind)
+        try:
+            if want is None:
+                check_matrix(self.instance, "projection target")
+            elif not isinstance(self.instance, want):
+                raise TypeError(f"expected {want.__name__}, got {type(self.instance).__name__}")
+        except (TypeError, ValueError) as err:
+            raise ValueError(
+                f"instance {self.name!r} does not fit kind {self.kind!r}: {err}"
+            ) from None
 
 
 @dataclass

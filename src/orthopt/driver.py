@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .penalty import Objective, PenaltyObjective, _recorded, nonneg_violation, penalty_terms
+from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_terms
 from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
 from .stiefel import StiefelPoint, check_count, check_matrix, proj_tangent
 
@@ -201,22 +201,8 @@ def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
     return rho if rho > 0 else 1.0
 
 
-def _last_accepted_step(inner_traces: list) -> float | None:
-    """Step size of the latest accepted inner step over the traces, or None.
-
-    Subproblems that took no step are skipped. A stalled step is never
-    returned: it records ||V|| as 0, and its step size is only where
-    backtracking ended.
-    """
-    for tr in reversed(inner_traces):
-        for t, v_norm in zip(reversed(tr.step_sizes), reversed(tr.v_norms)):
-            if v_norm > 0.0:
-                return t
-    return None
-
-
 def _solve_subproblem(
-    obj: Objective,
+    obj: PenaltyObjective,
     x_start: StiefelPoint,
     cfg: PgmConfig,
     grad_tol: float,
@@ -227,19 +213,20 @@ def _solve_subproblem(
     """One inner solve of an outer loop to projected-gradient norm grad_tol,
     with its trace and flags recorded.
 
-    The solve's first trial step is the last step accepted by an earlier
-    subproblem of the run in ``inner_traces`` (see ``_last_accepted_step``),
-    so the step scale learned there carries over; until a step has been
-    accepted, pgm_solve starts from 1 / ||grad||.
+    The solve's first trial step is the previous subproblem's
+    ``PgmTrace.last_step``, so the step scale learned there carries over;
+    until a step has been accepted, pgm_solve starts from 1 / ||grad||.
 
     Returns (solution, True), or (x_start, False) after a line-search failure,
-    which aborts the outer loop; the failed solve's partial trace is kept.
+    which aborts the outer loop; the failed solve's partial trace is kept,
+    and ``obj.last`` is restored to the record it held at x_start.
     """
+    start = obj.last
+    t_first = inner_traces[-1].last_step if inner_traces else None
     try:
-        x, tr = pgm_solve(
-            obj, x_start, cfg, t_first=_last_accepted_step(inner_traces), grad_tol=grad_tol
-        )
+        x, tr = pgm_solve(obj, x_start, cfg, t_first=t_first, grad_tol=grad_tol)
     except LineSearchError as err:
+        obj.last = start
         inner_traces.append(err.trace)
         flags.extend([f"line_search_failure@outer={outer}", "aborted_with_partial_report"])
         return x_start, False
@@ -251,7 +238,7 @@ def _solve_subproblem(
 
 def _report(
     solver: str,
-    obj: Objective,
+    obj: PenaltyObjective,
     x: StiefelPoint,
     start_time: float,
     records: list,
@@ -375,7 +362,7 @@ def penalty_solve(
         cfg = PenaltyConfig()
     start_time = time.perf_counter()
 
-    start = (x0.mat, *f.value_and_gradient(x0.mat), *penalty_terms(x0.mat, cfg.gamma))
+    start = PenaltyObjective(f, 0.0, cfg.gamma).parts(x0.mat)
     rho = _initial_rho(start[1], x0, cfg)
     tau = cfg.tau0
     upsilon = start[1] + rho * start[3]
@@ -395,7 +382,6 @@ def penalty_solve(
         pobj = PenaltyObjective(f, rho, cfg.gamma, start)
         x, ok = _solve_subproblem(pobj, x_start, cfg.pgm, tau, l, inner_traces, flags)
         if not ok:
-            pobj.last = start
             break
 
         start = pobj.parts(x.mat)
@@ -453,45 +439,39 @@ def penalty_solve(
     return _report(solver, pobj, x, start_time, records, inner_traces, flags)
 
 
-class AugLagObjective(Objective):
+class AugLagObjective(PenaltyObjective):
     """Augmented Lagrangian in the primal matrix for fixed multiplier and weight.
 
     value(X) = f(X) + mu/2 ||min(0, X - lam/mu)||_F^2 - ||lam||_F^2 / (2 mu)
     gradient(X) = grad f(X) + mu * min(0, X - lam/mu)
 
-    The middle term is the quadratic penalty at X - lam/mu scaled by mu/2.
-
-    ``last`` records the parts of the latest evaluation, (x, f(x), grad f(x),
-    p(x), grad p(x)) with p the quadratic penalty at x - lam/mu. A record
-    passed in needs only the f part: its p part belongs to the earlier
-    multiplier and weight, so the penalty is always recomputed.
+    This is the ``PenaltyObjective`` of weight mu/2 with the quadratic
+    penalty taken at X - lam/mu, less a constant, and it keeps the same
+    record ``last``. A record passed in needs only its x and f parts: its p
+    part belongs to the earlier multiplier and weight, so the constructor
+    recomputes it once.
     """
 
     def __init__(self, f: Objective, lam: np.ndarray, mu: float, last: tuple | None = None):
         if not mu > 0:
             raise ValueError(f"mu must be positive, got {mu}")
-        self.f = f
-        self.last = last
         self.lam = np.asarray(lam, dtype=float)
         self.mu = float(mu)
         self._shift = self.lam / self.mu
         self._lam_term = float(np.sum(self.lam * self.lam)) / (2.0 * self.mu)
-        self._half_mu = 0.5 * self.mu
+        if last is not None:
+            last = (*last[:3], *self._penalty(last[0]))
+        super().__init__(f, 0.5 * self.mu, 0.0, last)
 
     # perfbench/tracer.py wraps these in the class's own namespace
     value, gradient = Objective.value, Objective.gradient
 
-    def parts(self, x: np.ndarray) -> tuple:
-        """The record (x, f(x), grad f(x), p(x), grad p(x)); the f part is
-        reused from ``last`` when that was taken at this read-only array."""
-        last = self.last
-        fv, fg = last[1:3] if _recorded(last, x) else self.f.value_and_gradient(x)
-        last = self.last = (x, fv, fg, *penalty_terms(x - self._shift, 0.0))
-        return last
+    def _penalty(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return penalty_terms(x - self._shift, 0.0)
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        _, fv, fg, pv, pg = self.parts(x)
-        return fv + self._half_mu * pv - self._lam_term, fg + self._half_mu * pg
+        val, grad = super().value_and_gradient(x)
+        return val - self._lam_term, grad
 
 
 def alm_solve(
@@ -528,7 +508,6 @@ def alm_solve(
         obj = AugLagObjective(f, lam, mu, start)
         x, ok = _solve_subproblem(obj, x, cfg.pgm, cfg.pgm.grad_tol, k, inner_traces, flags)
         if not ok:
-            obj.last = start
             break
         start = obj.parts(x.mat)
         ninf = nonneg_violation(x.mat)

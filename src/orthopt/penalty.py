@@ -7,11 +7,14 @@ alternative quadratic penalty. ``gamma == 0`` is the sentinel that selects the
 quadratic penalty throughout.
 
 ``penalty_terms`` is the one place where either penalty's value and gradient
-are computed: ``PenaltyObjective``, the penalty driver and the augmented
-Lagrangian in ``driver`` all go through it.
+are computed, and ``PenaltyObjective`` the one composite that records them:
+the penalty driver and the augmented Lagrangian in ``driver`` both go
+through it.
 """
 
 from __future__ import annotations
+
+import abc
 
 import numpy as np
 
@@ -51,27 +54,19 @@ def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
     return float((cf.dot(x.ravel()) - 0.5 * cf.dot(cf)) / gamma), c / gamma
 
 
-class Objective:
+class Objective(abc.ABC):
     """A smooth objective over n x r matrices: value plus Euclidean gradient.
 
-    A subclass defines ``value_and_gradient``, and ``value`` and
-    ``gradient`` are its parts; or it defines ``value`` and ``gradient``, and
-    ``value_and_gradient`` pairs them. A subclass that defines neither raises
-    TypeError when it is created. The solvers evaluate through
-    ``value_and_gradient``. Lipschitz constants are never required; the
-    solvers use line searches instead. ``hessian_vec`` defaults to a forward
-    difference of the gradient and is consumed only by diagnostics;
-    subclasses override it where an exact form is cheap.
+    A subclass defines ``value_and_gradient``, the solvers' only evaluation
+    call; ``value`` and ``gradient`` are its parts. Lipschitz constants are
+    never required; the solvers use line searches instead. ``hessian_vec``
+    defaults to a forward difference of the gradient and is consumed only by
+    diagnostics; subclasses override it where an exact form is cheap.
     """
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if cls.value_and_gradient is Objective.value_and_gradient and (
-            cls.value is Objective.value or cls.gradient is Objective.gradient
-        ):
-            raise TypeError(
-                f"{cls.__name__} must define value_and_gradient, or value and gradient"
-            )
+    @abc.abstractmethod
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and gradient at one point, computed together."""
 
     def value(self, x: np.ndarray) -> float:
         return self.value_and_gradient(x)[0]
@@ -79,22 +74,9 @@ class Objective:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_gradient(x)[1]
 
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and gradient at one point; the solvers' only evaluation call."""
-        return self.value(x), self.gradient(x)
-
     def hessian_vec(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         step = 1e-5 * (1.0 + float(np.linalg.norm(x)))
         return (self.gradient(x + step * h) - self.gradient(x)) / step
-
-
-def _recorded(last: tuple | None, x: np.ndarray) -> bool:
-    """Whether the record ``last`` was taken at the array x itself.
-
-    Records are keyed by array identity, and only a read-only array (such as
-    a ``StiefelPoint``'s) is trusted not to have changed since.
-    """
-    return last is not None and last[0] is x and not x.flags.writeable
 
 
 class PenaltyObjective(Objective):
@@ -102,13 +84,16 @@ class PenaltyObjective(Objective):
 
     ``gamma > 0`` selects the Moreau-envelope penalty, ``gamma == 0`` the
     quadratic penalty. ``rho == 0`` is allowed and reduces the composite to
-    the bare objective.
+    the bare objective. A subclass may take the penalty elsewhere by
+    overriding ``_penalty``, as the augmented Lagrangian in ``driver`` does.
 
     ``last`` records the parts of the latest evaluation, the tuple
     (x, f(x), grad f(x), p(x), grad p(x)). Since p does not depend on rho,
     an outer driver passes the record of one subproblem's solution to the
     next subproblem, whose first evaluation at that read-only array then
-    calls neither f nor the penalty kernel.
+    calls neither f nor the penalty kernel. Records are keyed by array
+    identity, and only a read-only array (such as a ``StiefelPoint``'s) is
+    trusted not to have changed since.
     """
 
     def __init__(self, f: Objective, rho: float, gamma: float, last: tuple | None = None):
@@ -124,13 +109,17 @@ class PenaltyObjective(Objective):
     # perfbench/tracer.py wraps these in the class's own namespace
     value, gradient = Objective.value, Objective.gradient
 
+    def _penalty(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """The penalty's value and gradient at x."""
+        return penalty_terms(x, self.gamma)
+
     def parts(self, x: np.ndarray) -> tuple:
         """The record (x, f(x), grad f(x), p(x), grad p(x)), reused from
         ``last`` when that was taken at this read-only array."""
         last = self.last
-        if not _recorded(last, x):
+        if last is None or last[0] is not x or x.flags.writeable:
             fv, fg = self.f.value_and_gradient(x)
-            last = self.last = (x, fv, fg, *penalty_terms(x, self.gamma))
+            last = self.last = (x, fv, fg, *self._penalty(x))
         return last
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:

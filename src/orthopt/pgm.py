@@ -98,10 +98,15 @@ class PgmTrace:
     solve: one at the start and one per trial point. The start is counted
     even when the objective answers it from a record handed in by an outer
     driver (see ``PenaltyObjective.last``).
+
+    ``last_step`` is the step to carry into a later solve: the step size of
+    the last accepted (not stalled) step, or the solve's ``t_first`` when no
+    step was accepted.
     """
 
     memory: int
     grad_tol: float = float("nan")
+    last_step: float | None = None
     evaluations: int = 0
     values: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
@@ -163,9 +168,9 @@ def pgm_solve(
     clamped to [t_min, t_max]; later steps use the Barzilai-Borwein estimate
     with the previous step as fallback. Backtracking and its acceptance test
     are the same for every step, so any positive ``t_first`` is admissible.
-    The outer drivers (``penalty_solve`` and ``alm_solve``) pass the last step
-    accepted by an earlier subproblem of the run, and ``penalty_solve`` its
-    stationarity target tau_l as ``grad_tol``.
+    The outer drivers (``penalty_solve`` and ``alm_solve``) pass the previous
+    subproblem's ``trace.last_step``, and ``penalty_solve`` its stationarity
+    target tau_l as ``grad_tol``.
 
     Each step sets V = -t * g for the projected gradient g at the iterate X,
     retracts X + V by QR, and multiplies t by eta until
@@ -201,7 +206,7 @@ def pgm_solve(
         grad_tol = cfg.grad_tol
     elif not grad_tol > 0:
         raise ValueError(f"grad_tol must be positive, got {grad_tol}")
-    trace = PgmTrace(memory=cfg.memory, grad_tol=grad_tol)
+    trace = PgmTrace(memory=cfg.memory, grad_tol=grad_tol, last_step=t_first)
 
     def certified(mat: np.ndarray) -> StiefelPoint:
         if mat is x0.mat:
@@ -261,6 +266,7 @@ def pgm_solve(
         # a stalled step leaves the iterate, its value and its gradient unchanged
         if cand is not None:
             xm, val, grad = cand, cand_val, cand_grad
+            trace.last_step = t
             rgrad, gnorm = _projected_gradient(xm, grad)
         trace.values.append(val)
         trace.grad_norms.append(gnorm)

@@ -25,11 +25,8 @@ class LinearObjective(Objective):
     def __init__(self, coeff):
         self.coeff = check_matrix(coeff, "coeff")
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.sum(self.coeff * x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.coeff.copy()
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return float(np.sum(self.coeff * x)), self.coeff.copy()
 
     def hessian_vec(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         return np.zeros_like(self.coeff)

@@ -261,6 +261,21 @@ class TestRunExperiment:
             spec_for_proj(kind="unknown")
 
     @pytest.mark.parametrize(
+        "kind,instance",
+        [
+            ("gm", np.eye(4)),
+            ("qap", np.eye(4)),
+            ("proj", QapInstance(np.eye(3), np.eye(3))),
+            ("proj", np.eye(4)[:2]),
+            ("proj", np.full((3, 2), np.nan)),
+        ],
+        ids=["gm-matrix", "qap-matrix", "proj-qap-instance", "proj-wide", "proj-nan"],
+    )
+    def test_instance_that_does_not_fit_the_kind_is_rejected_by_name(self, kind, instance):
+        with pytest.raises(ValueError, match=f"^instance 'p' does not fit kind '{kind}': "):
+            ExperimentSpec(kind, "p", instance)
+
+    @pytest.mark.parametrize(
         "field,value",
         [("rho0", -1.0), ("rho0", 0.0), ("rho0", float("nan")), ("seed", -1)],
     )

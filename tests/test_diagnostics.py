@@ -96,8 +96,8 @@ class NanGradient(LinearObjective):
     def __init__(self):
         super().__init__(np.zeros((4, 2)))
 
-    def gradient(self, x):
-        return np.full_like(x, np.nan)
+    def value_and_gradient(self, x):
+        return super().value_and_gradient(x)[0], np.full_like(x, np.nan)
 
 
 class TestErrorBoundConstant:

@@ -13,7 +13,6 @@ from orthopt.diagnostics import default_base_point
 from orthopt.driver import (
     AugLagObjective,
     PenaltyConfig,
-    _last_accepted_step,
     alm_solve,
     penalty_solve,
     round_to_feasible,
@@ -56,8 +55,8 @@ class NanGradient(LinearObjective):
     def __init__(self):
         super().__init__(np.zeros((4, 2)))
 
-    def gradient(self, x):
-        return np.full_like(x, np.nan)
+    def value_and_gradient(self, x):
+        return super().value_and_gradient(x)[0], np.full_like(x, np.nan)
 
 
 class TestRoundToFeasible:
@@ -321,19 +320,6 @@ class TestCarriedStep:
         assert summary(_SOLVES[solve](f, x0)) == first
 
 
-def test_stalled_steps_and_stepless_solves_are_not_carried():
-    def trace(steps, v_norms):
-        return PgmTrace(memory=5, step_sizes=steps, v_norms=v_norms)
-
-    assert _last_accepted_step([]) is None
-    assert _last_accepted_step([trace([], [])]) is None
-    assert _last_accepted_step([trace([1e-30], [0.0])]) is None
-    # a stalled last step falls back to the step before it
-    assert _last_accepted_step([trace([0.5, 0.25, 1e-30], [1.0, 1.0, 0.0])]) == 0.25
-    # a subproblem that took no step falls back to the one before it
-    assert _last_accepted_step([trace([0.5], [1.0]), trace([], [])]) == 0.5
-
-
 class TestStationarityResidual:
     def test_zero_at_global_minimizer(self):
         c = default_base_point(6, 3)
@@ -412,8 +398,9 @@ class TestPenaltyConfig:
 class _UphillObjective(LinearObjective):
     """<G, X> with the gradient's sign flipped: every step goes uphill."""
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return -self.coeff
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        val, grad = super().value_and_gradient(x)
+        return val, -grad
 
 
 @pytest.mark.parametrize("solve", [penalty_solve, alm_solve])
@@ -428,6 +415,29 @@ def test_line_search_failure_aborts_with_the_partial_report(solve):
     # the failed solve's trace is kept
     (tr,) = report.inner_traces
     assert isinstance(tr, PgmTrace) and not tr.converged
+
+
+def _flag_case():
+    f = ProjectionObjective(np.abs(np.random.default_rng(0).standard_normal((6, 3))))
+    return f, random_stiefel_start(6, 3, 1)
+
+
+def test_missed_inner_targets_and_the_outer_budget_are_flagged():
+    # one inner iteration cannot reach any tau_l on this case
+    report = penalty_solve(*_flag_case(), PenaltyConfig(pgm=PgmConfig(max_iters=1), l_max=3))
+    assert report.flags == [
+        "inner_tolerance_not_met@outer=0",
+        "inner_tolerance_not_met@outer=1",
+        "inner_tolerance_not_met@outer=2",
+        "outer_budget_exhausted",
+    ]
+    assert report.outer_iters == 3 and not report.certified_exit
+
+
+def test_alm_flags_its_exhausted_outer_budget():
+    report = alm_solve(*_flag_case(), PenaltyConfig(l_max=1))
+    assert report.flags == ["outer_budget_exhausted"]
+    assert report.outer_iters == 1 and report.ninf > PenaltyConfig().epsilon
 
 
 @pytest.mark.parametrize("value", [1e3, 2.5, True])

@@ -274,12 +274,30 @@ class TestCompositePenalty:
 
 
 class TestObjectiveContract:
-    def test_subclass_defining_only_value_is_rejected_at_creation(self):
-        with pytest.raises(TypeError, match="value_and_gradient, or value and gradient"):
+    def test_subclass_without_value_and_gradient_is_rejected_at_instantiation(self):
+        # value and gradient are parts of value_and_gradient, not a second way
+        class Separate(Objective):
+            def value(self, x):
+                return 0.0
 
-            class OnlyValue(Objective):
-                def value(self, x):
-                    return 0.0
+            def gradient(self, x):
+                return np.zeros_like(x)
+
+        with pytest.raises(TypeError, match="value_and_gradient"):
+            Separate()
+
+    def test_hessian_vec_default_is_a_difference_of_gradients(self):
+        # ||X - C||^2 through value_and_gradient alone: its Hessian is 2 h
+        c = np.random.default_rng(0).standard_normal((5, 3))
+
+        class Quadratic(Objective):
+            def value_and_gradient(self, x):
+                d = x - c
+                return float(np.sum(d * d)), 2.0 * d
+
+        rng = np.random.default_rng(1)
+        x, h = rng.standard_normal((2, 5, 3))
+        npt.assert_allclose(Quadratic().hessian_vec(x, h), 2.0 * h, rtol=0, atol=1e-9)
 
     def test_value_and_gradient_alone_gives_value_and_gradient(self):
         class Fused(Objective):

@@ -61,11 +61,9 @@ class TestPgmStep:
             def __init__(self):
                 self.inner = ProjectionObjective(np.eye(5)[:, :3])
 
-            def value(self, z):
-                return self.inner.value(z)
-
-            def gradient(self, z):
-                return -self.inner.gradient(z)  # wrong sign: ascent direction
+            def value_and_gradient(self, z):
+                val, grad = self.inner.value_and_gradient(z)
+                return val, -grad  # wrong sign: ascent direction
 
         obj = Ascent()
         # small backtrack budget: the step cannot shrink to roundoff level
@@ -81,12 +79,9 @@ class RecordingObjective(Objective):
         self.inner = inner
         self.grad_points = []
 
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
+    def value_and_gradient(self, x):
         self.grad_points.append(np.array(x))
-        return self.inner.gradient(x)
+        return self.inner.value_and_gradient(x)
 
 
 class TestPgmSolve:
@@ -244,13 +239,10 @@ class NanGradientAfterFirstCall(Objective):
         self.inner = inner
         self.grad_calls = 0
 
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
+    def value_and_gradient(self, x):
         self.grad_calls += 1
-        g = self.inner.gradient(x)
-        return g if self.grad_calls == 1 else np.full_like(g, np.nan)
+        val, g = self.inner.value_and_gradient(x)
+        return val, g if self.grad_calls == 1 else np.full_like(g, np.nan)
 
 
 class TestNonFinite:
@@ -264,11 +256,9 @@ class TestNonFinite:
         class Huge(Objective):
             inner = ProjectionObjective(np.eye(5)[:, :2])
 
-            def value(self, x):
-                return self.inner.value(x)
-
-            def gradient(self, x):
-                return 1e300 * self.inner.gradient(x)
+            def value_and_gradient(self, x):
+                val, grad = self.inner.value_and_gradient(x)
+                return val, 1e300 * grad
 
         # finite gradient entries, but the step -t * g overflows to Inf
         cfg = PgmConfig(t_min=1e10, t_max=1e10)
@@ -316,11 +306,8 @@ class WrongSignLinear(Objective):
     def __init__(self, g):
         self.g = g
 
-    def value(self, x):
-        return 1.0 + float(np.sum(self.g * x))
-
-    def gradient(self, x):
-        return -self.g
+    def value_and_gradient(self, x):
+        return 1.0 + float(np.sum(self.g * x)), -self.g
 
 
 @st.composite
@@ -370,6 +357,59 @@ def test_wrong_sign_gradient_stalls_at_the_start():
     assert trace.iterations == 5
     assert trace.v_norms == [0.0] * 5
     assert x is x0
+
+
+class FlooredObjective(Objective):
+    """An objective clipped below at a floor, keeping the unclipped gradient:
+    once the value reaches the floor, no step can lower it and each stalls."""
+
+    def __init__(self, inner, floor):
+        self.inner = inner
+        self.floor = floor
+
+    def value_and_gradient(self, x):
+        val, grad = self.inner.value_and_gradient(x)
+        return max(val, self.floor), grad
+
+
+@pytest.mark.parametrize("t_first", [None, 0.37])
+class TestLastStep:
+    """``PgmTrace.last_step``: the step an outer driver carries into its next
+    subproblem."""
+
+    def test_stationary_start_keeps_t_first(self, t_first):
+        c = np.eye(4)[:, :2]
+        _, trace = pgm_solve(
+            ProjectionObjective(c), StiefelPoint(c), PgmConfig(grad_tol=1e-8), t_first=t_first
+        )
+        assert trace.iterations == 0
+        assert trace.last_step == t_first
+
+    def test_all_stalled_solve_keeps_t_first(self, t_first):
+        g = np.random.default_rng([0, 1]).standard_normal((5, 2))
+        x0 = random_stiefel_start(5, 2, 0)
+        _, trace = pgm_solve(WrongSignLinear(g), x0, PgmConfig(max_iters=5), t_first=t_first)
+        assert trace.v_norms == [0.0] * 5
+        assert trace.last_step == t_first
+
+    def test_converged_solve_carries_its_last_step(self, t_first):
+        obj = ProjectionObjective(np.eye(6)[:, :3])
+        x0 = random_stiefel_start(6, 3, 5)
+        _, trace = pgm_solve(obj, x0, PgmConfig(grad_tol=1e-8), t_first=t_first)
+        assert trace.converged and trace.iterations > 0
+        assert 0.0 not in trace.v_norms
+        assert trace.last_step == trace.step_sizes[-1]
+
+    def test_stalls_after_accepted_steps_carry_the_last_accepted_step(self, t_first):
+        inner = ProjectionObjective(np.eye(6)[:, :3])
+        x0 = random_stiefel_start(6, 3, 5)
+        obj = FlooredObjective(inner, 0.5 * inner.value(x0.mat))
+        _, trace = pgm_solve(obj, x0, PgmConfig(max_iters=12, memory=0), t_first=t_first)
+        accepted = [k for k, v in enumerate(trace.v_norms) if v > 0.0]
+        assert accepted and accepted[-1] < trace.iterations - 1
+        assert trace.last_step == trace.step_sizes[accepted[-1]]
+        # backtracking ended far lower in the stalled steps
+        assert trace.step_sizes[-1] < 1e-6 * trace.last_step
 
 
 @pytest.mark.parametrize("field", ["memory", "max_iters", "max_backtracks"])
