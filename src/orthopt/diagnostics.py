@@ -16,7 +16,7 @@ from typing import overload
 
 import numpy as np
 
-from .driver import ZERO_TOL, stationarity_residual
+from .driver import ZERO_TOL, _residual_and_gradient
 from .penalty import Objective
 from .stiefel import (
     StiefelPoint,
@@ -367,13 +367,12 @@ def sosc_probe(
     """
     check_count(num_dirs, "num_dirs")
     check_count(seed, "seed", minimum=0)
-    resid = stationarity_residual(f, xbar)
+    resid, g = _residual_and_gradient(f, xbar)
     if resid > _SOSC_STATIONARITY_TOL:
         raise ValueError(
             f"base point is not stationary: residual {resid:.3e} exceeds {_SOSC_STATIONARITY_TOL}"
         )
     xm = xbar.mat
-    g = f.gradient(xm)
     gf = proj_tangent(xm, g)
     gf_norm2 = float(np.sum(gf * gf))
     zero_mask = xm < ZERO_TOL

@@ -5,9 +5,9 @@ The penalty driver approximately minimizes f + rho_l * penalty over the
 manifold for a slowly growing weight sequence rho_l and a tightening
 stationarity target tau_l, warm-starting each subproblem, and stops once the
 iterate is nonnegative to tolerance, or earlier with a certified feasible
-point once the iterate's support has settled. Each warm start is the previous
-iterate or, when it has the lower penalized value at the grown weight, its
-copy with every negative-sum column negated.
+point on the iterate's row support once its violation is small. Each warm
+start is the previous iterate or, when it has the lower penalized value at
+the grown weight, its copy with every negative-sum column negated.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ _NORM_RANGE = (1e-150, 1e150)
 _MU_GROWTH = 1.2
 # the data-driven initial weight is this fraction of |f(x0)| / violation(x0)
 _RHO0_SCALE = 0.1
-# penalty_solve tries its certified exit once the violation is at most
-# _EXIT_NINF and every row's largest entry has stayed in the same column over
-# the last _EXIT_HOLD outer iterations; the candidate on that support exits
-# when its stationarity residual is at most _EXIT_TOL
+# penalty_solve tries its certified exit at every outer iteration whose
+# violation is at most _EXIT_NINF; the candidate on the iterate's row support
+# exits when its stationarity residual is at most _EXIT_TOL
 _EXIT_NINF = 1e-1
-_EXIT_HOLD = 3
 _EXIT_TOL = 1e-6
 # the rectangular candidate takes at most this many masked sphere steps, and
 # stops once no entry moves by more than _FINISH_MOVE
@@ -76,20 +74,21 @@ class PenaltyConfig:
 
     def __post_init__(self):
         check_count(self.l_max, "l_max")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.rho0 is not None and not self.rho0 > 0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        if self.rho0 is not None and not 0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
+        # an infinite rho_max means no cap
         if not self.rho_max > 0:
             raise ValueError(f"rho_max must be positive, got {self.rho_max}")
         if not (self.sigma_rho_small > 1 and self.sigma_rho_large > 1):
             raise ValueError("sigma_rho_small and sigma_rho_large must exceed 1")
-        if not (self.tau0 > 0 and self.tau_min > 0):
-            raise ValueError("tau0 and tau_min must be positive")
+        for name in ("tau0", "tau_min", "epsilon"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.sigma_tau < 1.0:
             raise ValueError(f"sigma_tau must lie in (0, 1), got {self.sigma_tau}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -332,13 +331,14 @@ def penalty_solve(
     or to 5 * epsilon with the objective stagnant over the trailing window of
     outer iterations, or when the outer budget runs out.
 
-    Certified exit: once the violation is at most 0.1 and every row's largest
-    entry has stayed in the same column for 3 outer iterations, the driver
-    builds a feasible point on that support (``_support_candidate``) and
-    returns it when its ``stationarity_residual`` is at most 1e-6; the report
-    then has ``certified_exit`` set and that residual as ``stationarity``.
-    A support is tried once: after a failed check the loop goes on unchanged
-    until the support moves and settles again.
+    Certified exit: at every outer iteration whose violation is at most 0.1
+    and that has not stopped the run, the driver builds a feasible point on
+    the row support of the iterate, each row keeping its largest entry's
+    column (``_support_candidate``), and returns it when its
+    ``stationarity_residual`` is at most 1e-6; the report then has
+    ``certified_exit`` set and that residual as ``stationarity``. After a
+    failed check, or when some column keeps no positive entry, the loop goes
+    on unchanged and tries again after the next subproblem.
 
     The next warm start is the solved iterate, or its copy X D with every
     negative-sum column negated (D = diag(+-1)) when that copy has the lower
@@ -372,9 +372,6 @@ def penalty_solve(
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
     flags: list[str] = []
-    # the row support of the latest iterates, the outer iterations it has
-    # held since it last moved, and whether the exit has tried it
-    support, held, tried = None, 0, False
 
     # l_max >= 1, so pobj is the last subproblem objective after the loop
     for l in range(cfg.l_max):
@@ -401,13 +398,7 @@ def penalty_solve(
             if abs(f_val - f_lag) / (1.0 + abs(f_val)) <= _STAGNATION_RTOL:
                 break
 
-        row_max = np.argmax(x.mat, axis=1)
-        if support is not None and np.array_equal(row_max, support):
-            held += 1
-        else:
-            support, held, tried = row_max, 0, False
-        if held >= _EXIT_HOLD and ninf <= _EXIT_NINF and not tried:
-            tried = True
+        if ninf <= _EXIT_NINF:
             cand = _support_candidate(f, x.mat, start[2])
             if cand is not None:
                 residual = _stationarity(cand[0], cand[2])
@@ -551,12 +542,18 @@ def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
         ValueError: if the nonnegativity violation of x exceeds 5e-6, or the
             gradient at x is not finite.
     """
+    return _residual_and_gradient(f, x)[0]
+
+
+def _residual_and_gradient(f: Objective, x: StiefelPoint) -> tuple[float, np.ndarray]:
+    """``stationarity_residual(f, x)`` and the gradient it read, evaluated once."""
     if nonneg_violation(x.mat) > _FEAS_TOL:
         raise ValueError(
             f"point is not feasible to tolerance {_FEAS_TOL}: "
             f"violation {nonneg_violation(x.mat):.3e}"
         )
-    return _stationarity(x.mat, check_matrix(f.gradient(x.mat), "gradient"))
+    g = check_matrix(f.gradient(x.mat), "gradient")
+    return _stationarity(x.mat, g), g
 
 
 def _stationarity(xm: np.ndarray, g: np.ndarray) -> float:

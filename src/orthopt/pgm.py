@@ -79,8 +79,8 @@ class PgmConfig:
         check_count(self.max_backtracks, "max_backtracks")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.t_min <= self.t_max:
             raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
         if not self.grad_tol > 0:

@@ -665,6 +665,7 @@ class TestCliDefaults:
         "line",
         [
             "epsilon = nan",
+            "epsilon = inf",
             "rho_feas_threshold = 1e3",
             "rho0_scale = 0.2",
             "gamma = true",

@@ -418,6 +418,23 @@ class TestSoscProbe:
         with pytest.raises(ValueError, match="NaN or Inf"):
             sosc_probe(f, c, num_dirs=10, seed=8)
 
+    def test_gradient_is_evaluated_once(self):
+        # ProjectionObjective's hessian_vec is exact, so the one evaluation
+        # is the gradient at the base point
+        c = default_base_point(5, 2)
+        f = ProjectionObjective(c.mat)
+        calls = []
+        value_and_gradient = f.value_and_gradient
+
+        def counted(x):
+            calls.append(1)
+            return value_and_gradient(x)
+
+        f.value_and_gradient = counted
+        report = sosc_probe(f, c, num_dirs=20, seed=4)
+        assert report.surviving > 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("num_dirs", [0, -1])
     def test_num_dirs_must_be_positive(self, num_dirs):
         c = default_base_point(4, 2)

@@ -1,5 +1,7 @@
 """Outer solvers: rounding, penalty driver, ALM, stationarity residual."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +20,7 @@ from orthopt.driver import (
     round_to_feasible,
     stationarity_residual,
 )
-from orthopt.penalty import PenaltyObjective
+from orthopt.penalty import PenaltyObjective, nonneg_violation
 from orthopt.pgm import PgmConfig, PgmTrace
 from orthopt.problems import (
     GraphMatchingObjective,
@@ -471,6 +473,38 @@ def test_nan_parameter_rejected(build, name):
         build()
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        *(
+            pytest.param(lambda k=k: PenaltyConfig(**{k: INF}), k, id=f"PenaltyConfig.{k}")
+            for k in ("gamma", "rho0", "tau0", "tau_min", "epsilon")
+        ),
+        pytest.param(lambda: PgmConfig(alpha=INF), "alpha", id="PgmConfig.alpha"),
+    ],
+)
+def test_infinite_parameter_rejected(build, name):
+    with pytest.raises(ValueError, match=rf"{name} must be \w+ and finite, got inf"):
+        build()
+
+
+def test_infinite_caps_mean_no_cap():
+    # rho_max and t_max clamp the weight and the trial step; at inf neither
+    # clamp binds, and the tiny run never reaches the default caps either
+    inst = tiny_qap()
+    f = QapLiftedObjective(inst)
+    x0 = random_stiefel_start(6, 6, 3)
+    cfg = default_config("seppg_plus", "qap", inst)
+    uncapped = dataclasses.replace(cfg, rho_max=INF, pgm=dataclasses.replace(cfg.pgm, t_max=INF))
+    report, plain = penalty_solve(f, x0, uncapped), penalty_solve(f, x0, cfg)
+    assert report.certified_exit and not report.flags
+    assert report.inner_iters_total == plain.inner_iters_total
+    npt.assert_array_equal(report.x_final.mat, plain.x_final.mat)
+
+
 class CountingObjective(QapLiftedObjective):
     """The pinned QAP objective, counting every call that evaluates f."""
 
@@ -620,6 +654,45 @@ def test_failed_certificate_continues_the_loop(monkeypatch):
     assert failed.outer_iters == full.outer_iters
     assert failed.inner_iters_total == full.inner_iters_total
     npt.assert_array_equal(failed.x_final.mat, full.x_final.mat)
+
+
+def _uncertified_run(monkeypatch):
+    """The pinned QAP start 3 with every certificate failing: (cfg, report)."""
+    inst = tiny_qap()
+    cfg = default_config("seppg_plus", "qap", inst)
+    monkeypatch.setattr(driver, "_stationarity", lambda xm, g: np.inf)
+    return cfg, penalty_solve(QapLiftedObjective(inst), random_stiefel_start(6, 6, 3), cfg)
+
+
+def test_exit_is_tried_at_every_small_violation_short_of_the_stop(monkeypatch):
+    # the exit keeps no state: a support that has been tried, or has not
+    # held, is tried again after each subproblem
+    tried = []
+
+    def candidate(f, x, grad):
+        tried.append(nonneg_violation(x))
+        return support_candidate(f, x, grad)
+
+    support_candidate = driver._support_candidate
+    monkeypatch.setattr(driver, "_support_candidate", candidate)
+    _, report = _uncertified_run(monkeypatch)
+    assert not report.certified_exit and not report.flags
+    small = [rec.ninf for rec in report.trace[:-1] if rec.ninf <= driver._EXIT_NINF]
+    assert tried == small and len(small) > 1
+
+
+def test_uncertified_run_stops_once_the_objective_stagnates(monkeypatch):
+    # short of epsilon, only the stagnation stop ends a run the exit cannot
+    # certify before the outer budget runs out
+    cfg, report = _uncertified_run(monkeypatch)
+    assert not report.certified_exit
+    assert "outer_budget_exhausted" not in report.flags
+    assert report.outer_iters < cfg.l_max
+    assert report.ninf == report.trace[-1].ninf
+    assert cfg.epsilon < report.ninf <= 5.0 * cfg.epsilon
+    tail = np.array([rec.f_value for rec in report.trace[-1 - driver._STAGNATION_LAG :]])
+    assert tail.size == 10
+    assert np.ptp(tail) <= 1e-8 * (1.0 + abs(tail[-1]))
 
 
 def test_onmf_evaluations_bounded_by_the_exit(monkeypatch):
