@@ -16,7 +16,7 @@ from typing import overload
 
 import numpy as np
 
-from .driver import ZERO_TOL, _residual_and_gradient
+from .driver import ZERO_TOL, _assigned_point, _residual_and_gradient
 from .penalty import Objective
 from .stiefel import (
     StiefelPoint,
@@ -239,24 +239,14 @@ def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances and minimizers for a finite (S, n, r) stack of matrices.
 
     Scores every full assignment of every sample, keeps the first maximal
-    gain, builds the winning minimizer and returns the direct distance
+    gain, builds the winning minimizer with ``driver._assigned_point``, the
+    map that rounding uses too, and returns the direct distance
     ||x - minimizer||_F (the closed form ||x||^2 + r - 2 gain cancels to
     about sqrt(eps) near the feasible set).
     """
     num, n, r = xs.shape
     table = _patterns(n, r)
-    best = _best_patterns(xs, table)
-    pos = np.maximum(xs, 0.0)
-    assigned = table[best][:, :, None] == np.arange(r)
-    kept = np.where(assigned, pos, 0.0)
-    norms = np.linalg.norm(kept, axis=1, keepdims=True)
-    empty, cols = np.nonzero(norms[:, 0] == 0.0)
-    if empty.size:
-        # a zero-mass column's minimizer is e_i at its largest assigned entry
-        tops = np.argmax(np.where(assigned[empty, :, cols], xs[empty, :, cols], -np.inf), axis=1)
-        kept[empty, tops, cols] = 1.0
-        norms[empty, 0, cols] = 1.0
-    minimizers = kept / norms
+    minimizers = _assigned_point(xs, table[_best_patterns(xs, table)])
     dists = np.linalg.norm((xs - minimizers).reshape(num, -1), axis=1)
     return dists, minimizers
 

@@ -5,9 +5,12 @@ The penalty driver approximately minimizes f + rho_l * penalty over the
 manifold for a slowly growing weight sequence rho_l and a tightening
 stationarity target tau_l, warm-starting each subproblem, and stops once the
 iterate is nonnegative to tolerance, or earlier with a certified feasible
-point on the iterate's row support once its violation is small. Each warm
-start is the previous iterate or, when it has the lower penalized value at
-the grown weight, its copy with every negative-sum column negated.
+point on the iterate's row support once its violation is small. One map
+turns a row assignment into its feasible point (``_assigned_point``): the
+report rounding, the certified exit and the exact projection oracle of
+``diagnostics`` all build their points with it. Each warm start is the
+previous iterate or, when it has the lower penalized value at the grown
+weight, its copy with every negative-sum column negated.
 """
 
 from __future__ import annotations
@@ -81,8 +84,10 @@ class PenaltyConfig:
         # an infinite rho_max means no cap
         if not self.rho_max > 0:
             raise ValueError(f"rho_max must be positive, got {self.rho_max}")
-        if not (self.sigma_rho_small > 1 and self.sigma_rho_large > 1):
-            raise ValueError("sigma_rho_small and sigma_rho_large must exceed 1")
+        for name in ("sigma_rho_small", "sigma_rho_large"):
+            value = getattr(self, name)
+            if not 1 < value < math.inf:
+                raise ValueError(f"{name} must be above 1 and finite, got {value}")
         for name in ("tau0", "tau_min", "epsilon"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -129,65 +134,79 @@ class SolveReport:
     certified_exit: bool = False
 
 
-def _round_permutation(x: np.ndarray) -> np.ndarray:
-    """Greedy crossing-out: repeatedly fix the globally largest entry."""
-    n = x.shape[0]
-    work = np.array(x, dtype=float)
-    out = np.zeros_like(work)
-    for _ in range(n):
-        i, j = np.unravel_index(int(np.argmax(work)), work.shape)
-        out[i, j] = 1.0
-        work[i, :] = -np.inf
-        work[:, j] = -np.inf
-    return out
+def _assignment(x: np.ndarray) -> np.ndarray:
+    """Each row's column in the feasible point that ``round_to_feasible``
+    builds from the finite matrix x (see there)."""
+    n, r = x.shape
+    if n == r:
+        # greedy crossing-out: repeatedly fix the globally largest entry
+        work = np.array(x, dtype=float)
+        assign = np.empty(n, dtype=np.intp)
+        for _ in range(n):
+            i, j = np.unravel_index(int(np.argmax(work)), work.shape)
+            assign[i] = j
+            work[i, :] = -np.inf
+            work[:, j] = -np.inf
+        return assign
+
+    assign = np.argmax(x, axis=1)
+    # rows whose kept entry is positive, or that were moved to repair a column
+    held = x[np.arange(n), assign] > 0.0
+    supported = np.bincount(assign[held], minlength=r)
+    for j in np.flatnonzero(supported == 0):
+        donors = np.flatnonzero(~held | (supported[assign] >= 2))
+        i = int(donors[np.argmax(x[donors, j])])
+        if held[i]:
+            supported[assign[i]] -= 1
+        assign[i], held[i], supported[j] = j, True, 1
+    return assign
+
+
+def _assigned_point(x: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """The nearest point with unit nonnegative columns on a row assignment,
+    for an (..., n, r) stack x and its (..., n) assignment.
+
+    Column j is the normalized positive part of x on the rows assigned to j;
+    when none of those entries is positive, it is e_i at their largest entry.
+    """
+    on = assign[..., None] == np.arange(x.shape[-1])
+    out = np.where(on, np.maximum(x, 0.0), 0.0)
+    empty = ~out.any(axis=-2, keepdims=True)
+    if np.any(empty):
+        top = np.argmax(np.where(on, x, -np.inf), axis=-2, keepdims=True)
+        out[empty & (np.arange(x.shape[-2])[:, None] == top)] = 1.0
+    # squares of tiny or huge entries under- or overflow: rescale those columns first
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(out, axis=-2, keepdims=True)
+    extreme = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
+    if np.any(extreme):
+        out /= np.where(extreme, out.max(axis=-2, keepdims=True), 1.0)
+        # a rescaled column is summed as one contiguous vector, in numpy's pairwise order
+        cols = np.ascontiguousarray(np.swapaxes(out, -1, -2))
+        norms = np.where(extreme, np.linalg.norm(cols, axis=-1)[..., None, :], norms)
+    return out / norms
 
 
 def round_to_feasible(x) -> StiefelPoint:
     """Round a matrix onto the nonnegative orthogonal set.
 
-    For n > r each row keeps at most its largest entry (ties go to the
-    smallest column index), kept entries are clamped at zero from below, and
-    columns are normalized. A column left without positive mass is repaired
-    by moving in the row with the largest entry for it among the donors: rows
-    with no positive kept entry, and rows whose column keeps at least two
-    positive entries. A donor always exists when n > r, and no repair empties
-    another column. Square inputs are rounded to a permutation matrix by
-    greedily fixing the globally largest entry.
+    Each row goes to one column, and each column is the normalized positive
+    part of x on its rows, or e_i at its largest entry when none of them is
+    positive. For n > r each row goes to the column of its largest entry
+    (ties go to the smallest column index); a column left without a positive
+    entry is repaired by moving in the row with the largest entry for it
+    among the donors: rows with no positive entry in their column, and rows
+    whose column holds at least two positive entries. A donor always exists
+    when n > r, and no repair empties another column. Square inputs are
+    rounded to a permutation matrix by greedily fixing the globally largest
+    entry.
 
     The result has disjoint row supports across columns, unit nonnegative
     columns, and orthogonality residual at roundoff level, for every finite
     input.
     """
     x = check_matrix(x, "x")
-    n, r = x.shape
-    if n == r:
-        return StiefelPoint(_round_permutation(x))
-
-    rows = np.arange(n)
-    assign = np.argmax(x, axis=1)
-    vals = np.maximum(x[rows, assign], 0.0)
-
-    supported = np.bincount(assign[vals > 0], minlength=r)
-    for j in np.flatnonzero(supported == 0):
-        donors = np.flatnonzero((vals == 0.0) | (supported[assign] >= 2))
-        i = int(donors[np.argmax(x[donors, j])])
-        if vals[i] > 0.0:
-            supported[assign[i]] -= 1
-        assign[i] = j
-        # a nonpositive entry becomes the column's sole support and normalizes to 1
-        vals[i] = x[i, j] if x[i, j] > 0.0 else 1.0
-        supported[j] = 1
-
-    out = np.zeros_like(x)
-    out[rows, assign] = vals
-    # squares of tiny or huge entries under- or overflow: rescale those columns first
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(out, axis=0)
-    extreme = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
-    if np.any(extreme):
-        out[:, extreme] /= out[:, extreme].max(axis=0)
-        norms[extreme] = np.linalg.norm(out[:, extreme], axis=0)
-    return StiefelPoint(out / norms)
+    return StiefelPoint(_assigned_point(x, _assignment(x)))
 
 
 def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
@@ -271,49 +290,32 @@ def _report(
     )
 
 
-def _onto_support(z: np.ndarray, mask: np.ndarray) -> np.ndarray | None:
-    """Projection of z onto the nonnegative unit columns supported on mask:
-    each column's positive part on its mask, normalized; None when a column
-    keeps no positive entry."""
-    pos = np.where(mask, np.maximum(z, 0.0), 0.0)
-    norms = np.linalg.norm(pos, axis=0)
-    if not np.all(norms > 0.0):
-        return None
-    return pos / norms
+def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple:
+    """A feasible point on the row assignment of x with f's value and
+    gradient there, (p, f(p), grad f(p)); grad is grad f(x).
 
-
-def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple | None:
-    """A feasible point on the row support of x with f's value and gradient
-    there, (p, f(p), grad f(p)), or None; grad is grad f(x).
-
-    For n = r the point is x's rounded permutation. For n > r each row keeps
-    only its largest entry's column, and disjoint row supports reduce
-    X^T X = I to unit columns: the point comes from projected-gradient steps
-    on that product of spheres, each column with its own Barzilai-Borwein
-    step. On an objective that is an isotropic quadratic in each column there
-    (projection, the ONMF factor), the second step lands on the closed-form
-    minimizer, the normalized positive part of C or of A Y on the support.
+    The start is ``round_to_feasible(x)``, which for n = r is the candidate.
+    For n > r disjoint row supports reduce X^T X = I to unit columns: the
+    point comes from projected-gradient steps on that product of spheres,
+    each column with its own Barzilai-Borwein step and each step projected
+    onto the same assignment. On an objective that is an isotropic quadratic
+    in each column there (projection, the ONMF factor), the second step lands
+    on the closed-form minimizer, the normalized positive part of C or of
+    A Y on the support.
     """
     n, r = x.shape
-    if n == r:
-        p = _round_permutation(x)
-        return (p, *f.value_and_gradient(p))
-    mask = np.zeros(x.shape, dtype=bool)
-    mask[np.arange(n), np.argmax(x, axis=1)] = True
-    p = _onto_support(x, mask)
-    if p is None:
-        return None
+    assign = _assignment(x)
+    p = _assigned_point(x, assign)
     val, g = f.value_and_gradient(p)
+    if n == r:
+        return p, val, g
     prev, prev_g = x, grad
     for _ in range(_FINISH_STEPS):
         dx, dg = p - prev, g - prev_g
         curv = (dx * dg).sum(axis=0)
         # a column without positive curvature along its last move stays put
         t = np.divide((dx * dx).sum(axis=0), curv, out=np.zeros(r), where=curv > 0.0)
-        q = _onto_support(p - t * g, mask)
-        if q is None:
-            return None
-        prev, prev_g, p = p, g, q
+        prev, prev_g, p = p, g, _assigned_point(p - t * g, assign)
         val, g = f.value_and_gradient(p)
         if np.max(np.abs(p - prev)) <= _FINISH_MOVE:
             break
@@ -333,12 +335,12 @@ def penalty_solve(
 
     Certified exit: at every outer iteration whose violation is at most 0.1
     and that has not stopped the run, the driver builds a feasible point on
-    the row support of the iterate, each row keeping its largest entry's
-    column (``_support_candidate``), and returns it when its
+    the row assignment that ``round_to_feasible`` gives the iterate
+    (``_support_candidate``), and returns it when its
     ``stationarity_residual`` is at most 1e-6; the report then has
     ``certified_exit`` set and that residual as ``stationarity``. After a
-    failed check, or when some column keeps no positive entry, the loop goes
-    on unchanged and tries again after the next subproblem.
+    failed check the loop goes on unchanged and tries again after the next
+    subproblem.
 
     The next warm start is the solved iterate, or its copy X D with every
     negative-sum column negated (D = diag(+-1)) when that copy has the lower
@@ -399,15 +401,13 @@ def penalty_solve(
                 break
 
         if ninf <= _EXIT_NINF:
-            cand = _support_candidate(f, x.mat, start[2])
-            if cand is not None:
-                residual = _stationarity(cand[0], cand[2])
-                if residual <= _EXIT_TOL:
-                    x_exit = StiefelPoint(cand[0])
-                    return _report(
-                        solver, pobj, x_exit, start_time, records, inner_traces, flags,
-                        certified=(cand[1], residual),
-                    )
+            p, f_p, g_p = _support_candidate(f, x.mat, start[2])
+            residual = _stationarity(p, g_p)
+            if residual <= _EXIT_TOL:
+                return _report(
+                    solver, pobj, StiefelPoint(p), start_time, records, inner_traces, flags,
+                    certified=(f_p, residual),
+                )
 
         sigma = cfg.sigma_rho_small if rho <= 1.0 else cfg.sigma_rho_large
         rho = min(sigma * rho, cfg.rho_max)

@@ -81,7 +81,10 @@ class PgmConfig:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 < self.t_min <= self.t_max:
+        if not 0.0 < self.t_min < math.inf:
+            raise ValueError(f"t_min must be positive and finite, got {self.t_min}")
+        # an infinite t_max means no cap
+        if not self.t_min <= self.t_max:
             raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")

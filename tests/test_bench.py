@@ -427,6 +427,19 @@ class TestCli:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "0c9ff018f5202dfe449baa55ffb1980e76d4b41311b0eb55a5a9cbe9ec42b618"
 
+    def test_diag_errorbound_zero_mass_minimizers_are_pinned(self, tmp_path, capsys):
+        # two of these samples win with a column whose rows hold no positive
+        # entry, so their minimizers take e_i at that column's largest entry
+        out = tmp_path / "eb.csv"
+        code = main([
+            "diag-errorbound", "--shape", "3", "3", "--delta", "1.5", "--samples", "200",
+            "--seed", "3", "--out", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == "shape=(3,3) kappa=3.6373 samples=200 violations=0\n"
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "9d2c7c7f3a83e4823a0015767ab08cd353d0ddd3e6804efe02bec9a44986d506"
+
     def test_diag_errorbound_without_samples_exits_with_error(self, capsys):
         code = main(["diag-errorbound", "--shape", "3", "2", "--samples", "0"])
         assert code == 2

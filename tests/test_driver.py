@@ -176,14 +176,18 @@ class TestPenaltySolve:
         assert report.ninf == 0.0
         npt.assert_array_equal(report.x_final.mat, c.mat)
 
-    def test_schedules(self):
-        # pull toward the negative orthant so feasibility stays out of reach
-        c = -np.ones((4, 2)) / 2.0
+    _SCHEDULE_TARGET = -np.ones((4, 2)) / 2.0
+    _SCHEDULE_CFG = PenaltyConfig(
+        rho0=0.5, rho_max=3.0, epsilon=1e-14, l_max=60, pgm=PgmConfig(max_iters=200),
+    )
+
+    def test_schedules(self, monkeypatch):
+        # pull toward the negative orthant so feasibility stays out of reach;
+        # with the certified exit off the run goes on to the weight cap
+        monkeypatch.setattr(driver, "_stationarity", lambda xm, g: np.inf)
+        c = self._SCHEDULE_TARGET
         f = ProjectionObjective(c)
-        cfg = PenaltyConfig(
-            rho0=0.5, rho_max=3.0, epsilon=1e-14, l_max=60,
-            pgm=PgmConfig(max_iters=200),
-        )
+        cfg = self._SCHEDULE_CFG
         report = penalty_solve(f, random_stiefel_start(4, 2, 3), cfg)
         rhos = [rec.rho for rec in report.trace]
         taus = [rec.tau for rec in report.trace]
@@ -196,6 +200,15 @@ class TestPenaltySolve:
                 expected = cfg.sigma_rho_small if a <= 1.0 else cfg.sigma_rho_large
                 npt.assert_allclose(b / a, expected)
         assert rhos[-1] == cfg.rho_max  # cap reached and held
+
+    def test_negative_target_exits_certified_at_its_optimum(self):
+        # the optimum over S+ puts e_i in each column, where the target holds
+        # no positive entry; the exit builds that point and certifies it
+        f = ProjectionObjective(self._SCHEDULE_TARGET)
+        report = penalty_solve(f, random_stiefel_start(4, 2, 3), self._SCHEDULE_CFG)
+        assert report.certified_exit and not report.flags
+        assert report.f_final == 6.0
+        assert report.ninf == 0.0
 
     def test_acceptance_bound_respected(self):
         c = default_base_point(6, 3)
@@ -477,17 +490,25 @@ INF = float("inf")
 
 
 @pytest.mark.parametrize(
-    "build,name",
+    "build,rule",
     [
-        *(
-            pytest.param(lambda k=k: PenaltyConfig(**{k: INF}), k, id=f"PenaltyConfig.{k}")
-            for k in ("gamma", "rho0", "tau0", "tau_min", "epsilon")
+        pytest.param(
+            lambda: PenaltyConfig(gamma=INF), "gamma must be nonnegative", id="PenaltyConfig.gamma"
         ),
-        pytest.param(lambda: PgmConfig(alpha=INF), "alpha", id="PgmConfig.alpha"),
+        *(
+            pytest.param(lambda k=k: PenaltyConfig(**{k: INF}), f"{k} must be positive", id=f"PenaltyConfig.{k}")
+            for k in ("rho0", "tau0", "tau_min", "epsilon")
+        ),
+        *(
+            pytest.param(lambda k=k: PenaltyConfig(**{k: INF}), f"{k} must be above 1", id=f"PenaltyConfig.{k}")
+            for k in ("sigma_rho_small", "sigma_rho_large")
+        ),
+        pytest.param(lambda: PgmConfig(alpha=INF), "alpha must be positive", id="PgmConfig.alpha"),
+        pytest.param(lambda: PgmConfig(t_min=INF, t_max=INF), "t_min must be positive", id="PgmConfig.t_min"),
     ],
 )
-def test_infinite_parameter_rejected(build, name):
-    with pytest.raises(ValueError, match=rf"{name} must be \w+ and finite, got inf"):
+def test_infinite_parameter_rejected(build, rule):
+    with pytest.raises(ValueError, match=rf"^{rule} and finite, got inf$"):
         build()
 
 
@@ -748,11 +769,25 @@ class TestSupportCandidate:
         npt.assert_array_equal(p, round_to_feasible(x).mat)
         assert val == f.value(p)
 
-    def test_column_without_positive_mass_gives_no_candidate(self):
-        # every row's largest entry lies in column 0, so column 1 has no support
+    def test_column_without_positive_mass_starts_from_the_rounded_point(self):
+        # every row's largest entry lies in column 0, so column 1 has no
+        # support until rounding moves a donor row into it
         x = np.array([[0.8, 0.1], [0.6, -0.1], [0.0, 0.0]])
         f = ProjectionObjective(np.abs(x))
-        assert driver._support_candidate(f, x, f.gradient(x)) is None
+        p, val, _ = driver._support_candidate(f, x, f.gradient(x))
+        npt.assert_array_equal(p, round_to_feasible(x).mat)
+        assert val == f.value(p)
+
+    def test_step_leaving_a_column_without_positive_mass_takes_e_i(self):
+        # the second finisher point projects the target onto the support:
+        # column 1 holds no positive target entry on rows 2 and 3, so its
+        # projection is e_i at the larger one
+        x = np.array([[0.7, 0.1], [0.7, -0.1], [0.1, 0.6], [-0.1, 0.8]])
+        c = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, -0.5], [0.0, -0.2]])
+        f = ProjectionObjective(c)
+        p, _, _ = driver._support_candidate(f, x, f.gradient(x))
+        npt.assert_array_equal(p[:, 1], [0.0, 0.0, 0.0, 1.0])
+        npt.assert_allclose(p[:, 0], [np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
 
 
 def test_stationarity_closed_form_matches_the_iterative_residual():
