@@ -136,19 +136,10 @@ class SolveReport:
 
 def _assignment(x: np.ndarray) -> np.ndarray:
     """Each row's column in the feasible point that ``round_to_feasible``
-    builds from the finite matrix x (see there)."""
+    builds from the finite n x r matrix x, n >= r: the column of the row's
+    largest entry, with every column left without a positive entry repaired
+    from a donor row (see there)."""
     n, r = x.shape
-    if n == r:
-        # greedy crossing-out: repeatedly fix the globally largest entry
-        work = np.array(x, dtype=float)
-        assign = np.empty(n, dtype=np.intp)
-        for _ in range(n):
-            i, j = np.unravel_index(int(np.argmax(work)), work.shape)
-            assign[i] = j
-            work[i, :] = -np.inf
-            work[:, j] = -np.inf
-        return assign
-
     assign = np.argmax(x, axis=1)
     # rows whose kept entry is positive, or that were moved to repair a column
     held = x[np.arange(n), assign] > 0.0
@@ -192,14 +183,14 @@ def round_to_feasible(x) -> StiefelPoint:
 
     Each row goes to one column, and each column is the normalized positive
     part of x on its rows, or e_i at its largest entry when none of them is
-    positive. For n > r each row goes to the column of its largest entry
-    (ties go to the smallest column index); a column left without a positive
-    entry is repaired by moving in the row with the largest entry for it
-    among the donors: rows with no positive entry in their column, and rows
-    whose column holds at least two positive entries. A donor always exists
-    when n > r, and no repair empties another column. Square inputs are
-    rounded to a permutation matrix by greedily fixing the globally largest
-    entry.
+    positive. Each row goes to the column of its largest entry (ties go to
+    the smallest column index); a column left without a positive entry is
+    repaired by moving in the row with the largest entry for it among the
+    donors: rows with no positive entry in their column, and rows whose
+    column holds at least two positive entries. A donor always exists, since
+    n >= r: with a column empty, either some row has no positive entry in
+    its column or some other column holds two. No repair empties another
+    column, so a square input rounds to a permutation matrix.
 
     The result has disjoint row supports across columns, unit nonnegative
     columns, and orthogonality residual at roundoff level, for every finite
@@ -444,8 +435,8 @@ class AugLagObjective(PenaltyObjective):
     """
 
     def __init__(self, f: Objective, lam: np.ndarray, mu: float, last: tuple | None = None):
-        if not mu > 0:
-            raise ValueError(f"mu must be positive, got {mu}")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         self.lam = np.asarray(lam, dtype=float)
         self.mu = float(mu)
         self._shift = self.lam / self.mu

@@ -15,6 +15,7 @@ through it.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -41,14 +42,14 @@ def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
     sum(min(x, 0)^2), with gradient 2 min(x, 0).
 
     Raises:
-        ValueError: if gamma is negative or NaN.
+        ValueError: if gamma is negative, infinite or NaN.
     """
     x = np.asarray(x, dtype=float)
     if gamma == 0:
         neg = np.minimum(x, 0.0)
         return float((neg**2).sum()), 2.0 * neg
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     c = np.minimum(np.maximum(x, -gamma), 0.0)
     cf = c.ravel()
     return float((cf.dot(x.ravel()) - 0.5 * cf.dot(cf)) / gamma), c / gamma
@@ -97,10 +98,9 @@ class PenaltyObjective(Objective):
     """
 
     def __init__(self, f: Objective, rho: float, gamma: float, last: tuple | None = None):
-        if not rho >= 0:
-            raise ValueError(f"rho must be nonnegative, got {rho}")
-        if not gamma >= 0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        for name, value in (("rho", rho), ("gamma", gamma)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
         self.f = f
         self.rho = rho
         self.gamma = gamma

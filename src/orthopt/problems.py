@@ -8,6 +8,7 @@ Instances are immutable and objective evaluations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,6 +264,8 @@ def planted_onmf_instance(
     check_count(n, "n", minimum=r)
     check_count(p, "p", minimum=r)
     check_count(seed, "seed", minimum=0)
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be nonnegative and finite, got {noise}")
     rng = np.random.default_rng(seed)
     labels = 1 + (np.arange(n) % r)
     x_true = np.zeros((n, r))
@@ -292,6 +295,8 @@ def noisy_projection_target(
     check_count(r, "r")
     check_count(n, "n", minimum=r)
     check_count(seed, "seed", minimum=0)
+    if not 0 <= xi < math.inf:
+        raise ValueError(f"xi must be nonnegative and finite, got {xi}")
     rng = np.random.default_rng(seed)
     assign = rng.integers(0, r, size=n)
     # guarantee every column at least one row

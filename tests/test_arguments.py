@@ -1,5 +1,6 @@
-"""Count, seed and shape arguments and instance data are checked where they
-enter the library, and a wrong one raises ValueError naming it."""
+"""Count, seed and shape arguments, weights, scales and instance data are
+checked where they enter the library, and a wrong one raises ValueError
+naming it."""
 
 import re
 
@@ -8,7 +9,8 @@ import pytest
 
 from orthopt.bench import ExperimentSpec, clustering_metrics, load_best_known, run_experiment
 from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
-from orthopt.driver import PenaltyConfig
+from orthopt.driver import AugLagObjective, PenaltyConfig
+from orthopt.penalty import PenaltyObjective, penalty_terms
 from orthopt.problems import (
     AffinityInstance,
     OnmfInstance,
@@ -16,8 +18,16 @@ from orthopt.problems import (
     QapInstance,
     noisy_projection_target,
     onmf_alternate,
+    planted_onmf_instance,
     random_stiefel_start,
 )
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+def _objective():
+    return ProjectionObjective(default_base_point(4, 2).mat)
 
 
 def _run_proj(**fields):
@@ -54,6 +64,19 @@ def _probe_at_base(num_dirs):
             "max_rounds must be at least 1, got 0",
         ),
         (lambda: clustering_metrics([1, 2], [1, 2], 2.5), "r must be an integer, got 2.5"),
+        (lambda: penalty_terms(np.ones((3, 2)), INF), "gamma must be positive and finite, got inf"),
+        (
+            lambda: PenaltyObjective(_objective(), INF, 0.05),
+            "rho must be nonnegative and finite, got inf",
+        ),
+        (
+            lambda: AugLagObjective(_objective(), np.zeros((4, 2)), INF),
+            "mu must be positive and finite, got inf",
+        ),
+        (lambda: noisy_projection_target(5, 2, NAN, 0), "xi must be nonnegative and finite, got nan"),
+        (lambda: noisy_projection_target(5, 2, -0.1, 0), "xi must be nonnegative and finite, got -0.1"),
+        (lambda: planted_onmf_instance(6, 4, 2, NAN, 0), "noise must be nonnegative and finite, got nan"),
+        (lambda: planted_onmf_instance(6, 4, 2, INF, 0), "noise must be nonnegative and finite, got inf"),
     ],
     ids=[
         "start_n_below_r",
@@ -69,6 +92,13 @@ def _probe_at_base(num_dirs):
         "onmf_no_columns",
         "onmf_zero_rounds",
         "clustering_float_r",
+        "penalty_terms_infinite_gamma",
+        "penalty_objective_infinite_rho",
+        "auglag_infinite_mu",
+        "projection_target_nan_xi",
+        "projection_target_negative_xi",
+        "onmf_instance_nan_noise",
+        "onmf_instance_infinite_noise",
     ],
 )
 def test_bad_count_seed_or_shape_is_named(call, message):

@@ -85,6 +85,35 @@ class TestRoundToFeasible:
             noisy = p + 0.01 * rng.standard_normal((3, 3))
             npt.assert_array_equal(round_to_feasible(noisy).mat, p)
 
+    def test_square_collision_takes_the_repair_donor(self):
+        # both rows pick column 0; column 1 takes row 0, its largest entry
+        x = np.array([[0.9, 0.8], [0.7, 0.1]])
+        out = round_to_feasible(x).mat
+        npt.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
+        npt.assert_allclose(np.linalg.norm(x - out), np.sqrt(0.95))
+
+    def test_square_distinct_argmaxes_give_their_permutation(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 5, 20):
+            perm = rng.permutation(n)
+            x = rng.uniform(-1.0, 0.5, (n, n))
+            x[np.arange(n), perm] = 1.0
+            npt.assert_array_equal(round_to_feasible(x).mat, permutation_matrix(perm))
+
+    def test_square_inputs_round_to_permutations(self):
+        # few distinct values give ties and zeros; whole rows are negated or repeated
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            x = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, n))
+            rows = rng.random(n)
+            x[rows < 0.2] = -np.abs(x[rows < 0.2]) - 0.1
+            x[rows > 0.8] = x[0]
+            out = round_to_feasible(x).mat
+            assert set(np.unique(out)) <= {0.0, 1.0}
+            npt.assert_array_equal(out.sum(axis=0), np.ones(n))
+            npt.assert_array_equal(out.sum(axis=1), np.ones(n))
+
     def test_membership_on_random_inputs(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
