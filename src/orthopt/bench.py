@@ -143,13 +143,17 @@ def clustering_metrics(truth, pred, r: int) -> tuple[float, float, float]:
     relabeling of the prediction.
     """
     check_count(r, "r")
-    t = np.asarray(truth, dtype=int)
-    p = np.asarray(pred, dtype=int)
+    t = np.asarray(truth, dtype=float)
+    p = np.asarray(pred, dtype=float)
     if t.ndim != 1 or t.shape != p.shape or t.size == 0:
         raise ValueError("truth and pred must be equal-length nonempty 1-d label vectors")
     for name, v in (("truth", t), ("pred", p)):
+        fractional = v[v != np.round(v)]  # NaN included
+        if fractional.size:
+            raise ValueError(f"{name} labels must be integers, got {fractional[0]}")
         if v.min() < 1 or v.max() > r:
             raise ValueError(f"{name} labels must lie in [1, {r}]")
+    t, p = t.astype(int), p.astype(int)
     n = t.size
     counts = np.zeros((r, r))  # counts[i, j] = |truth cluster i  ∩  pred cluster j|
     np.add.at(counts, (t - 1, p - 1), 1.0)

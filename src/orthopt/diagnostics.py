@@ -9,15 +9,13 @@ second-order sufficiency probe.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import overload
 
 import numpy as np
 
-from .driver import ZERO_TOL, _assigned_point, _residual_and_gradient
-from .penalty import Objective
+from .driver import _FEAS_TOL, ZERO_TOL, _assigned_point, _residual_and_gradient
+from .penalty import Objective, nonneg_violation
 from .stiefel import (
     StiefelPoint,
     check_count,
@@ -36,12 +34,11 @@ class OracleSizeError(ValueError):
     """Raised when the exhaustive oracle would enumerate too many patterns."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ErrorBoundSample:
     """One probe point with its three distances and the bound check.
 
     ``holds`` records dist_splus <= (kappa + 1) * (dist_cone + dist_st).
-    Two samples are equal when their fields are, ``x`` compared entrywise.
     """
 
     x: np.ndarray
@@ -51,27 +48,15 @@ class ErrorBoundSample:
     kappa: float
     holds: bool
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ErrorBoundSample):
-            return NotImplemented
-        return np.array_equal(self.x, other.x) and (
-            self.dist_splus,
-            self.dist_cone,
-            self.dist_st,
-            self.kappa,
-            self.holds,
-        ) == (other.dist_splus, other.dist_cone, other.dist_st, other.kappa, other.holds)
-
 
 @dataclass(frozen=True, eq=False)
-class ErrorBoundSweep(Sequence):
+class ErrorBoundSweep:
     """A whole sweep as arrays: probes ``x`` (S, n, r), the three distances and
     ``holds`` (S,) each, and the constant shared by every sample.
 
-    A sequence of ``ErrorBoundSample``: indexing and iteration build each
-    sample on demand, its ``x`` a view into the stack, so every access
-    returns a new sample and setting its fields leaves the sweep unchanged.
-    A slice is an ``ErrorBoundSweep`` over the sliced arrays.
+    Iterable over ``ErrorBoundSample``s: each pass builds new samples, each
+    ``x`` a view into the stack, so setting a sample's fields leaves the
+    sweep unchanged.
     """
 
     x: np.ndarray
@@ -83,33 +68,6 @@ class ErrorBoundSweep(Sequence):
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    @overload
-    def __getitem__(self, k: int) -> ErrorBoundSample: ...
-
-    @overload
-    def __getitem__(self, k: slice) -> ErrorBoundSweep: ...
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return ErrorBoundSweep(
-                self.x[k],
-                self.dist_splus[k],
-                self.dist_cone[k],
-                self.dist_st[k],
-                self.holds[k],
-                self.kappa,
-            )
-        # negative indices and IndexError as for a list
-        k = range(len(self))[operator.index(k)]
-        return ErrorBoundSample(
-            x=self.x[k],
-            dist_splus=float(self.dist_splus[k]),
-            dist_cone=float(self.dist_cone[k]),
-            dist_st=float(self.dist_st[k]),
-            kappa=self.kappa,
-            holds=bool(self.holds[k]),
-        )
 
     def __iter__(self) -> Iterator[ErrorBoundSample]:
         # one conversion per field array, not one per sample
@@ -132,9 +90,15 @@ def error_bound_constant(
     2.1 sqrt(r) (1 + 3 r (n - r)) / (smallest nonzero entry) otherwise. The
     rectangular multi-column branch requires the base point to have no zero
     rows (row norm above ``ZERO_TOL``); ``allow_zero_rows=True`` bypasses
-    that hypothesis check for counterexample probes.
+    that hypothesis check for counterexample probes. A base point that is not
+    orthonormal, or whose nonnegativity violation exceeds 5e-6, raises ValueError.
     """
-    mat = xbar.mat if isinstance(xbar, StiefelPoint) else check_matrix(xbar, "xbar")
+    mat = (xbar if isinstance(xbar, StiefelPoint) else StiefelPoint(xbar)).mat
+    violation = nonneg_violation(mat)
+    if violation > _FEAS_TOL:
+        raise ValueError(
+            f"base point xbar is infeasible: violation {violation:.3e} exceeds {_FEAS_TOL}"
+        )
     n, r = mat.shape
     if n == r:
         return 2.1 * float(np.sqrt(n))
@@ -284,7 +248,7 @@ def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
 
 def evaluate_error_bound(x, kappa: float) -> ErrorBoundSample:
     """Fill one ErrorBoundSample for a probe point and a given constant."""
-    return _evaluate(check_matrix(x, "x")[None], kappa)[0]
+    return next(iter(_evaluate(check_matrix(x, "x")[None], kappa)))
 
 
 def error_bound_sweep(

@@ -64,6 +64,11 @@ def _probe_at_base(num_dirs):
             "max_rounds must be at least 1, got 0",
         ),
         (lambda: clustering_metrics([1, 2], [1, 2], 2.5), "r must be an integer, got 2.5"),
+        (
+            lambda: clustering_metrics([1.5, 2.7, 1.2], [1, 2, 1], 2),
+            "truth labels must be integers, got 1.5",
+        ),
+        (lambda: clustering_metrics([1, 2], [1, NAN], 2), "pred labels must be integers, got nan"),
         (lambda: penalty_terms(np.ones((3, 2)), INF), "gamma must be positive and finite, got inf"),
         (
             lambda: PenaltyObjective(_objective(), INF, 0.05),
@@ -92,6 +97,8 @@ def _probe_at_base(num_dirs):
         "onmf_no_columns",
         "onmf_zero_rounds",
         "clustering_float_r",
+        "clustering_fractional_truth",
+        "clustering_nan_pred",
         "penalty_terms_infinite_gamma",
         "penalty_objective_infinite_rho",
         "auglag_infinite_mu",

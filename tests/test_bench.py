@@ -455,6 +455,21 @@ class TestCli:
         assert re.match(rf"^error: ValueError: r must be at least 1, got {shape[1]}$", err)
         assert err.count("\n") == 1
 
+    def test_diag_errorbound_infeasible_base_exits_with_error(self, tmp_path, capsys):
+        # orthonormal, with one negative entry
+        base = tmp_path / "x.txt"
+        save_dense_matrix(base, [[0.6, 0.0], [-0.8, 0.0], [0.0, 1.0]])
+        out = tmp_path / "eb.csv"
+        code = main(["diag-errorbound", "--base", str(base), "--samples", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(
+            r"^error: ValueError: base point xbar is infeasible: violation 8\.000e-01 exceeds 5e-06$",
+            err,
+        )
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_diag_sosc_subcommand(self, tmp_path, capsys):
         point = tmp_path / "x.txt"
         save_dense_matrix(point, default_base_point(5, 2).mat)

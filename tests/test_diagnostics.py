@@ -20,7 +20,7 @@ from orthopt.diagnostics import (
     sosc_probe,
 )
 from orthopt.penalty import nonneg_violation
-from orthopt.problems import ProjectionObjective
+from orthopt.problems import ProjectionObjective, random_stiefel_start
 from orthopt.stiefel import RetractionError, StiefelPoint, proj_tangent
 
 from helpers import (
@@ -125,6 +125,25 @@ class TestErrorBoundConstant:
     def test_deterministic(self):
         xbar = default_base_point(6, 2)
         assert error_bound_constant(xbar) == error_bound_constant(xbar)
+
+    def test_infeasible_base_rejected_with_its_violation(self):
+        # orthonormal, with one negative entry
+        xbar = np.array([[0.6, 0.0], [-0.8, 0.0], [0.0, 1.0]])
+        message = "^base point xbar is infeasible: violation 8.000e-01 exceeds 5e-06$"
+        for base in (xbar, StiefelPoint(xbar)):
+            with pytest.raises(ValueError, match=message):
+                error_bound_constant(base)
+            with pytest.raises(ValueError, match=message):
+                error_bound_constant(base, allow_zero_rows=True)
+        with pytest.raises(ValueError, match="^base point xbar is infeasible"):
+            error_bound_constant(random_stiefel_start(3, 3, 2))
+        # stationarity_residual's tolerance: a violation of 1e-7 counts as feasible
+        slight = np.array([[np.sqrt(1.0 - 1e-14), 0.0], [-1e-7, 0.0], [0.0, 1.0]])
+        npt.assert_allclose(error_bound_constant(slight), 2.1 * np.sqrt(2.0) * 7.0 / 1e-7)
+
+    def test_array_base_must_be_orthonormal(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            error_bound_constant(np.ones((3, 2)))
 
 
 class TestBruteForceOracle:
@@ -291,6 +310,11 @@ class TestErrorBoundSweep:
         with pytest.raises(ValueError, match="delta must be"):
             error_bound_sweep(default_base_point(3, 2), delta, 1, seed=0)
 
+    def test_infeasible_base_rejected(self):
+        message = r"^base point xbar is infeasible: violation \S+ exceeds 5e-06$"
+        with pytest.raises(ValueError, match=message):
+            error_bound_sweep(random_stiefel_start(4, 2, 1), 0.05, 5, 0)
+
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             error_bound_sweep(default_base_point(3, 2), 0.05, 1, seed=-1)
@@ -326,37 +350,33 @@ class TestErrorBoundSweep:
             npt.assert_allclose(s.dist_cone, np.linalg.norm(np.minimum(s.x, 0.0)), rtol=0)
             npt.assert_allclose(s.dist_st, dist_to_stiefel(s.x), rtol=0)
 
-    def test_sweep_is_a_sequence_of_samples(self):
+    def test_sweep_iterates_its_arrays(self):
         sweep = error_bound_sweep(default_base_point(4, 2), 0.3, 7, seed=5)
         assert isinstance(sweep, ErrorBoundSweep) and len(sweep) == 7
-        assert sweep.x.shape == (7, 4, 2) and sweep.holds.shape == (7,)
+        assert sweep.x.shape == (7, 4, 2)
+        for name in ("dist_splus", "dist_cone", "dist_st", "holds"):
+            assert getattr(sweep, name).shape == (7,)
         samples = list(sweep)
         assert len(samples) == 7
         for k, s in enumerate(samples):
             assert isinstance(s, ErrorBoundSample)
-            _assert_same_sample(s, sweep[k])
-            _assert_same_sample(s, sweep[k - 7])
-            assert type(s.dist_splus) is float and type(s.holds) is bool
+            npt.assert_array_equal(s.x, sweep.x[k])
+            assert np.shares_memory(s.x, sweep.x)
+            assert (s.dist_splus, s.dist_cone, s.dist_st, s.holds) == (
+                sweep.dist_splus[k], sweep.dist_cone[k], sweep.dist_st[k], sweep.holds[k]
+            )
+            assert type(s.dist_splus) is float and type(s.dist_cone) is float
+            assert type(s.dist_st) is float and type(s.holds) is bool
             assert s.kappa == sweep.kappa
-        for k in (7, -8):
-            with pytest.raises(IndexError):
-                sweep[k]
-        # samples compare by value, x entrywise
-        assert sweep[1] == samples[1] and sweep[1] != sweep[2]
-        assert sweep[1] in sweep and sweep.index(sweep[3]) == 3
-        assert sweep.count(sweep[4]) == 1
-        moved = evaluate_error_bound(sweep[0].x + 0.01, sweep.kappa)
-        assert moved not in sweep
-        assert list(reversed(sweep)) == samples[::-1]
-        for part, k in ((sweep[2:5], slice(2, 5)), (sweep[::-2], slice(None, None, -2))):
-            assert isinstance(part, ErrorBoundSweep) and part.kappa == sweep.kappa
-            assert list(part) == samples[k]
-        assert len(sweep[7:]) == 0
-        # every access builds a new sample: setting a field leaves the sweep as it was
-        first = sweep[0]
+        # every pass builds new samples: setting a field leaves the sweep as it was
+        first = samples[0]
         first.holds = not first.holds
-        assert sweep[0].holds is not first.holds
-        assert sweep[0] is not sweep[0]
+        first.dist_splus = -1.0
+        again = next(iter(sweep))
+        # samples compare by identity, never by their arrays
+        assert again is not first and again != first
+        assert again.holds is bool(sweep.holds[0]) and again.holds is not first.holds
+        assert again.dist_splus == sweep.dist_splus[0]
 
     def test_sweep_survives_pickle(self):
         sweep = error_bound_sweep(default_base_point(4, 2), 0.3, 7, seed=5)
