@@ -18,7 +18,6 @@ from . import bench, diagnostics
 from .driver import PenaltyConfig, alm_solve, penalty_solve
 from .problems import (
     AffinityInstance,
-    OnmfFactorObjective,
     OnmfInstance,
     ProjectionObjective,
     cluster_labels,
@@ -139,8 +138,8 @@ def _onmf_start(shared, index: int):
     """Start ``index`` of an onmf run: (final X as an array, residual, rounds)."""
     inst, cfg, solve, seed = shared
     x0 = random_stiefel_start(inst.a.shape[0], inst.r, seed ^ index)
-    x, y, history = onmf_alternate(inst, x0, cfg, solve)
-    return x.mat, OnmfFactorObjective(inst.a, y).value(x.mat), len(history)
+    x, _, history = onmf_alternate(inst, x0, cfg, solve)
+    return x.mat, history[-1], len(history)
 
 
 def _cmd_onmf(args) -> int:

@@ -9,6 +9,7 @@ second-order sufficiency probe.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -117,11 +118,11 @@ def error_bound_constant(
     return 2.1 * float(np.sqrt(r)) * (1.0 + 3.0 * r * (n - r)) / smallest
 
 
-_pattern_cache: dict[tuple[int, int], np.ndarray] = {}
 # samples x patterns scored at once; bounds the oracle's working set
 _ORACLE_BLOCK = 1 << 18
 
 
+@functools.cache
 def _patterns(n: int, r: int) -> np.ndarray:
     """All r^n full assignments of rows to columns, as a cached (P, n) uint8 table.
 
@@ -129,16 +130,10 @@ def _patterns(n: int, r: int) -> np.ndarray:
     Adding a row to a column never lowers that column's gain, so the full
     assignments reach the maximum of the oracle's gain over all partial ones.
     """
-    key = (n, r)
-    cached = _pattern_cache.get(key)
-    if cached is not None:
-        return cached
     count = r**n
     if count > _ORACLE_PATTERN_CAP:
         raise OracleSizeError(f"r^n = {count} exceeds the oracle cap {_ORACLE_PATTERN_CAP}")
-    table = np.indices((r,) * n, dtype=np.uint8).reshape(n, -1).T
-    _pattern_cache[key] = table
-    return table
+    return np.indices((r,) * n, dtype=np.uint8).reshape(n, -1).T
 
 
 def _exact_gains(cols: np.ndarray, onehot: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -252,16 +247,20 @@ def evaluate_error_bound(x, kappa: float) -> ErrorBoundSample:
 
 
 def error_bound_sweep(
-    xbar: StiefelPoint, delta: float, num_samples: int, seed: int
+    xbar: StiefelPoint | np.ndarray, delta: float, num_samples: int, seed: int
 ) -> ErrorBoundSweep:
     """Sample the Frobenius delta-ball around a feasible point and test the bound.
 
     Points are drawn uniformly from the ball, each as a direction and then a
     radius, into one (num_samples, n, r) stack, and the whole sweep is
-    evaluated at once: one batched oracle pass and one stacked SVD. The
-    constant is ``error_bound_constant(xbar)``; probes of hypotheses-violating
-    bases go through ``evaluate_error_bound`` with an explicit constant.
+    evaluated at once: one batched oracle pass and one stacked SVD. An array
+    base is certified by ``StiefelPoint`` first, so it is accepted or rejected
+    as ``error_bound_constant`` accepts or rejects it. The constant is
+    ``error_bound_constant(xbar)``; probes of hypotheses-violating bases go
+    through ``evaluate_error_bound`` with an explicit constant.
     """
+    if not isinstance(xbar, StiefelPoint):
+        xbar = StiefelPoint(xbar)
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     check_count(num_samples, "num_samples")

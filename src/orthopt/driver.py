@@ -365,6 +365,7 @@ def penalty_solve(
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
     flags: list[str] = []
+    certified = None
 
     # l_max >= 1, so pobj is the last subproblem objective after the loop
     for l in range(cfg.l_max):
@@ -395,10 +396,8 @@ def penalty_solve(
             p, f_p, g_p = _support_candidate(f, x.mat, start[2])
             residual = _stationarity(p, g_p)
             if residual <= _EXIT_TOL:
-                return _report(
-                    solver, pobj, StiefelPoint(p), start_time, records, inner_traces, flags,
-                    certified=(f_p, residual),
-                )
+                x, certified = StiefelPoint(p), (f_p, residual)
+                break
 
         sigma = cfg.sigma_rho_small if rho <= 1.0 else cfg.sigma_rho_large
         rho = min(sigma * rho, cfg.rho_max)
@@ -418,7 +417,7 @@ def penalty_solve(
     else:
         flags.append("outer_budget_exhausted")
 
-    return _report(solver, pobj, x, start_time, records, inner_traces, flags)
+    return _report(solver, pobj, x, start_time, records, inner_traces, flags, certified)
 
 
 class AugLagObjective(PenaltyObjective):

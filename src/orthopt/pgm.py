@@ -86,8 +86,8 @@ class PgmConfig:
         # an infinite t_max means no cap
         if not self.t_min <= self.t_max:
             raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 @dataclass
@@ -161,11 +161,12 @@ def pgm_solve(
 ) -> tuple[StiefelPoint, PgmTrace]:
     """Run the iteration from x0 until stationarity or the iteration cap.
 
-    Returns the first iterate whose projected-gradient norm is at most
-    ``grad_tol`` (``cfg.grad_tol`` when None; ``trace.converged`` is then
-    True), or the lowest-value iterate of the trailing window once
-    ``max_iters`` is exhausted. The final objective value never exceeds the
-    initial one.
+    The loop stops at the first iterate whose projected-gradient norm is at
+    most ``grad_tol`` (``cfg.grad_tol`` when None) or after ``max_iters``
+    steps, and one exit follows: it returns the last iterate when that norm
+    meets ``grad_tol`` (``trace.converged`` is then True, also when the cap
+    ends the loop there), and otherwise the lowest-value iterate of the
+    trailing window. The final objective value never exceeds the initial one.
 
     The first trial step is ``t_first`` when given and 1 / ||grad|| otherwise,
     clamped to [t_min, t_max]; later steps use the Barzilai-Borwein estimate
@@ -196,26 +197,20 @@ def pgm_solve(
     evaluated once through ``obj.value_and_gradient``; an accepted trial's
     gradient is reused for the next step. The returned point is x0 itself
     when the returned iterate is the start. Otherwise it is the solver's own
-    iterate array,
-    made read-only and adopted by ``StiefelPoint`` without a copy, so an
-    evaluation record the objective keeps of that array (see
+    iterate array, made read-only and adopted by ``StiefelPoint`` without a
+    copy, so an evaluation record the objective keeps of that array (see
     ``PenaltyObjective.last``) is found by identity.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
-    finite, or when ``t_first`` or ``grad_tol`` is not positive.
+    finite, when ``t_first`` is not positive, or when ``grad_tol`` is not
+    positive and finite.
     """
     if t_first is not None and not t_first > 0:
         raise ValueError(f"t_first must be positive, got {t_first}")
     if grad_tol is None:
         grad_tol = cfg.grad_tol
-    elif not grad_tol > 0:
-        raise ValueError(f"grad_tol must be positive, got {grad_tol}")
+    elif not 0 < grad_tol < math.inf:
+        raise ValueError(f"grad_tol must be positive and finite, got {grad_tol}")
     trace = PgmTrace(memory=cfg.memory, grad_tol=grad_tol, last_step=t_first)
-
-    def certified(mat: np.ndarray) -> StiefelPoint:
-        if mat is x0.mat:
-            return x0
-        mat.flags.writeable = False
-        return StiefelPoint(mat)
 
     xm = x0.mat
     trace.evaluations += 1
@@ -226,19 +221,15 @@ def pgm_solve(
     trace.grad_norms.append(gnorm)
 
     window: deque = deque([(val, xm)], maxlen=cfg.memory + 1)
-    prev_t = 1.0
-    prev_mat: np.ndarray | None = None
-    prev_rgrad: np.ndarray | None = None
+    # with no history the Barzilai-Borwein estimate is its clamped fallback,
+    # the first trial step; 1 / ||grad|| is used only when ||grad|| > grad_tol
+    t = 1.0 / max(gnorm, grad_tol) if t_first is None else t_first
+    prev = (xm, rgrad)
 
-    for k in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         if gnorm <= grad_tol:
-            trace.converged = True
-            return certified(xm), trace
-        if k == 0:
-            t0 = 1.0 / gnorm if t_first is None else t_first
-            t = float(min(max(t0, cfg.t_min), cfg.t_max))
-        else:
-            t = _bb_stepsize(xm - prev_mat, rgrad - prev_rgrad, cfg.t_min, cfg.t_max, prev_t)
+            break
+        t = _bb_stepsize(xm - prev[0], rgrad - prev[1], cfg.t_min, cfg.t_max, t)
         window_max = max(v for v, _ in window)
         for bt in range(cfg.max_backtracks + 1):
             v = -t * rgrad
@@ -265,7 +256,7 @@ def pgm_solve(
                 f"no acceptable step after {cfg.max_backtracks} backtracks (last t={t:.3e})",
                 trace,
             )
-        prev_mat, prev_rgrad, prev_t = xm, rgrad, t
+        prev = (xm, rgrad)
         # a stalled step leaves the iterate, its value and its gradient unchanged
         if cand is not None:
             xm, val, grad = cand, cand_val, cand_grad
@@ -278,8 +269,10 @@ def pgm_solve(
         trace.backtracks.append(bt)
         window.append((val, xm))
 
-    if gnorm <= grad_tol:
-        trace.converged = True
-        return certified(xm), trace
-    _, best = min(window, key=lambda pair: pair[0])
-    return certified(best), trace
+    trace.converged = gnorm <= grad_tol
+    if not trace.converged:
+        _, xm = min(window, key=lambda pair: pair[0])
+    if xm is x0.mat:
+        return x0, trace
+    xm.flags.writeable = False
+    return StiefelPoint(xm), trace

@@ -22,13 +22,6 @@ from numpy.linalg import _umath_linalg
 ORTH_TOL = 1e-10
 _RANK_TOL = 1e-12
 
-# geqrf: Householder QR in place, returning tau. numpy >= 2 has one gufunc;
-# numpy 1.22-1.26 has one for n <= r and one for n > r, as np.linalg.qr picks
-if hasattr(_umath_linalg, "qr_r_raw"):
-    _geqrf_wide = _geqrf_tall = _umath_linalg.qr_r_raw
-else:
-    _geqrf_wide, _geqrf_tall = _umath_linalg.qr_r_raw_m, _umath_linalg.qr_r_raw_n
-
 
 class RetractionError(RuntimeError):
     """Raised when an orthonormalization input is numerically rank deficient."""
@@ -89,8 +82,7 @@ def qr_orthonormalize(mat: np.ndarray) -> np.ndarray:
     # geqrf overwrites its input with R and the Householder vectors
     a = np.array(mat, dtype=float)
     scale = max(1.0, frobenius_norm(a))
-    geqrf = _geqrf_wide if a.shape[0] <= a.shape[1] else _geqrf_tall
-    tau = geqrf(a, signature="d->d")
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
     q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
     diag = a.diagonal()
     if float(np.abs(diag).min()) <= _RANK_TOL * scale:

@@ -689,6 +689,16 @@ class TestCliDefaults:
         assert re.match(r"^error: ValueError: ", err)
         assert err.count("\n") == 1
 
+    def test_infinite_inner_tolerance_exits_with_error(self, tmp_path, capsys):
+        inst = tmp_path / "c.txt"
+        save_dense_matrix(inst, default_base_point(4, 2).mat)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("pgm.grad_tol = inf\n")
+        code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: grad_tol must be positive and finite, got inf\n"
+
     @pytest.mark.parametrize(
         "line",
         [

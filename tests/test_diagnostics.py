@@ -315,6 +315,18 @@ class TestErrorBoundSweep:
         with pytest.raises(ValueError, match=message):
             error_bound_sweep(random_stiefel_start(4, 2, 1), 0.05, 5, 0)
 
+    def test_array_base_gives_the_point_base_sweep(self):
+        base = default_base_point(4, 2)
+        by_array = error_bound_sweep(base.mat, 0.05, 3, 0)
+        by_point = error_bound_sweep(base, 0.05, 3, 0)
+        for name in ("x", "dist_splus", "dist_cone", "dist_st", "holds"):
+            npt.assert_array_equal(getattr(by_array, name), getattr(by_point, name))
+        assert by_array.kappa == by_point.kappa
+        with pytest.raises(ValueError, match="not orthonormal"):
+            error_bound_sweep(np.ones((4, 2)), 0.05, 3, 0)
+        with pytest.raises(ValueError, match="^base point xbar is infeasible"):
+            error_bound_sweep(random_stiefel_start(4, 2, 1).mat, 0.05, 3, 0)
+
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             error_bound_sweep(default_base_point(3, 2), 0.05, 1, seed=-1)

@@ -191,6 +191,19 @@ class TestPgmSolve:
         assert obj.last[0] is x.mat
         assert not x.mat.flags.writeable
 
+    def test_convergence_at_the_iteration_cap_returns_the_last_iterate(self):
+        # the stopping test and the cap end the loop at the same step: the
+        # solve counts as converged and returns its last iterate
+        obj = ProjectionObjective(np.eye(6)[:, :3])
+        x0 = random_stiefel_start(6, 3, 12)
+        x, trace = pgm_solve(obj, x0, PgmConfig(grad_tol=1e-8))
+        k = trace.iterations
+        assert trace.converged and k > 0
+        capped, capped_trace = pgm_solve(obj, x0, PgmConfig(grad_tol=1e-8, max_iters=k))
+        assert capped_trace.converged and capped_trace.iterations == k
+        assert capped_trace.grad_norms[-1] <= 1e-8
+        npt.assert_array_equal(capped.mat, x.mat)
+
     def test_exhaustion_returns_best_window_point(self):
         obj = ProjectionObjective(np.eye(6)[:, :3])
         x0 = random_stiefel_start(6, 3, 12)
