@@ -162,23 +162,14 @@ def clustering_metrics(truth, pred, r: int) -> tuple[float, float, float]:
 
     pidx = float(counts.max(axis=0).sum() / n)
 
-    if r == 1:
-        eidx = 0.0
-    else:
-        acc = 0.0
-        for i in range(r):
-            for j in range(r):
-                c = counts[i, j]
-                if c > 0:
-                    acc += c * np.log2(c / n_pred[j])
-        eidx = float(-acc / (n * np.log2(r))) + 0.0  # normalize signed zero
-
-    mutual = 0.0
+    acc = mutual = 0.0
     for i in range(r):
         for j in range(r):
             c = counts[i, j]
             if c > 0:
+                acc += c * np.log2(c / n_pred[j])
                 mutual += (c / n) * np.log2((n * c) / (n_true[i] * n_pred[j]))
+    eidx = 0.0 if r == 1 else float(-acc / (n * np.log2(r))) + 0.0  # normalize signed zero
     # log2(n/c) rather than -log2(c/n): bitwise identical to the mutual terms
     # on a perfect confusion matrix, so NMI is exactly 1 there
     h_true = sum((c / n) * np.log2(n / c) for c in n_true if c > 0)

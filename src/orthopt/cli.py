@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -62,9 +63,11 @@ def _coerce(key: str, text: str):
 
 
 def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
-    """Apply key=value lines to a PenaltyConfig; pgm.<key> reaches the inner solver."""
+    """Apply key=value lines to a PenaltyConfig; pgm.<key> reaches the inner
+    solver. Every rejection names the key as the file writes it."""
     outer: dict = {}
     inner: dict = {}
+    inner_fields = {f.name for f in dataclasses.fields(base.pgm)}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -75,11 +78,16 @@ def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
         if key == "pgm":
             raise ValueError("pgm takes no value: set the inner options as pgm.<key>")
         if key.startswith("pgm."):
+            if key[4:] not in inner_fields:
+                raise TypeError(f"unexpected key {key!r}")
             inner[key[4:]] = _coerce(key, value)
         else:
             outer[key] = _coerce(key, value)
     if inner:
-        outer["pgm"] = dataclasses.replace(base.pgm, **inner)
+        try:
+            outer["pgm"] = dataclasses.replace(base.pgm, **inner)
+        except ValueError as err:  # PgmConfig names its fields bare
+            raise ValueError(re.sub(rf"\b({'|'.join(inner)})\b", r"pgm.\1", str(err))) from None
     return dataclasses.replace(base, **outer)
 
 

@@ -111,10 +111,8 @@ def error_bound_constant(
             "base point has a zero row; the rectangular multi-column bound "
             "does not apply (pass allow_zero_rows=True to probe anyway)"
         )
-    nonzero = np.abs(mat[np.abs(mat) > ZERO_TOL])
-    if nonzero.size == 0:
-        raise ValueError("base point has no nonzero entries")
-    smallest = float(np.min(nonzero))
+    # unit columns give every column an entry of magnitude >= 1/sqrt(n) > ZERO_TOL
+    smallest = float(np.min(np.abs(mat[np.abs(mat) > ZERO_TOL])))
     return 2.1 * float(np.sqrt(r)) * (1.0 + 3.0 * r * (n - r)) / smallest
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,8 @@ class PenaltyConfig:
 
     Both read ``rho0`` (the initial weight), ``epsilon``, ``l_max`` and
     ``pgm``; the schedule fields ``gamma``, ``tau*``, ``sigma_*`` and
-    ``rho_max`` apply only to ``penalty_solve``.
+    ``rho_max`` apply only to ``penalty_solve``, and ``pgm.grad_tol``, which
+    tau_l replaces there, only to ``alm_solve``.
 
     ``gamma > 0`` runs the Moreau-envelope penalty, ``gamma == 0`` the
     quadratic one. Every other default serves both penalties, so the
@@ -211,16 +212,11 @@ def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
 
 
 def _solve_subproblem(
-    obj: PenaltyObjective,
-    x_start: StiefelPoint,
-    cfg: PgmConfig,
-    grad_tol: float,
-    outer: int,
-    inner_traces: list,
-    flags: list,
+    obj: PenaltyObjective, x_start: StiefelPoint, cfg: PgmConfig, inner_traces: list, flags: list
 ) -> tuple[StiefelPoint, bool]:
-    """One inner solve of an outer loop to projected-gradient norm grad_tol,
-    with its trace and flags recorded.
+    """One inner solve of an outer loop to projected-gradient norm
+    ``cfg.grad_tol``. Its trace and its flags, which give the outer index as
+    ``len(inner_traces)``, the number of earlier solves, are recorded.
 
     The solve's first trial step is the previous subproblem's
     ``PgmTrace.last_step``, so the step scale learned there carries over;
@@ -230,10 +226,10 @@ def _solve_subproblem(
     which aborts the outer loop; the failed solve's partial trace is kept,
     and ``obj.last`` is restored to the record it held at x_start.
     """
-    start = obj.last
+    start, outer = obj.last, len(inner_traces)
     t_first = inner_traces[-1].last_step if inner_traces else None
     try:
-        x, tr = pgm_solve(obj, x_start, cfg, t_first=t_first, grad_tol=grad_tol)
+        x, tr = pgm_solve(obj, x_start, cfg, t_first=t_first)
     except LineSearchError as err:
         obj.last = start
         inner_traces.append(err.trace)
@@ -319,10 +315,12 @@ def penalty_solve(
     """Run the increasing-penalty driver on f from an orthonormal start.
 
     Each outer iteration solves the current penalized subproblem to projected
-    gradient norm tau_l, starting from the warm start chosen at the end of the
-    previous iteration. The driver stops when the violation drops to epsilon,
-    or to 5 * epsilon with the objective stagnant over the trailing window of
-    outer iterations, or when the outer budget runs out.
+    gradient norm tau_l (``cfg.pgm`` with tau_l as its ``grad_tol``) from the
+    warm start chosen at the end of the previous iteration, and flags a
+    solution whose penalized value exceeds upsilon, the value there. The
+    driver stops when the violation drops to epsilon, or to 5 * epsilon with
+    the objective stagnant over the trailing window of outer iterations, or
+    when the outer budget runs out.
 
     Certified exit: at every outer iteration whose violation is at most 0.1
     and that has not stopped the run, the driver builds a feasible point on
@@ -358,7 +356,6 @@ def penalty_solve(
     start = PenaltyObjective(f, 0.0, cfg.gamma).parts(x0.mat)
     rho = _initial_rho(start[1], x0, cfg)
     tau = cfg.tau0
-    upsilon = start[1] + rho * start[3]
 
     solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
     x_start = x0
@@ -369,9 +366,11 @@ def penalty_solve(
 
     # l_max >= 1, so pobj is the last subproblem objective after the loop
     for l in range(cfg.l_max):
-        # the first evaluation, at x_start, reuses its parts
+        # x_start's parts give the first evaluation and the acceptance bound
         pobj = PenaltyObjective(f, rho, cfg.gamma, start)
-        x, ok = _solve_subproblem(pobj, x_start, cfg.pgm, tau, l, inner_traces, flags)
+        upsilon = start[1] + rho * start[3]
+        pgm_cfg = replace(cfg.pgm, grad_tol=tau)
+        x, ok = _solve_subproblem(pobj, x_start, pgm_cfg, inner_traces, flags)
         if not ok:
             break
 
@@ -404,7 +403,7 @@ def penalty_solve(
         tau = max(cfg.sigma_tau * tau, cfg.tau_min)
 
         theta_plain = f_val + rho * pen
-        x_start, upsilon = x, theta_plain
+        x_start = x
         signs = np.where(x.mat.sum(axis=0) < 0.0, -1.0, 1.0)
         # with no column flipped the copy is x itself and cannot win the gate
         if np.any(signs < 0.0):
@@ -413,7 +412,7 @@ def penalty_solve(
             # the same float sums as theta_plain
             theta_flip = flip[1] + rho * flip[3]
             if theta_flip < theta_plain:
-                x_start, upsilon, start = x_flip, theta_flip, flip
+                x_start, start = x_flip, flip
     else:
         flags.append("outer_budget_exhausted")
 
@@ -463,10 +462,10 @@ def alm_solve(
     Alternates an approximate manifold minimization of the augmented
     Lagrangian with the multiplier update max(lam - mu X, 0) and the weight
     update mu <- 1.2 mu, starting from lam = 0 and mu = cfg.rho0 (chosen as
-    in ``penalty_solve`` when None). Each subproblem is solved to the fixed
-    ``cfg.pgm.grad_tol``. Stops once the violation reaches ``cfg.epsilon`` or
-    after ``cfg.l_max`` outer iterations; the schedule fields of ``cfg`` are
-    not read.
+    in ``penalty_solve`` when None). Each subproblem is solved with
+    ``cfg.pgm`` as it is, so to the fixed ``cfg.pgm.grad_tol``. Stops once
+    the violation reaches ``cfg.epsilon`` or after ``cfg.l_max`` outer
+    iterations; the schedule fields of ``cfg`` are not read.
 
     f is evaluated once per point: each subproblem's first evaluation, the
     outer records and the report reuse the f part of the evaluation at the
@@ -485,9 +484,9 @@ def alm_solve(
     flags: list[str] = []
 
     # l_max >= 1, so obj is the last subproblem objective after the loop
-    for k in range(cfg.l_max):
+    for _ in range(cfg.l_max):
         obj = AugLagObjective(f, lam, mu, start)
-        x, ok = _solve_subproblem(obj, x, cfg.pgm, cfg.pgm.grad_tol, k, inner_traces, flags)
+        x, ok = _solve_subproblem(obj, x, cfg.pgm, inner_traces, flags)
         if not ok:
             break
         start = obj.parts(x.mat)

@@ -58,7 +58,8 @@ class PgmConfig:
         t_min, t_max: clamp range for each iteration's starting trial step:
             ``t_first`` of ``pgm_solve`` or 1 / ||grad|| on the first
             iteration, the Barzilai-Borwein estimate on later ones.
-        grad_tol: stop once the projected-gradient norm falls below this.
+        grad_tol: stop once the projected-gradient norm falls below this;
+            ``penalty_solve`` passes copies holding tau_l here instead.
         max_iters: iteration cap per solve.
         max_backtracks: shrink budget per step; exceeding it raises
             LineSearchError.
@@ -153,18 +154,14 @@ def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
 
 
 def pgm_solve(
-    obj: Objective,
-    x0: StiefelPoint,
-    cfg: PgmConfig,
-    t_first: float | None = None,
-    grad_tol: float | None = None,
+    obj: Objective, x0: StiefelPoint, cfg: PgmConfig, t_first: float | None = None
 ) -> tuple[StiefelPoint, PgmTrace]:
     """Run the iteration from x0 until stationarity or the iteration cap.
 
     The loop stops at the first iterate whose projected-gradient norm is at
-    most ``grad_tol`` (``cfg.grad_tol`` when None) or after ``max_iters``
-    steps, and one exit follows: it returns the last iterate when that norm
-    meets ``grad_tol`` (``trace.converged`` is then True, also when the cap
+    most ``cfg.grad_tol`` or after ``max_iters`` steps, and one exit
+    follows: it returns the last iterate when that norm meets
+    ``cfg.grad_tol`` (``trace.converged`` is then True, also when the cap
     ends the loop there), and otherwise the lowest-value iterate of the
     trailing window. The final objective value never exceeds the initial one.
 
@@ -173,8 +170,8 @@ def pgm_solve(
     with the previous step as fallback. Backtracking and its acceptance test
     are the same for every step, so any positive ``t_first`` is admissible.
     The outer drivers (``penalty_solve`` and ``alm_solve``) pass the previous
-    subproblem's ``trace.last_step``, and ``penalty_solve`` its stationarity
-    target tau_l as ``grad_tol``.
+    subproblem's ``trace.last_step``; ``penalty_solve`` passes a config whose
+    ``grad_tol`` is its stationarity target tau_l.
 
     Each step sets V = -t * g for the projected gradient g at the iterate X,
     retracts X + V by QR, and multiplies t by eta until
@@ -201,16 +198,12 @@ def pgm_solve(
     copy, so an evaluation record the objective keeps of that array (see
     ``PenaltyObjective.last``) is found by identity.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
-    finite, when ``t_first`` is not positive, or when ``grad_tol`` is not
-    positive and finite.
+    finite, or when ``t_first`` is not positive; ``PgmConfig`` itself
+    rejects a ``grad_tol`` that is not positive and finite.
     """
     if t_first is not None and not t_first > 0:
         raise ValueError(f"t_first must be positive, got {t_first}")
-    if grad_tol is None:
-        grad_tol = cfg.grad_tol
-    elif not 0 < grad_tol < math.inf:
-        raise ValueError(f"grad_tol must be positive and finite, got {grad_tol}")
-    trace = PgmTrace(memory=cfg.memory, grad_tol=grad_tol, last_step=t_first)
+    trace = PgmTrace(memory=cfg.memory, grad_tol=cfg.grad_tol, last_step=t_first)
 
     xm = x0.mat
     trace.evaluations += 1
@@ -223,11 +216,11 @@ def pgm_solve(
     window: deque = deque([(val, xm)], maxlen=cfg.memory + 1)
     # with no history the Barzilai-Borwein estimate is its clamped fallback,
     # the first trial step; 1 / ||grad|| is used only when ||grad|| > grad_tol
-    t = 1.0 / max(gnorm, grad_tol) if t_first is None else t_first
+    t = 1.0 / max(gnorm, cfg.grad_tol) if t_first is None else t_first
     prev = (xm, rgrad)
 
     for _ in range(cfg.max_iters):
-        if gnorm <= grad_tol:
+        if gnorm <= cfg.grad_tol:
             break
         t = _bb_stepsize(xm - prev[0], rgrad - prev[1], cfg.t_min, cfg.t_max, t)
         window_max = max(v for v, _ in window)
@@ -269,7 +262,7 @@ def pgm_solve(
         trace.backtracks.append(bt)
         window.append((val, xm))
 
-    trace.converged = gnorm <= grad_tol
+    trace.converged = gnorm <= cfg.grad_tol
     if not trace.converged:
         _, xm = min(window, key=lambda pair: pair[0])
     if xm is x0.mat:

@@ -21,6 +21,7 @@ from orthopt.problems import (
     planted_onmf_instance,
     random_stiefel_start,
 )
+from orthopt.stiefel import check_matrix
 
 
 INF, NAN = float("inf"), float("nan")
@@ -69,6 +70,16 @@ def _probe_at_base(num_dirs):
             "truth labels must be integers, got 1.5",
         ),
         (lambda: clustering_metrics([1, 2], [1, NAN], 2), "pred labels must be integers, got nan"),
+        (
+            lambda: clustering_metrics([1, 2], [1, 2, 1], 2),
+            "truth and pred must be equal-length nonempty 1-d label vectors",
+        ),
+        (
+            lambda: AffinityInstance(np.zeros((4, 9))),
+            "affinity matrix must be square, got shape (4, 9)",
+        ),
+        (lambda: OnmfInstance(np.ones(3), 1), "data matrix must be 2-dimensional, got (3,)"),
+        (lambda: check_matrix(np.ones(3), "x"), "x must be 2-dimensional, got shape (3,)"),
         (lambda: penalty_terms(np.ones((3, 2)), INF), "gamma must be positive and finite, got inf"),
         (
             lambda: PenaltyObjective(_objective(), INF, 0.05),
@@ -99,6 +110,10 @@ def _probe_at_base(num_dirs):
         "clustering_float_r",
         "clustering_fractional_truth",
         "clustering_nan_pred",
+        "clustering_length_mismatch",
+        "affinity_not_square",
+        "onmf_one_dimensional_data",
+        "check_matrix_one_dimensional",
         "penalty_terms_infinite_gamma",
         "penalty_objective_infinite_rho",
         "auglag_infinite_mu",
@@ -130,4 +145,11 @@ def test_sidecar_name_given_twice_is_rejected(tmp_path):
     path = tmp_path / "best.txt"
     path.write_text("# bounds\na 1\nb 3\na 2\n")
     with pytest.raises(ValueError, match=r"^duplicate name 'a' on line 4$"):
+        load_best_known(path)
+
+
+def test_sidecar_line_that_is_not_name_value_is_rejected(tmp_path):
+    path = tmp_path / "best.txt"
+    path.write_text("a 1\nb 3 4  # late\n")
+    with pytest.raises(ValueError, match=r"^expected 'name value', got 'b 3 4  # late'$"):
         load_best_known(path)

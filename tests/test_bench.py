@@ -1,6 +1,7 @@
 """Instance parsing, metrics, experiment harness, and the CLI surface."""
 
 import hashlib
+import math
 import os
 import re
 import statistics
@@ -14,6 +15,7 @@ from orthopt.bench import (
     _map_starts,
     QaplibParseError,
     clustering_metrics,
+    default_config,
     default_jobs,
     load_best_known,
     load_dense_matrix,
@@ -103,6 +105,21 @@ class TestParseQaplib:
             parse_qaplib(path)
         assert exc.value.offset == 4
 
+    def test_bad_dimension_token_reports_offset(self, tmp_path):
+        path = tmp_path / "bad.dat"
+        path.write_text(" 2.5\n0 1\n1 0\n0 2\n2 0\n")
+        with pytest.raises(QaplibParseError, match=r"^bad dimension token b'2\.5' \(byte offset 1\)$") as exc:
+            parse_qaplib(path)
+        assert exc.value.offset == 1
+
+    def test_file_long_enough_for_its_dimension_but_short_of_tokens(self, tmp_path):
+        # 38 bytes pass the 2 k - 1 byte precheck for 9 tokens; the count finds 7
+        path = tmp_path / "short.dat"
+        path.write_text("2\n0.000 1.000\n1.000 0.000\n0.000 2.000\n")
+        with pytest.raises(QaplibParseError, match=r"expected 9 tokens \(1 \+ 2\*2\^2\), found 7") as exc:
+            parse_qaplib(path)
+        assert exc.value.offset == path.stat().st_size
+
     def test_empty_and_bad_dimension(self, tmp_path):
         empty = tmp_path / "empty.dat"
         empty.write_text("")
@@ -156,6 +173,12 @@ class TestClusteringMetrics:
         truth = [1] * 7 + [2] * 2 + [3]
         pidx, eidx, nmi = clustering_metrics(truth, truth, 3)
         assert (pidx, eidx, nmi) == (1.0, 0.0, 1.0)
+
+    def test_one_cluster_has_zero_entropy(self):
+        # log2(r) = 0 leaves the entropy index undefined; it is set to 0
+        pidx, eidx, nmi = clustering_metrics([1, 1, 1], [1, 1, 1], 1)
+        assert (pidx, eidx, nmi) == (1.0, 0.0, 1.0)
+        assert math.copysign(1.0, eidx) == 1.0
 
     def test_single_cluster_prediction(self):
         pidx, eidx, nmi = clustering_metrics([1, 1, 2, 2], [1, 1, 1, 1], 2)
@@ -372,6 +395,35 @@ class TestCli:
         assert len(lines) == 2 and lines[1].startswith("0,2,")
         assert "purity" in capsys.readouterr().out
 
+    def test_qap_best_known_sidecar_without_the_instance_exits_naming_it(self, tmp_path, capsys):
+        inst = tmp_path / "tiny.dat"
+        inst.write_text(SMALL_QAP)
+        best = tmp_path / "best.txt"
+        best.write_text("other 4\n")
+        code = main(["qap", str(inst), "--best-known", str(best), "--starts", "1", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: no best-known value for 'tiny' in {best}\n"
+
+    def test_onmf_dump_x_writes_each_final_matrix(self, tmp_path, capsys):
+        from orthopt.cli import _onmf_start
+        from orthopt.driver import penalty_solve
+        from orthopt.problems import planted_onmf_instance
+
+        inst, _, _, _ = planted_onmf_instance(12, 6, 2, noise=0.05, seed=4)
+        a_path = tmp_path / "a.txt"
+        save_dense_matrix(a_path, inst.a)
+        out = tmp_path / "onmf"
+        code = main([
+            "onmf", str(a_path), "--clusters", "2", "--starts", "2", "--seed", "1",
+            "--jobs", "1", "--out", str(out), "--dump-x",
+        ])
+        assert code == 0
+        cfg = default_config("seppg_plus", "onmf", inst)
+        for i in range(2):
+            x = _onmf_start((inst, cfg, penalty_solve, 1), i)[0]
+            npt.assert_array_equal(load_dense_matrix(tmp_path / f"onmf_x_start{i}.txt"), x)
+
     def test_onmf_subcommand_without_labels_leaves_metric_cells_empty(self, tmp_path, capsys):
         from orthopt.problems import planted_onmf_instance
 
@@ -482,6 +534,17 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "form"
         assert [float(c) for c in lines[1:]] == forms.tolist()
+
+    def test_diag_sosc_without_surviving_direction_is_inconclusive(self, tmp_path, capsys):
+        # at the identity every entry off the diagonal is zero, and no sampled
+        # tangent direction keeps all of them nonnegative to first order
+        point = tmp_path / "i4.txt"
+        save_dense_matrix(point, np.eye(4))
+        out = tmp_path / "forms.csv"
+        code = main(["diag-sosc", str(point), "--dirs", "50", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "inconclusive: 0 of 50 sampled directions lie in the cone\n"
+        assert out.read_text() == "form\n"
 
     @pytest.mark.parametrize(
         "command,bad,name",
@@ -661,6 +724,17 @@ class TestCliDefaults:
         assert main(common + ["--out", str(tmp_path / "cfg"), "--config", str(cfg)]) == 0
         assert _csv_bytes(tmp_path / "plain") == _csv_bytes(tmp_path / "cfg")
 
+    def test_qap_config_restating_the_data_driven_weight_changes_nothing(self, tmp_path, capsys):
+        # rho0 = none selects the data-driven initial weight, seppg_plus's default on qap
+        inst = tmp_path / "tiny.dat"
+        inst.write_text(SMALL_QAP)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("rho0 = none\n")
+        common = ["qap", str(inst), "--starts", "2", "--seed", "0", "--jobs", "1"]
+        assert main(common + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(common + ["--out", str(tmp_path / "cfg"), "--config", str(cfg)]) == 0
+        assert _csv_bytes(tmp_path / "plain") == _csv_bytes(tmp_path / "cfg")
+
     def test_onmf_config_restating_a_default_changes_nothing(self, tmp_path, capsys):
         from orthopt.problems import planted_onmf_instance
 
@@ -697,7 +771,7 @@ class TestCliDefaults:
         code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: ValueError: grad_tol must be positive and finite, got inf\n"
+        assert err == "error: ValueError: pgm.grad_tol must be positive and finite, got inf\n"
 
     @pytest.mark.parametrize(
         "line",
@@ -711,6 +785,10 @@ class TestCliDefaults:
             "epsilon = none",
             "pgm.alpha = none",
             "pgm = 3",
+            "pgm.alpha = inf",
+            "pgm.t_min = 1e13",
+            "pgm.foo = 1",
+            "epsilon 1e-6",
         ],
     )
     def test_invalid_or_removed_config_key_exits_with_error(self, tmp_path, capsys, line):

@@ -19,6 +19,7 @@ from orthopt.diagnostics import (
     evaluate_error_bound,
     sosc_probe,
 )
+from orthopt.driver import stationarity_residual
 from orthopt.penalty import nonneg_violation
 from orthopt.problems import ProjectionObjective, random_stiefel_start
 from orthopt.stiefel import RetractionError, StiefelPoint, proj_tangent
@@ -449,6 +450,21 @@ class TestSoscProbe:
         f = NanGradient()
         with pytest.raises(ValueError, match="NaN or Inf"):
             sosc_probe(f, c, num_dirs=10, seed=8)
+
+    def test_directions_are_orthogonalized_against_a_nonzero_gradient(self):
+        # a 4x2 feasible point and a target that pulls its zero entries
+        # (0, 1) and (2, 1) below zero: the normal cone absorbs that pull, so
+        # the point is stationary, but its projected gradient is not zero
+        s = 0.70710678118654746
+        x = StiefelPoint(np.array([[s, 0.0], [0.0, s], [s, 0.0], [0.0, s]]))
+        target = x.mat.copy()
+        target[[0, 2], 1] = -0.1
+        f = ProjectionObjective(target)
+        assert stationarity_residual(f, x) == 0.0
+        npt.assert_allclose(np.linalg.norm(proj_tangent(x.mat, f.gradient(x.mat))), 0.2)
+        report = sosc_probe(f, x, num_dirs=30, seed=1)
+        assert (report.sampled, report.surviving) == (30, 15)
+        npt.assert_allclose(report.min_form, 2.002260, rtol=1e-6)
 
     def test_gradient_is_evaluated_once(self):
         # ProjectionObjective's hessian_vec is exact, so the one evaluation

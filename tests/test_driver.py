@@ -535,11 +535,6 @@ INF = float("inf")
         pytest.param(lambda: PgmConfig(alpha=INF), "alpha must be positive", id="PgmConfig.alpha"),
         pytest.param(lambda: PgmConfig(t_min=INF, t_max=INF), "t_min must be positive", id="PgmConfig.t_min"),
         pytest.param(lambda: PgmConfig(grad_tol=INF), "grad_tol must be positive", id="PgmConfig.grad_tol"),
-        pytest.param(
-            lambda: pgm_solve(_lin(), default_base_point(4, 2), PgmConfig(), grad_tol=INF),
-            "grad_tol must be positive",
-            id="pgm_solve.grad_tol",
-        ),
     ],
 )
 def test_infinite_parameter_rejected(build, rule):

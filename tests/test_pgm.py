@@ -152,21 +152,6 @@ class TestPgmSolve:
         with pytest.raises(ValueError, match="t_first"):
             pgm_solve(obj, random_stiefel_start(5, 2, 9), PgmConfig(), t_first=t_first)
 
-    def test_grad_tol_argument_replaces_the_config_target(self):
-        obj = ProjectionObjective(np.eye(5)[:, :2])
-        x0 = random_stiefel_start(5, 2, 9)
-        x, trace = pgm_solve(obj, x0, PgmConfig(), grad_tol=1e-3)
-        y, same = pgm_solve(obj, x0, PgmConfig(grad_tol=1e-3))
-        assert trace.grad_tol == 1e-3 and trace.converged
-        assert trace.step_sizes == same.step_sizes
-        npt.assert_array_equal(x.mat, y.mat)
-
-    @pytest.mark.parametrize("grad_tol", [0.0, -1.0, float("nan")])
-    def test_nonpositive_grad_tol_rejected(self, grad_tol):
-        obj = ProjectionObjective(np.eye(5)[:, :2])
-        with pytest.raises(ValueError, match="grad_tol"):
-            pgm_solve(obj, random_stiefel_start(5, 2, 9), PgmConfig(), grad_tol=grad_tol)
-
     def test_iterates_stay_orthonormal(self):
         obj = RecordingObjective(ProjectionObjective(np.eye(6)[:, :3]))
         pgm_solve(obj, random_stiefel_start(6, 3, 10), PgmConfig(grad_tol=1e-8))
