@@ -266,14 +266,6 @@ class MetricsRow:
     mean_wall_time: float
     records: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if (
-            self.min_gap_pct is not None
-            and self.med_gap_pct is not None
-            and self.med_gap_pct < self.min_gap_pct - 1e-12
-        ):
-            raise ValueError("median gap cannot be below the minimum gap")
-
 
 def _problem_setup(spec: ExperimentSpec):
     if spec.kind == "qap":

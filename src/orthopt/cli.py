@@ -64,17 +64,22 @@ def _coerce(key: str, text: str):
 
 def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
     """Apply key=value lines to a PenaltyConfig; pgm.<key> reaches the inner
-    solver. Every rejection names the key as the file writes it."""
+    solver, and a key may appear once. Every rejection names the key as the
+    file writes it."""
     outer: dict = {}
     inner: dict = {}
     inner_fields = {f.name for f in dataclasses.fields(base.pgm)}
-    for raw in Path(path).read_text().splitlines():
+    seen: set = set()
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ValueError(f"duplicate key {key!r} on line {lineno}")
+        seen.add(key)
         if key == "pgm":
             raise ValueError("pgm takes no value: set the inner options as pgm.<key>")
         if key.startswith("pgm."):

@@ -116,11 +116,11 @@ class SolveReport:
     objective at exit. After a certified exit (``certified_exit``, only from
     ``penalty_solve``) the final point is feasible and ``stationarity`` is
     its ``stationarity_residual`` for f. ``flags`` collects anomalies (inner
-    target missed, acceptance bound violated, line-search failure, budget
-    exhausted).
+    target missed, line-search failure, budget exhausted); the paper's
+    acceptance bound needs none, since each subproblem's start value bounds
+    every iterate ``pgm_solve`` can return.
     """
 
-    solver: str
     x_final: StiefelPoint
     f_final: float
     ninf: float
@@ -222,18 +222,19 @@ def _solve_subproblem(
     ``PgmTrace.last_step``, so the step scale learned there carries over;
     until a step has been accepted, pgm_solve starts from 1 / ||grad||.
 
-    Returns (solution, True), or (x_start, False) after a line-search failure,
-    which aborts the outer loop; the failed solve's partial trace is kept,
-    and ``obj.last`` is restored to the record it held at x_start.
+    Returns (solution, True), whose value under obj is at most x_start's
+    (the paper's acceptance bound, kept by ``pgm_solve``), or
+    (x_start, False) after a line-search failure, which aborts the outer
+    loop; the failed solve's partial trace is kept, and the report evaluates
+    x_start again.
     """
-    start, outer = obj.last, len(inner_traces)
+    outer = len(inner_traces)
     t_first = inner_traces[-1].last_step if inner_traces else None
     try:
         x, tr = pgm_solve(obj, x_start, cfg, t_first=t_first)
     except LineSearchError as err:
-        obj.last = start
         inner_traces.append(err.trace)
-        flags.extend([f"line_search_failure@outer={outer}", "aborted_with_partial_report"])
+        flags.append(f"line_search_failure@outer={outer}")
         return x_start, False
     inner_traces.append(tr)
     if not tr.converged:
@@ -242,7 +243,6 @@ def _solve_subproblem(
 
 
 def _report(
-    solver: str,
     obj: PenaltyObjective,
     x: StiefelPoint,
     start_time: float,
@@ -252,8 +252,8 @@ def _report(
     certified: tuple | None = None,
 ) -> SolveReport:
     """Report of x. Without ``certified``, stationarity is measured on the
-    last subproblem objective, whose record the callers leave at x; a
-    certified exit passes (f(x), stationarity residual) instead."""
+    last subproblem objective, whose record is reused when it was taken at
+    x; a certified exit passes (f(x), stationarity residual) instead."""
     if certified is None:
         # answered from obj.last, or evaluated and stored there
         _, grad = obj.value_and_gradient(x.mat)
@@ -261,7 +261,6 @@ def _report(
     else:
         f_final, stationarity = certified
     return SolveReport(
-        solver=solver,
         x_final=x,
         f_final=f_final,
         ninf=nonneg_violation(x.mat),
@@ -279,9 +278,11 @@ def _report(
 
 def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple:
     """A feasible point on the row assignment of x with f's value and
-    gradient there, (p, f(p), grad f(p)); grad is grad f(x).
+    stationarity residual there, (p, f(p), residual); grad is grad f(x).
 
-    The start is ``round_to_feasible(x)``, which for n = r is the candidate.
+    The start is ``round_to_feasible(x)``, which for n = r is the candidate,
+    a permutation, whose residual is 0.0 by construction and not computed:
+    its exact 0/1 entries leave g_ij - 1 * g_ij = 0 in ``_stationarity``.
     For n > r disjoint row supports reduce X^T X = I to unit columns: the
     point comes from projected-gradient steps on that product of spheres,
     each column with its own Barzilai-Borwein step and each step projected
@@ -295,7 +296,7 @@ def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple:
     p = _assigned_point(x, assign)
     val, g = f.value_and_gradient(p)
     if n == r:
-        return p, val, g
+        return p, val, 0.0
     prev, prev_g = x, grad
     for _ in range(_FINISH_STEPS):
         dx, dg = p - prev, g - prev_g
@@ -306,7 +307,7 @@ def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple:
         val, g = f.value_and_gradient(p)
         if np.max(np.abs(p - prev)) <= _FINISH_MOVE:
             break
-    return p, val, g
+    return p, val, _stationarity(p, g)
 
 
 def penalty_solve(
@@ -316,17 +317,19 @@ def penalty_solve(
 
     Each outer iteration solves the current penalized subproblem to projected
     gradient norm tau_l (``cfg.pgm`` with tau_l as its ``grad_tol``) from the
-    warm start chosen at the end of the previous iteration, and flags a
-    solution whose penalized value exceeds upsilon, the value there. The
-    driver stops when the violation drops to epsilon, or to 5 * epsilon with
-    the objective stagnant over the trailing window of outer iterations, or
-    when the outer budget runs out.
+    warm start chosen at the end of the previous iteration. The solution's
+    penalized value is at most the warm start's, the paper's acceptance
+    bound: the start value bounds every iterate ``pgm_solve`` can
+    return. The driver stops when the violation drops to epsilon, or to
+    5 * epsilon with the objective stagnant over the trailing window of
+    outer iterations, or when the outer budget runs out.
 
     Certified exit: at every outer iteration whose violation is at most 0.1
     and that has not stopped the run, the driver builds a feasible point on
     the row assignment that ``round_to_feasible`` gives the iterate
     (``_support_candidate``), and returns it when its
-    ``stationarity_residual`` is at most 1e-6; the report then has
+    ``stationarity_residual`` is at most 1e-6 (0.0 by construction for
+    n == r, where the candidate is a permutation); the report then has
     ``certified_exit`` set and that residual as ``stationarity``. After a
     failed check the loop goes on unchanged and tries again after the next
     subproblem.
@@ -338,7 +341,8 @@ def penalty_solve(
 
     A line-search failure inside a subproblem aborts the run; the report then
     describes that subproblem's warm start (the previous iterate, or its
-    sign-flipped copy) and carries flags.
+    sign-flipped copy), evaluated again, and carries the flag
+    ``line_search_failure@outer=k``.
 
     f and the penalty are evaluated once per point, value and gradient
     together: the parts (f, grad f, p, grad p) of each subproblem's last
@@ -357,7 +361,6 @@ def penalty_solve(
     rho = _initial_rho(start[1], x0, cfg)
     tau = cfg.tau0
 
-    solver = "penalty_envelope" if cfg.gamma > 0 else "penalty_quadratic"
     x_start = x0
     records: list[OuterRecord] = []
     inner_traces: list[PgmTrace] = []
@@ -365,10 +368,9 @@ def penalty_solve(
     certified = None
 
     # l_max >= 1, so pobj is the last subproblem objective after the loop
-    for l in range(cfg.l_max):
-        # x_start's parts give the first evaluation and the acceptance bound
+    for _ in range(cfg.l_max):
+        # x_start's parts give the first evaluation
         pobj = PenaltyObjective(f, rho, cfg.gamma, start)
-        upsilon = start[1] + rho * start[3]
         pgm_cfg = replace(cfg.pgm, grad_tol=tau)
         x, ok = _solve_subproblem(pobj, x_start, pgm_cfg, inner_traces, flags)
         if not ok:
@@ -376,11 +378,6 @@ def penalty_solve(
 
         start = pobj.parts(x.mat)
         _, f_val, _, pen, _ = start
-        # the same float sums as pobj.value(x.mat)
-        theta_x = f_val + rho * pen
-        if theta_x > upsilon + 1e-12 * (1.0 + abs(upsilon)):
-            flags.append(f"acceptance_bound_violated@outer={l}")
-
         ninf = nonneg_violation(x.mat)
         records.append(OuterRecord(rho=rho, tau=tau, ninf=ninf, f_value=f_val))
 
@@ -392,8 +389,7 @@ def penalty_solve(
                 break
 
         if ninf <= _EXIT_NINF:
-            p, f_p, g_p = _support_candidate(f, x.mat, start[2])
-            residual = _stationarity(p, g_p)
+            p, f_p, residual = _support_candidate(f, x.mat, start[2])
             if residual <= _EXIT_TOL:
                 x, certified = StiefelPoint(p), (f_p, residual)
                 break
@@ -416,7 +412,7 @@ def penalty_solve(
     else:
         flags.append("outer_budget_exhausted")
 
-    return _report(solver, pobj, x, start_time, records, inner_traces, flags, certified)
+    return _report(pobj, x, start_time, records, inner_traces, flags, certified)
 
 
 class AugLagObjective(PenaltyObjective):
@@ -501,7 +497,7 @@ def alm_solve(
     else:
         flags.append("outer_budget_exhausted")
 
-    return _report("alm", obj, x, start_time, records, inner_traces, flags)
+    return _report(obj, x, start_time, records, inner_traces, flags)
 
 
 # entries of a feasible point below this count as zero

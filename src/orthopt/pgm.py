@@ -95,7 +95,8 @@ class PgmConfig:
 class PgmTrace:
     """Per-iteration record of a solve.
 
-    ``values`` and ``grad_norms`` cover every iterate including the start;
+    ``values`` and ``grad_norms`` cover every iterate including the start,
+    and no entry of ``values`` exceeds ``values[0]`` (see ``pgm_solve``);
     the remaining lists have one entry per step, with ``v_norms`` 0.0 for a
     stalled step. ``evaluations``
     counts the objective evaluations (``value_and_gradient`` calls) of the
@@ -163,7 +164,9 @@ def pgm_solve(
     follows: it returns the last iterate when that norm meets
     ``cfg.grad_tol`` (``trace.converged`` is then True, also when the cap
     ends the loop there), and otherwise the lowest-value iterate of the
-    trailing window. The final objective value never exceeds the initial one.
+    trailing window. The start value bounds every iterate (the paper's
+    acceptance bound for a warm start): the window admits only values below
+    its maximum, and a stalled step keeps the iterate.
 
     The first trial step is ``t_first`` when given and 1 / ||grad|| otherwise,
     clamped to [t_min, t_max]; later steps use the Barzilai-Borwein estimate

@@ -803,6 +803,19 @@ class TestCliDefaults:
         assert err.count("\n") == 1
         assert line.split("=")[0].strip() in err
 
+    @pytest.mark.parametrize(
+        "key, first, second", [("epsilon", "1e-3", "1e-6"), ("pgm.memory", "3", "4")]
+    )
+    def test_repeated_config_key_exits_with_error(self, tmp_path, capsys, key, first, second):
+        inst = tmp_path / "c.txt"
+        save_dense_matrix(inst, default_base_point(4, 2).mat)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {first}\n{key} = {second}\n")
+        code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: duplicate key {key!r} on line 2\n"
+
 
 def test_comma_in_instance_name_keeps_csv_shape(tmp_path, capsys):
     inst = tmp_path / "nug,12.dat"

@@ -466,6 +466,18 @@ class TestSoscProbe:
         assert (report.sampled, report.surviving) == (30, 15)
         npt.assert_allclose(report.min_form, 2.002260, rtol=1e-6)
 
+    def test_directions_parallel_to_the_gradient_are_skipped(self):
+        # on the unit circle at e1 the tangent space is the line of e2, which
+        # the projected gradient (0, 1) spans: every direction orthogonalized
+        # against it vanishes
+        x = StiefelPoint(np.array([[1.0], [0.0]]))
+        f = ProjectionObjective(np.array([[1.0], [-0.5]]))
+        assert stationarity_residual(f, x) == 0.0
+        npt.assert_array_equal(proj_tangent(x.mat, f.gradient(x.mat)), [[0.0], [1.0]])
+        report = sosc_probe(f, x, num_dirs=30, seed=1)
+        assert (report.sampled, report.surviving) == (30, 0)
+        assert report.min_form is None
+
     def test_gradient_is_evaluated_once(self):
         # ProjectionObjective's hessian_vec is exact, so the one evaluation
         # is the gradient at the base point

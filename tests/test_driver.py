@@ -213,7 +213,7 @@ class TestPenaltySolve:
     def test_schedules(self, monkeypatch):
         # pull toward the negative orthant so feasibility stays out of reach;
         # with the certified exit off the run goes on to the weight cap
-        monkeypatch.setattr(driver, "_stationarity", lambda xm, g: np.inf)
+        _never_certify(monkeypatch)
         c = self._SCHEDULE_TARGET
         f = ProjectionObjective(c)
         cfg = self._SCHEDULE_CFG
@@ -240,12 +240,25 @@ class TestPenaltySolve:
         assert report.ninf == 0.0
 
     def test_acceptance_bound_respected(self):
+        # each subproblem's start value, the paper's acceptance bound, bounds
+        # every iterate with no tolerance, here and on the three tiny kinds
         c = default_base_point(6, 3)
         f = ProjectionObjective(c.mat)
         x0 = random_stiefel_start(6, 3, 4)
         report = penalty_solve(f, x0, criterion_config(1.0, gamma=0.0))
-        assert not any("acceptance_bound_violated" in flag for flag in report.flags)
         assert not any("inner_tolerance_not_met" in flag for flag in report.flags)
+        reports = [report]
+        objectives = {"qap": QapLiftedObjective, "gm": GraphMatchingObjective, "proj": ProjectionObjective}
+        for kind, objective in objectives.items():
+            inst = TINY[kind]()
+            shape = inst.shape if kind == "proj" else (inst.n, inst.n)
+            for solver in ("seppg_plus", "seppg_zero"):
+                cfg = default_config(solver, kind, inst)
+                reports.append(penalty_solve(objective(inst), random_stiefel_start(*shape, 3), cfg))
+        for rep in reports:
+            assert rep.inner_traces
+            for tr in rep.inner_traces:
+                assert max(tr.values) <= tr.values[0]
 
     def test_auto_rho0_feasible_start(self):
         c = default_base_point(4, 2)
@@ -308,7 +321,6 @@ class TestAlmSolve:
         report = alm_solve(f, x0, PenaltyConfig(rho0=1.0 / np.linalg.norm(c.mat, 2)))
         assert report.ninf <= 1e-6
         assert np.linalg.norm(report.x_final.mat - c.mat) <= 1e-4
-        assert report.solver == "alm"
 
     def test_mu0_must_be_positive(self):
         # alm_solve's initial weight is PenaltyConfig.rho0
@@ -452,8 +464,10 @@ def test_line_search_failure_aborts_with_the_partial_report(solve):
     f = _UphillObjective(np.random.default_rng(8).standard_normal((4, 2)))
     x0 = default_base_point(4, 2)
     report = solve(f, x0, PenaltyConfig(pgm=PgmConfig(max_backtracks=8)))
-    assert report.flags == ["line_search_failure@outer=0", "aborted_with_partial_report"]
+    assert report.flags == ["line_search_failure@outer=0"]
     assert report.x_final is x0
+    # the report evaluates the warm start again
+    assert report.f_final == f.value(x0.mat)
     assert report.outer_iters == 1
     assert report.trace == []
     # the failed solve's trace is kept
@@ -693,11 +707,13 @@ def test_failed_certificate_continues_the_loop(monkeypatch):
     cfg = default_config("seppg_plus", "qap", inst)
     tries = []
 
-    def never(xm, g):
+    def never(f, x, grad):
         tries.append(len(tries))
-        return np.inf
+        p, val, _ = support_candidate(f, x, grad)
+        return p, val, np.inf
 
-    monkeypatch.setattr(driver, "_stationarity", never)
+    support_candidate = driver._support_candidate
+    monkeypatch.setattr(driver, "_support_candidate", never)
     failed = penalty_solve(f, x0, cfg)
     monkeypatch.setattr(driver, "_EXIT_NINF", -1.0)
     full = penalty_solve(f, x0, cfg)
@@ -707,11 +723,23 @@ def test_failed_certificate_continues_the_loop(monkeypatch):
     npt.assert_array_equal(failed.x_final.mat, full.x_final.mat)
 
 
+def _never_certify(monkeypatch):
+    """Switch the certified exit off: every candidate reports an infinite
+    residual."""
+    support_candidate = driver._support_candidate
+
+    def uncertified(f, x, grad):
+        p, val, _ = support_candidate(f, x, grad)
+        return p, val, np.inf
+
+    monkeypatch.setattr(driver, "_support_candidate", uncertified)
+
+
 def _uncertified_run(monkeypatch):
     """The pinned QAP start 3 with every certificate failing: (cfg, report)."""
     inst = tiny_qap()
     cfg = default_config("seppg_plus", "qap", inst)
-    monkeypatch.setattr(driver, "_stationarity", lambda xm, g: np.inf)
+    _never_certify(monkeypatch)
     return cfg, penalty_solve(QapLiftedObjective(inst), random_stiefel_start(6, 6, 3), cfg)
 
 
