@@ -148,6 +148,22 @@ def _exact_gains(cols: np.ndarray, onehot: np.ndarray, mass: np.ndarray) -> np.n
     return np.where(mass > 0.0, np.sqrt(mass), top).sum(axis=0)
 
 
+def _onehot(patterns: np.ndarray, r: int) -> np.ndarray:
+    """(r, n, P) one-hot of a (P, n) pattern block: entry [j, i, p] is 1 where
+    pattern p sends row i to column j."""
+    return (patterns.T[None] == np.arange(r, dtype=np.uint8)[:, None, None]).astype(float)
+
+
+@functools.cache
+def _full_onehot(n: int, r: int) -> np.ndarray:
+    """The read-only one-hot of every pattern of ``_patterns(n, r)``; built
+    only for shapes whose whole table is scored as one block, so it holds at
+    most r x ``_ORACLE_BLOCK`` entries."""
+    onehot = _onehot(_patterns(n, r), r)
+    onehot.flags.writeable = False
+    return onehot
+
+
 def _best_patterns(xs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """First pattern of largest gain for each matrix of an (S, n, r) stack.
 
@@ -158,22 +174,30 @@ def _best_patterns(xs: np.ndarray, table: np.ndarray) -> np.ndarray:
     sum has positive mass in every column, it is therefore the block's first
     maximal gain. The other samples have the block scored exactly by
     ``_exact_gains``, unless that partial sum is no larger than their best
-    gain so far, which the block then cannot beat.
+    gain so far, which the block then cannot beat. When the whole table is
+    one block, its cached one-hot is scored in one pass with no best so far.
     """
     num, n, r = xs.shape
     pos = np.maximum(xs, 0.0)
     # (r, S, n): row masses per column, ready for one matmul per column
     pos2 = np.ascontiguousarray((pos * pos).transpose(2, 0, 1))
-    columns = np.arange(r, dtype=np.uint8)[:, None, None]
     # patterns per block: the (r, n, block) one-hot and the (r, S, block)
     # masses each hold about _ORACLE_BLOCK entries per column
     block = max(1, _ORACLE_BLOCK // max(num, n))
     rows = np.arange(num)
+    if table.shape[0] <= block:
+        onehot = _full_onehot(n, r)
+        mass = pos2 @ onehot
+        best = np.argmax(np.sqrt(mass).sum(axis=0), axis=1)
+        mixed = np.flatnonzero(~np.all(mass[:, rows, best] > 0.0, axis=0))
+        if mixed.size:
+            gain = _exact_gains(xs[mixed].transpose(2, 0, 1), onehot, mass[:, mixed])
+            best[mixed] = np.argmax(gain, axis=1)
+        return best
     best_gain = np.full(num, -np.inf)
     best = np.zeros(num, dtype=np.intp)
     for lo in range(0, table.shape[0], block):
-        # onehot[j, i, p] = 1 where pattern lo + p sends row i to column j
-        onehot = (table[lo : lo + block].T[None] == columns).astype(float)
+        onehot = _onehot(table[lo : lo + block], r)
         mass = pos2 @ onehot
         gain = np.sqrt(mass).sum(axis=0)
         arg = np.argmax(gain, axis=1)
@@ -204,7 +228,9 @@ def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     num, n, r = xs.shape
     table = _patterns(n, r)
     minimizers = _assigned_point(xs, table[_best_patterns(xs, table)])
-    dists = np.linalg.norm((xs - minimizers).reshape(num, -1), axis=1)
+    # the same bits as np.linalg.norm of each flattened difference
+    d = (xs - minimizers).reshape(num, -1)
+    dists = np.sqrt(np.add.reduce(d * d, axis=1))
     return dists, minimizers
 
 
@@ -240,8 +266,35 @@ def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
 
 
 def evaluate_error_bound(x, kappa: float) -> ErrorBoundSample:
-    """Fill one ErrorBoundSample for a probe point and a given constant."""
+    """Fill one ErrorBoundSample for a probe point and a given constant.
+
+    Raises:
+        ValueError: if ``kappa`` is NaN, negative or infinite, or x is not a
+            finite matrix.
+    """
+    if not 0.0 <= kappa < np.inf:
+        raise ValueError(f"kappa must be nonnegative and finite, got {kappa}")
     return next(iter(_evaluate(check_matrix(x, "x")[None], kappa)))
+
+
+# a probe lies within sqrt(r) + delta of the origin and its minimizer within
+# sqrt(r), so every squared distance the sweep sums is at most
+# (delta + 2 sqrt(r))^2: about 1e308 at this bound, below the largest double
+_DELTA_MAX = 1e154
+
+# the latest StiefelPoint base's read-only array and its constant
+_last_base: tuple[np.ndarray, float] | None = None
+
+
+def _base_constant(xbar: StiefelPoint) -> float:
+    """``error_bound_constant(xbar)``, reused while the same read-only array
+    comes back, the rule ``PenaltyObjective.last`` follows."""
+    global _last_base
+    last = _last_base
+    mat = xbar.mat
+    if last is None or last[0] is not mat or mat.flags.writeable:
+        last = _last_base = (mat, error_bound_constant(xbar))
+    return last[1]
 
 
 def error_bound_sweep(
@@ -251,33 +304,41 @@ def error_bound_sweep(
 
     Points are drawn uniformly from the ball, each as a direction and then a
     radius, into one (num_samples, n, r) stack, and the whole sweep is
-    evaluated at once: one batched oracle pass and one stacked SVD. An array
-    base is certified by ``StiefelPoint`` first, so it is accepted or rejected
-    as ``error_bound_constant`` accepts or rejects it. The constant is
-    ``error_bound_constant(xbar)``; probes of hypotheses-violating bases go
-    through ``evaluate_error_bound`` with an explicit constant.
+    evaluated at once: one batched oracle pass and one stacked SVD. The
+    constant is ``error_bound_constant(xbar)``, computed once for repeated
+    calls on the same ``StiefelPoint``. An array base is certified by
+    ``StiefelPoint`` on every call, and its constant computed anew, so it is
+    accepted or rejected as ``error_bound_constant`` accepts or rejects it.
+    Probes of hypotheses-violating bases go through ``evaluate_error_bound``
+    with an explicit constant.
+
+    Raises:
+        ValueError: if the base is not orthonormal or infeasible, ``delta``
+            is not positive or exceeds 1e154 (beyond it squared distances
+            overflow), ``num_samples`` is below 1 or ``seed`` is negative.
     """
-    if not isinstance(xbar, StiefelPoint):
-        xbar = StiefelPoint(xbar)
-    if not 0 < delta < np.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    point = xbar if isinstance(xbar, StiefelPoint) else StiefelPoint(xbar)
+    if not 0 < delta <= _DELTA_MAX:
+        raise ValueError(f"delta must be positive and at most {_DELTA_MAX:g}, got {delta}")
     check_count(num_samples, "num_samples")
     check_count(seed, "seed", minimum=0)
-    kappa = error_bound_constant(xbar)
-    n, r = xbar.shape
+    kappa = _base_constant(point) if point is xbar else error_bound_constant(point)
+    n, r = point.shape
     dim = n * r
     rng = np.random.default_rng(seed)
+    normal, uniform = rng.standard_normal, rng.random
+    power = 1.0 / dim
     directions = np.empty((num_samples, dim))
-    radii = np.empty((num_samples, 1))
+    radii = []
     # per sample, in this order: the direction's normals, then the radius's
     # uniform; the scalar ** keeps the bits of the one-sample draw
-    for k in range(num_samples):
-        rng.standard_normal(out=directions[k])
-        radii[k] = delta * rng.random() ** (1.0 / dim)
+    for row in directions:
+        normal(out=row)
+        radii.append(delta * uniform() ** power)
     # the same bits as np.linalg.norm of each direction
     directions /= np.sqrt(directions[:, None, :] @ directions[:, :, None]).reshape(num_samples, 1)
-    directions *= radii
-    probes = xbar.mat + directions.reshape(num_samples, n, r)
+    directions *= np.array(radii)[:, None]
+    probes = point.mat + directions.reshape(num_samples, n, r)
     return _evaluate(probes, kappa)
 
 

@@ -499,6 +499,18 @@ class TestCli:
         assert re.match(r"^error: ValueError: num_samples must be at least 1", err)
         assert err.count("\n") == 1
 
+    def test_diag_errorbound_overflowing_delta_exits_naming_delta(self, tmp_path, capsys):
+        out = tmp_path / "eb.csv"
+        code = main([
+            "diag-errorbound", "--shape", "8", "2", "--delta", "1e300", "--samples", "5",
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.match(r"^error: ValueError: delta must be positive and at most 1e\+154, got 1e\+300$", err)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("shape", [["3", "0"], ["-2", "-3"]])
     def test_diag_errorbound_bad_shape_exits_naming_shape(self, capsys, shape):
         code = main(["diag-errorbound", "--shape", *shape, "--samples", "5"])

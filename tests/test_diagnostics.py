@@ -251,6 +251,21 @@ class TestBruteForceOracle:
             rescored += np.any(np.all(np.maximum(s.x, 0.0) * m == 0.0, axis=0))
         assert rescored > 0
 
+    @pytest.mark.parametrize("shape, delta", [((8, 2), 0.05), ((3, 3), 1.5)])
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_block_loop_gives_the_one_pass_bits(self, shape, delta, block, monkeypatch):
+        # the whole table fits one block here, so it is scored in one pass
+        # from the cached one-hot; a small block sends it through the loop
+        base = default_base_point(*shape)
+        diagnostics._full_onehot.cache_clear()
+        whole = error_bound_sweep(base, delta, 200, seed=3)
+        assert diagnostics._full_onehot.cache_info().currsize == 1
+        diagnostics._full_onehot.cache_clear()
+        monkeypatch.setattr(diagnostics, "_ORACLE_BLOCK", block)
+        blocked = error_bound_sweep(base, delta, 200, seed=3)
+        assert diagnostics._full_onehot.cache_info().currsize == 0
+        assert blocked.dist_splus.tobytes() == whole.dist_splus.tobytes()
+
 
 @pytest.mark.parametrize("shape", [(3, 0), (-2, -3), (2, 3), (0, 0)])
 def test_default_base_point_rejects_bad_shape_by_name(shape):
@@ -311,6 +326,56 @@ class TestErrorBoundSweep:
         with pytest.raises(ValueError, match="delta must be"):
             error_bound_sweep(default_base_point(3, 2), delta, 1, seed=0)
 
+    @pytest.mark.parametrize("delta", [1e155, 1e300])
+    def test_delta_whose_squares_overflow_rejected_by_name(self, delta):
+        with pytest.raises(ValueError, match=r"^delta must be positive and at most 1e\+154, got "):
+            error_bound_sweep(default_base_point(8, 2), delta, 20, seed=0)
+
+    def test_largest_delta_gives_finite_distances(self):
+        # RuntimeWarning is an error in this suite, so an overflow fails here
+        sweep = error_bound_sweep(default_base_point(8, 2), 1e154, 200, seed=0)
+        for name in ("dist_splus", "dist_cone", "dist_st"):
+            assert np.all(np.isfinite(getattr(sweep, name)))
+
+    @pytest.fixture
+    def constant_calls(self, monkeypatch):
+        """The bases the sweep passes to ``error_bound_constant``, in order."""
+        calls = []
+
+        def counted(xbar, **kw):
+            calls.append(xbar)
+            return error_bound_constant(xbar, **kw)
+
+        monkeypatch.setattr(diagnostics, "error_bound_constant", counted)
+        return calls
+
+    def test_repeated_base_computes_its_constant_once(self, constant_calls):
+        base = StiefelPoint(default_base_point(8, 2).mat)
+        kappas = {error_bound_sweep(base, 0.05, 5, seed).kappa for seed in range(4)}
+        assert kappas == {error_bound_constant(base)}
+        assert constant_calls == [base]
+
+    def test_alternating_bases_keep_their_own_constants(self):
+        regular = default_base_point(8, 2)
+        irregular = StiefelPoint(near_feasible_point())
+        assert error_bound_constant(regular) != error_bound_constant(irregular)
+        for base in (regular, irregular, regular, irregular, irregular, regular):
+            assert error_bound_sweep(base, 0.05, 5, 0).kappa == error_bound_constant(base)
+
+    def test_array_base_or_writable_array_never_reuses_the_constant(self, constant_calls):
+        mat = default_base_point(8, 2).mat
+        for base in (mat, mat, mat.copy(), mat.copy()):
+            error_bound_sweep(base, 0.05, 5, 0)
+        assert len(constant_calls) == 4
+        # a point whose array was made writable is read anew on every call
+        point = StiefelPoint(default_base_point(8, 2).mat)
+        first = error_bound_sweep(point, 0.05, 5, 0).kappa
+        point.mat.flags.writeable = True
+        point.mat[...] = near_feasible_point()
+        assert error_bound_sweep(point, 0.05, 5, 0).kappa == error_bound_constant(point)
+        assert error_bound_constant(point) != first
+        assert len(constant_calls) == 6
+
     def test_infeasible_base_rejected(self):
         message = r"^base point xbar is infeasible: violation \S+ exceeds 5e-06$"
         with pytest.raises(ValueError, match=message):
@@ -331,6 +396,12 @@ class TestErrorBoundSweep:
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             error_bound_sweep(default_base_point(3, 2), 0.05, 1, seed=-1)
+
+    @pytest.mark.parametrize("kappa", [np.nan, -5.0, np.inf])
+    def test_nan_negative_or_infinite_kappa_rejected_by_name(self, kappa):
+        x = default_base_point(3, 2).mat + 0.01
+        with pytest.raises(ValueError, match="^kappa must be nonnegative and finite, got "):
+            evaluate_error_bound(x, kappa)
 
     def test_no_false_violation_next_to_feasible_point(self):
         xbar = near_feasible_point()
