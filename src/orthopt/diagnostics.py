@@ -134,18 +134,19 @@ def _patterns(n: int, r: int) -> np.ndarray:
     return np.indices((r,) * n, dtype=np.uint8).reshape(n, -1).T
 
 
-def _exact_gains(cols: np.ndarray, onehot: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _exact_gains(cols: np.ndarray, onehot: np.ndarray, root: np.ndarray) -> np.ndarray:
     """(m, P) gains of a pattern block for m samples, given each column's
-    entries ``cols`` (r, m, n), the block's one-hot and masses (r, m, P).
+    entries ``cols`` (r, m, n), the block's one-hot and the square roots of
+    its masses (r, m, P).
 
     On a support where every entry of x is <= 0 the best nonnegative unit
     vector is e_i at the largest entry, so that entry is the column's gain;
     an empty column admits no unit vector and scores -inf.
     """
-    top = np.full(mass.shape, -np.inf)
+    top = np.full(root.shape, -np.inf)
     for i in range(cols.shape[2]):
         np.maximum(top, np.where(onehot[:, None, i] > 0.0, cols[:, :, i, None], -np.inf), out=top)
-    return np.where(mass > 0.0, np.sqrt(mass), top).sum(axis=0)
+    return np.where(root > 0.0, root, top).sum(axis=0)
 
 
 def _onehot(patterns: np.ndarray, r: int) -> np.ndarray:
@@ -164,18 +165,44 @@ def _full_onehot(n: int, r: int) -> np.ndarray:
     return onehot
 
 
+def _block_best(
+    xs: np.ndarray, pos2: np.ndarray, onehot: np.ndarray, floor: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First largest gain of one pattern block for each matrix of an (S, n, r)
+    stack, as (index in the block, gain), given the (r, S, n) row masses per
+    column ``pos2`` and the block's one-hot.
+
+    A column without positive mass gains at most 0, so a pattern's gain is at
+    most its partial sum sqrt(mass).sum over columns, with equality when every
+    column has positive mass. Where the block's first largest partial sum has
+    positive mass in every column, it is therefore the block's first maximal
+    gain. The other samples have the block scored exactly by ``_exact_gains``,
+    unless that partial sum is no larger than ``floor``, their best gain so
+    far: they keep the partial sum, which cannot win.
+    """
+    rows = np.arange(xs.shape[0])
+    # square roots of the masses: positive exactly where the mass is
+    root = np.sqrt(pos2 @ onehot)
+    gain = root.sum(axis=0)
+    arg = np.argmax(gain, axis=1)
+    top = gain[rows, arg]
+    filled = np.all(root[:, rows, arg] > 0.0, axis=0)
+    mixed = np.flatnonzero(~filled & (top > floor))
+    if mixed.size:
+        gain = _exact_gains(xs[mixed].transpose(2, 0, 1), onehot, root[:, mixed])
+        arg[mixed] = np.argmax(gain, axis=1)
+        top[mixed] = gain[np.arange(mixed.size), arg[mixed]]
+    return arg, top
+
+
 def _best_patterns(xs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """First pattern of largest gain for each matrix of an (S, n, r) stack.
 
     Scores the patterns in blocks of about ``_ORACLE_BLOCK`` samples x
-    patterns. A column without positive mass gains at most 0, so a pattern's
-    gain is at most its partial sum sqrt(mass).sum over columns, with equality
-    when every column has positive mass. Where a block's first largest partial
-    sum has positive mass in every column, it is therefore the block's first
-    maximal gain. The other samples have the block scored exactly by
-    ``_exact_gains``, unless that partial sum is no larger than their best
-    gain so far, which the block then cannot beat. When the whole table is
-    one block, its cached one-hot is scored in one pass with no best so far.
+    patterns with ``_block_best``. The first block seeds each sample's best
+    gain; a later block replaces it only where it scores strictly higher, so
+    ties keep the first pattern. A table that fits one block is scored from
+    its cached ``_full_onehot``.
     """
     num, n, r = xs.shape
     pos = np.maximum(xs, 0.0)
@@ -184,35 +211,13 @@ def _best_patterns(xs: np.ndarray, table: np.ndarray) -> np.ndarray:
     # patterns per block: the (r, n, block) one-hot and the (r, S, block)
     # masses each hold about _ORACLE_BLOCK entries per column
     block = max(1, _ORACLE_BLOCK // max(num, n))
-    rows = np.arange(num)
-    if table.shape[0] <= block:
-        onehot = _full_onehot(n, r)
-        mass = pos2 @ onehot
-        best = np.argmax(np.sqrt(mass).sum(axis=0), axis=1)
-        mixed = np.flatnonzero(~np.all(mass[:, rows, best] > 0.0, axis=0))
-        if mixed.size:
-            gain = _exact_gains(xs[mixed].transpose(2, 0, 1), onehot, mass[:, mixed])
-            best[mixed] = np.argmax(gain, axis=1)
-        return best
-    best_gain = np.full(num, -np.inf)
-    best = np.zeros(num, dtype=np.intp)
-    for lo in range(0, table.shape[0], block):
-        onehot = _onehot(table[lo : lo + block], r)
-        mass = pos2 @ onehot
-        gain = np.sqrt(mass).sum(axis=0)
-        arg = np.argmax(gain, axis=1)
-        top = gain[rows, arg]
-        # a block whose largest partial sum does not beat the best so far
-        # cannot win, whatever its exact gains
-        filled = np.all(mass[:, rows, arg] > 0.0, axis=0)
-        mixed = np.flatnonzero(~filled & (top > best_gain))
-        if mixed.size:
-            gain = _exact_gains(xs[mixed].transpose(2, 0, 1), onehot, mass[:, mixed])
-            arg[mixed] = np.argmax(gain, axis=1)
-            top[mixed] = gain[np.arange(mixed.size), arg[mixed]]
+    first = _full_onehot(n, r) if table.shape[0] <= block else _onehot(table[:block], r)
+    best, best_gain = _block_best(xs, pos2, first, -np.inf)
+    for lo in range(block, table.shape[0], block):
+        arg, top = _block_best(xs, pos2, _onehot(table[lo : lo + block], r), best_gain)
         better = top > best_gain
-        best_gain[better] = top[better]
-        best[better] = lo + arg[better]
+        best_gain = np.where(better, top, best_gain)
+        best = np.where(better, lo + arg, best)
     return best
 
 
@@ -304,26 +309,29 @@ def error_bound_sweep(
 
     Points are drawn uniformly from the ball, each as a direction and then a
     radius, into one (num_samples, n, r) stack, and the whole sweep is
-    evaluated at once: one batched oracle pass and one stacked SVD. The
-    constant is ``error_bound_constant(xbar)``, computed once for repeated
-    calls on the same ``StiefelPoint``. An array base is certified by
-    ``StiefelPoint`` on every call, and its constant computed anew, so it is
-    accepted or rejected as ``error_bound_constant`` accepts or rejects it.
-    Probes of hypotheses-violating bases go through ``evaluate_error_bound``
-    with an explicit constant.
+    evaluated at once: one batched oracle pass and one stacked SVD. An array
+    base is certified by ``StiefelPoint`` on every call, so it is accepted or
+    rejected as ``error_bound_constant`` accepts or rejects it. The constant
+    is ``error_bound_constant(xbar)``, computed once while the base's
+    read-only array comes back: the same ``StiefelPoint``, or the same
+    read-only array that owns its data, which ``StiefelPoint`` adopts as it
+    is. A writable array or a view is copied, so its constant is computed
+    anew. Probes of hypotheses-violating bases go through
+    ``evaluate_error_bound`` with an explicit constant.
 
     Raises:
         ValueError: if the base is not orthonormal or infeasible, ``delta``
             is not positive or exceeds 1e154 (beyond it squared distances
             overflow), ``num_samples`` is below 1 or ``seed`` is negative.
     """
-    point = xbar if isinstance(xbar, StiefelPoint) else StiefelPoint(xbar)
+    if not isinstance(xbar, StiefelPoint):
+        xbar = StiefelPoint(xbar)
     if not 0 < delta <= _DELTA_MAX:
         raise ValueError(f"delta must be positive and at most {_DELTA_MAX:g}, got {delta}")
     check_count(num_samples, "num_samples")
     check_count(seed, "seed", minimum=0)
-    kappa = _base_constant(point) if point is xbar else error_bound_constant(point)
-    n, r = point.shape
+    kappa = _base_constant(xbar)
+    n, r = xbar.shape
     dim = n * r
     rng = np.random.default_rng(seed)
     normal, uniform = rng.standard_normal, rng.random
@@ -338,7 +346,7 @@ def error_bound_sweep(
     # the same bits as np.linalg.norm of each direction
     directions /= np.sqrt(directions[:, None, :] @ directions[:, :, None]).reshape(num_samples, 1)
     directions *= np.array(radii)[:, None]
-    probes = point.mat + directions.reshape(num_samples, n, r)
+    probes = xbar.mat + directions.reshape(num_samples, n, r)
     return _evaluate(probes, kappa)
 
 

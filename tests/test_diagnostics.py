@@ -253,9 +253,9 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("shape, delta", [((8, 2), 0.05), ((3, 3), 1.5)])
     @pytest.mark.parametrize("block", [1, 1000])
-    def test_block_loop_gives_the_one_pass_bits(self, shape, delta, block, monkeypatch):
-        # the whole table fits one block here, so it is scored in one pass
-        # from the cached one-hot; a small block sends it through the loop
+    def test_small_blocks_give_the_cached_table_bits(self, shape, delta, block, monkeypatch):
+        # the whole table fits one block here, so it is scored from the
+        # cached one-hot; a small block builds each block's one-hot instead
         base = default_base_point(*shape)
         diagnostics._full_onehot.cache_clear()
         whole = error_bound_sweep(base, delta, 200, seed=3)
@@ -362,11 +362,18 @@ class TestErrorBoundSweep:
         for base in (regular, irregular, regular, irregular, irregular, regular):
             assert error_bound_sweep(base, 0.05, 5, 0).kappa == error_bound_constant(base)
 
-    def test_array_base_or_writable_array_never_reuses_the_constant(self, constant_calls):
+    def test_only_the_same_read_only_array_reuses_the_constant(self, constant_calls):
+        # StiefelPoint adopts a read-only array that owns its data as it is
         mat = default_base_point(8, 2).mat
-        for base in (mat, mat, mat.copy(), mat.copy()):
+        for base in (mat, mat, StiefelPoint(mat)):
             error_bound_sweep(base, 0.05, 5, 0)
-        assert len(constant_calls) == 4
+        assert len(constant_calls) == 1
+        # a writable array or a view is copied on every call, so its
+        # constant is computed anew
+        copy = mat.copy()
+        for base in (copy, copy, mat[:, :], mat[:, :]):
+            error_bound_sweep(base, 0.05, 5, 0)
+        assert len(constant_calls) == 5
         # a point whose array was made writable is read anew on every call
         point = StiefelPoint(default_base_point(8, 2).mat)
         first = error_bound_sweep(point, 0.05, 5, 0).kappa
@@ -374,7 +381,7 @@ class TestErrorBoundSweep:
         point.mat[...] = near_feasible_point()
         assert error_bound_sweep(point, 0.05, 5, 0).kappa == error_bound_constant(point)
         assert error_bound_constant(point) != first
-        assert len(constant_calls) == 6
+        assert len(constant_calls) == 7
 
     def test_infeasible_base_rejected(self):
         message = r"^base point xbar is infeasible: violation \S+ exceeds 5e-06$"
