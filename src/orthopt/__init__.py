@@ -55,7 +55,6 @@ from .diagnostics import (
     default_base_point,
     error_bound_constant,
     error_bound_sweep,
-    evaluate_error_bound,
     sosc_probe,
 )
 from .bench import (

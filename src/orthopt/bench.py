@@ -16,6 +16,7 @@ import math
 import os
 import re
 import statistics
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,9 +114,18 @@ def load_best_known(path) -> dict[str, float]:
 
 
 def load_dense_matrix(path) -> np.ndarray:
-    """Whitespace-separated dense matrix, one row per line."""
-    mat = np.loadtxt(path, dtype=float, ndmin=2)
-    return mat
+    """Whitespace-separated dense matrix, one row per line.
+
+    Raises:
+        ValueError: naming the file, if it holds no numbers.
+    """
+    with warnings.catch_warnings():
+        # loadtxt's one warning is for a file without numbers
+        warnings.simplefilter("error", UserWarning)
+        try:
+            return np.loadtxt(path, dtype=float, ndmin=2)
+        except UserWarning:
+            raise ValueError(f"matrix file {path} holds no numbers") from None
 
 
 def save_dense_matrix(path, mat) -> None:

@@ -204,7 +204,7 @@ def _cmd_diag_errorbound(args) -> int:
         header = [f"x{i}" for i in range(n * r)]
         header += ["dist_splus", "dist_cone", "dist_st", "kappa", "holds"]
         rows = (
-            [*s.x.ravel(), s.dist_splus, s.dist_cone, s.dist_st, s.kappa, s.holds]
+            [*s.x.ravel(), s.dist_splus, s.dist_cone, s.dist_st, samples.kappa, s.holds]
             for s in samples
         )
         bench.write_csv(args.out, header, rows)
@@ -214,6 +214,8 @@ def _cmd_diag_errorbound(args) -> int:
 def _cmd_diag_sosc(args) -> int:
     point = StiefelPoint(bench.load_dense_matrix(args.point))
     target = point.mat if args.target is None else bench.load_dense_matrix(args.target)
+    if target.shape != point.shape:
+        raise ValueError(f"target shape {target.shape} differs from the point's shape {point.shape}")
     objective = ProjectionObjective(target)
     report = diagnostics.sosc_probe(objective, point, args.dirs, args.seed)
     if report.min_form is None:

@@ -39,14 +39,14 @@ class OracleSizeError(ValueError):
 class ErrorBoundSample:
     """One probe point with its three distances and the bound check.
 
-    ``holds`` records dist_splus <= (kappa + 1) * (dist_cone + dist_st).
+    ``holds`` records dist_splus <= (kappa + 1) * (dist_cone + dist_st), with
+    the sweep's ``kappa``.
     """
 
     x: np.ndarray
     dist_splus: float
     dist_cone: float
     dist_st: float
-    kappa: float
     holds: bool
 
 
@@ -79,22 +79,19 @@ class ErrorBoundSweep:
             self.dist_st.tolist(),
             self.holds.tolist(),
         ):
-            yield ErrorBoundSample(x, dist_splus, dist_cone, dist_st, self.kappa, holds)
+            yield ErrorBoundSample(x, dist_splus, dist_cone, dist_st, holds)
 
 
-def error_bound_constant(
-    xbar: StiefelPoint | np.ndarray, *, allow_zero_rows: bool = False
-) -> float:
+def error_bound_constant(xbar: StiefelPoint) -> float:
     """Piecewise constant of the local error bound at a feasible base point.
 
     Returns 2.1 sqrt(n) for square shapes, 1 for single-column shapes, and
     2.1 sqrt(r) (1 + 3 r (n - r)) / (smallest nonzero entry) otherwise. The
-    rectangular multi-column branch requires the base point to have no zero
-    rows (row norm above ``ZERO_TOL``); ``allow_zero_rows=True`` bypasses
-    that hypothesis check for counterexample probes. A base point that is not
-    orthonormal, or whose nonnegativity violation exceeds 5e-6, raises ValueError.
+    rectangular multi-column bound holds only at base points without zero
+    rows (row norm above ``ZERO_TOL``), so a zero row raises ValueError, as
+    does a nonnegativity violation above 5e-6.
     """
-    mat = (xbar if isinstance(xbar, StiefelPoint) else StiefelPoint(xbar)).mat
+    mat = xbar.mat
     violation = nonneg_violation(mat)
     if violation > _FEAS_TOL:
         raise ValueError(
@@ -106,10 +103,10 @@ def error_bound_constant(
     if r == 1:
         return 1.0
     row_norms = np.linalg.norm(mat, axis=1)
-    if not allow_zero_rows and np.any(row_norms <= ZERO_TOL):
+    if np.any(row_norms <= ZERO_TOL):
         raise ValueError(
-            "base point has a zero row; the rectangular multi-column bound "
-            "does not apply (pass allow_zero_rows=True to probe anyway)"
+            "base point has a zero row; the error bound for n > r > 1 holds "
+            "only at base points without zero rows"
         )
     # unit columns give every column an entry of magnitude >= 1/sqrt(n) > ZERO_TOL
     smallest = float(np.min(np.abs(mat[np.abs(mat) > ZERO_TOL])))
@@ -239,19 +236,6 @@ def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dists, minimizers
 
 
-def _evaluate(xs: np.ndarray, kappa: float) -> ErrorBoundSweep:
-    """Test the bound on every matrix of an (S, n, r) stack."""
-    # validates the stack (shape, finite entries) before the oracle runs
-    dist_st = dist_to_stiefel(xs)
-    num = xs.shape[0]
-    dist_splus, _ = _oracle(xs)
-    neg = np.minimum(xs, 0.0).reshape(num, -1)
-    # one dot product per sample, as np.linalg.norm sums a single matrix
-    dist_cone = np.sqrt((neg[:, None, :] @ neg[:, :, None]).reshape(num))
-    holds = dist_splus <= (kappa + 1.0) * (dist_cone + dist_st)
-    return ErrorBoundSweep(xs, dist_splus, dist_cone, dist_st, holds, kappa)
-
-
 def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
     """Exhaustive distance from x to the nonnegative orthogonal set.
 
@@ -268,18 +252,6 @@ def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
     x = check_matrix(x, "x")
     dists, minimizers = _oracle(x[None])
     return float(dists[0]), minimizers[0]
-
-
-def evaluate_error_bound(x, kappa: float) -> ErrorBoundSample:
-    """Fill one ErrorBoundSample for a probe point and a given constant.
-
-    Raises:
-        ValueError: if ``kappa`` is NaN, negative or infinite, or x is not a
-            finite matrix.
-    """
-    if not 0.0 <= kappa < np.inf:
-        raise ValueError(f"kappa must be nonnegative and finite, got {kappa}")
-    return next(iter(_evaluate(check_matrix(x, "x")[None], kappa)))
 
 
 # a probe lies within sqrt(r) + delta of the origin and its minimizer within
@@ -303,29 +275,22 @@ def _base_constant(xbar: StiefelPoint) -> float:
 
 
 def error_bound_sweep(
-    xbar: StiefelPoint | np.ndarray, delta: float, num_samples: int, seed: int
+    xbar: StiefelPoint, delta: float, num_samples: int, seed: int
 ) -> ErrorBoundSweep:
     """Sample the Frobenius delta-ball around a feasible point and test the bound.
 
     Points are drawn uniformly from the ball, each as a direction and then a
     radius, into one (num_samples, n, r) stack, and the whole sweep is
-    evaluated at once: one batched oracle pass and one stacked SVD. An array
-    base is certified by ``StiefelPoint`` on every call, so it is accepted or
-    rejected as ``error_bound_constant`` accepts or rejects it. The constant
-    is ``error_bound_constant(xbar)``, computed once while the base's
-    read-only array comes back: the same ``StiefelPoint``, or the same
-    read-only array that owns its data, which ``StiefelPoint`` adopts as it
-    is. A writable array or a view is copied, so its constant is computed
-    anew. Probes of hypotheses-violating bases go through
-    ``evaluate_error_bound`` with an explicit constant.
+    evaluated at once: one batched oracle pass and one stacked SVD. The
+    constant is ``error_bound_constant(xbar)``, computed once while the same
+    read-only array of the point comes back.
 
     Raises:
-        ValueError: if the base is not orthonormal or infeasible, ``delta``
-            is not positive or exceeds 1e154 (beyond it squared distances
-            overflow), ``num_samples`` is below 1 or ``seed`` is negative.
+        ValueError: if the base is infeasible or, for n > r > 1, has a zero
+            row, ``delta`` is not positive or exceeds 1e154 (beyond it
+            squared distances overflow), ``num_samples`` is below 1 or
+            ``seed`` is negative.
     """
-    if not isinstance(xbar, StiefelPoint):
-        xbar = StiefelPoint(xbar)
     if not 0 < delta <= _DELTA_MAX:
         raise ValueError(f"delta must be positive and at most {_DELTA_MAX:g}, got {delta}")
     check_count(num_samples, "num_samples")
@@ -347,7 +312,13 @@ def error_bound_sweep(
     directions /= np.sqrt(directions[:, None, :] @ directions[:, :, None]).reshape(num_samples, 1)
     directions *= np.array(radii)[:, None]
     probes = xbar.mat + directions.reshape(num_samples, n, r)
-    return _evaluate(probes, kappa)
+    dist_st = dist_to_stiefel(probes)
+    dist_splus, _ = _oracle(probes)
+    neg = np.minimum(probes, 0.0).reshape(num_samples, -1)
+    # one dot product per sample, as np.linalg.norm sums a single matrix
+    dist_cone = np.sqrt((neg[:, None, :] @ neg[:, :, None]).reshape(num_samples))
+    holds = dist_splus <= (kappa + 1.0) * (dist_cone + dist_st)
+    return ErrorBoundSweep(probes, dist_splus, dist_cone, dist_st, holds, kappa)
 
 
 @dataclass

@@ -51,8 +51,9 @@ class PenaltyConfig:
 
     Both read ``rho0`` (the initial weight), ``epsilon``, ``l_max`` and
     ``pgm``; the schedule fields ``gamma``, ``tau*``, ``sigma_*`` and
-    ``rho_max`` apply only to ``penalty_solve``, and ``pgm.grad_tol``, which
-    tau_l replaces there, only to ``alm_solve``.
+    ``rho_max`` apply only to ``penalty_solve``, where ``rho_max`` caps the
+    initial weight too, and ``pgm.grad_tol``, which tau_l replaces there,
+    only to ``alm_solve``.
 
     ``gamma > 0`` runs the Moreau-envelope penalty, ``gamma == 0`` the
     quadratic one. Every other default serves both penalties, so the
@@ -358,7 +359,8 @@ def penalty_solve(
     start_time = time.perf_counter()
 
     start = PenaltyObjective(f, 0.0, cfg.gamma).parts(x0.mat)
-    rho = _initial_rho(start[1], x0, cfg)
+    # rho_max caps the first weight too, so the weights never fall
+    rho = min(_initial_rho(start[1], x0, cfg), cfg.rho_max)
     tau = cfg.tau0
 
     x_start = x0

@@ -97,8 +97,7 @@ def permutation_matrix(perm) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffinityInstance:
-    """Graph-matching affinity: a finite symmetric nonnegative n^2 x n^2
-    matrix, n >= 1.
+    """Graph-matching affinity: a finite symmetric n^2 x n^2 matrix, n >= 1.
 
     The constructor symmetrizes the input; the gradient formula relies on
     symmetry, which affinity constructions guarantee up to rounding.

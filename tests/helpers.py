@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 
+from orthopt.diagnostics import ErrorBoundSample, brute_force_dist_splus
 from orthopt.driver import round_to_feasible
 from orthopt.penalty import Objective
 from orthopt.pgm import PgmTrace
 from orthopt.problems import QapInstance, qap_permutation_value
-from orthopt.stiefel import StiefelPoint, check_matrix
+from orthopt.stiefel import StiefelPoint, check_matrix, dist_to_stiefel
 
 # stored fixtures of the tests
 DATA = Path(__file__).resolve().parent / "data"
@@ -123,3 +124,24 @@ def zero_row_family(k: int) -> tuple[np.ndarray, np.ndarray]:
     xbar = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     xk = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 / k, 1.0 / k]])
     return xbar, xk
+
+
+def rectangular_constant(xbar) -> float:
+    """The paper's constant for n > r > 1, 2.1 sqrt(r) (1 + 3 r (n - r)) over
+    the smallest positive entry of xbar, computed without the no-zero-row
+    hypothesis that ``error_bound_constant`` checks: the constant that a probe
+    around a zero-row base point is held to."""
+    n, r = xbar.shape
+    return 2.1 * np.sqrt(r) * (1.0 + 3.0 * r * (n - r)) / np.min(xbar[xbar > 0.0])
+
+
+def reference_error_bound(x, kappa: float) -> ErrorBoundSample:
+    """The error-bound check at one probe point, from public primitives: the
+    exhaustive distance to the feasible set, the Frobenius norm of the
+    negative part and the distance to the Stiefel manifold."""
+    x = check_matrix(x, "x")
+    dist_splus, _ = brute_force_dist_splus(x)
+    dist_cone = float(np.linalg.norm(np.minimum(x, 0.0)))
+    dist_st = dist_to_stiefel(x)
+    holds = dist_splus <= (kappa + 1.0) * (dist_cone + dist_st)
+    return ErrorBoundSample(x, dist_splus, dist_cone, dist_st, holds)

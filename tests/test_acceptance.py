@@ -13,12 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from orthopt.bench import ExperimentSpec, clustering_metrics, default_config, run_experiment
-from orthopt.diagnostics import (
-    default_base_point,
-    error_bound_constant,
-    error_bound_sweep,
-    evaluate_error_bound,
-)
+from orthopt.diagnostics import default_base_point, error_bound_sweep
 from orthopt.driver import (
     PenaltyConfig,
     alm_solve,
@@ -51,6 +46,8 @@ from helpers import (
     nonexactness_probe_objective,
     nonexactness_probe_point,
     prox_nonneg_violation,
+    rectangular_constant,
+    reference_error_bound,
     svd_start,
     window_max_values,
     zero_row_family,
@@ -239,9 +236,12 @@ def test_criterion_6_error_bound_sweep():
             samples = error_bound_sweep(base, delta=0.05, num_samples=40, seed=60 + n + r)
             assert len(samples) == 40
             assert all(s.holds for s in samples), f"shape ({n},{r})"
+        # the sweep rejects a zero-row base, so its probes are checked by the reference
         xbar, _ = zero_row_family(10)
-        blind = error_bound_constant(xbar, allow_zero_rows=True)
-        probes = [evaluate_error_bound(zero_row_family(k)[1], blind) for k in (10, 100, 1000)]
+        with pytest.raises(ValueError, match="zero row"):
+            error_bound_sweep(StiefelPoint(xbar), delta=0.05, num_samples=1, seed=0)
+        blind = rectangular_constant(xbar)
+        probes = [reference_error_bound(zero_row_family(k)[1], blind) for k in (10, 100, 1000)]
         assert any(not s.holds for s in probes)
         assert time.perf_counter() - start < 60.0
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import statistics
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -465,7 +466,7 @@ class TestCli:
             cells = line.split(",")
             assert [float(c) for c in cells[:6]] == s.x.ravel().tolist()
             floats = [float(c) for c in cells[6:10]]
-            assert floats == [s.dist_splus, s.dist_cone, s.dist_st, s.kappa]
+            assert floats == [s.dist_splus, s.dist_cone, s.dist_st, samples.kappa]
             assert cells[10] == ("1" if s.holds else "0")
 
     def test_diag_errorbound_csv_bytes_are_pinned(self, tmp_path, capsys):
@@ -534,6 +535,15 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_diag_errorbound_zero_row_base_exits_naming_the_hypothesis(self, tmp_path, capsys):
+        base = tmp_path / "x.txt"
+        save_dense_matrix(base, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        assert main(["diag-errorbound", "--base", str(base), "--samples", "5"]) == 2
+        err = capsys.readouterr().err
+        assert re.match(
+            r"^error: ValueError: base point has a zero row; .* without zero rows\n$", err
+        )
+
     def test_diag_sosc_subcommand(self, tmp_path, capsys):
         point = tmp_path / "x.txt"
         save_dense_matrix(point, default_base_point(5, 2).mat)
@@ -557,6 +567,35 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == "inconclusive: 0 of 50 sampled directions lie in the cone\n"
         assert out.read_text() == "form\n"
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_diag_sosc_target_of_another_shape_exits_naming_both(self, tmp_path, capsys, cols):
+        # a 4 x 1 target would broadcast across the point's two columns
+        point, target = tmp_path / "x4.txt", tmp_path / "t.txt"
+        save_dense_matrix(point, default_base_point(4, 2).mat)
+        save_dense_matrix(target, np.full((4, cols), 0.5))
+        assert main(["diag-sosc", str(point), "--target", str(target), "--dirs", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: target shape (4, {cols}) differs from the point's shape (4, 2)\n"
+        )
+
+    @pytest.mark.parametrize("text", ["", "# no numbers\n\n"], ids=["empty", "comment_only"])
+    @pytest.mark.parametrize(
+        "command",
+        [["proj"], ["gm"], ["onmf", "--clusters", "2"], ["diag-errorbound", "--base"], ["diag-sosc"]],
+        ids=["proj", "gm", "onmf", "diag-errorbound", "diag-sosc"],
+    )
+    def test_matrix_file_without_numbers_exits_with_one_error_line(
+        self, tmp_path, capsys, command, text
+    ):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        # a warning would reach stderr ahead of the error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, str(path)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: ValueError: matrix file {path} holds no numbers\n"
 
     @pytest.mark.parametrize(
         "command,bad,name",

@@ -1,5 +1,6 @@
 """Error-bound constant, projection oracle, ball sweeps, curvature probe."""
 
+import dataclasses
 import pickle
 import tracemalloc
 
@@ -16,7 +17,6 @@ from orthopt.diagnostics import (
     default_base_point,
     error_bound_constant,
     error_bound_sweep,
-    evaluate_error_bound,
     sosc_probe,
 )
 from orthopt.driver import stationarity_residual
@@ -28,6 +28,8 @@ from helpers import (
     LinearObjective,
     nonexactness_probe_objective,
     nonexactness_probe_point,
+    rectangular_constant,
+    reference_error_bound,
     zero_row_family,
 )
 
@@ -113,15 +115,13 @@ class TestErrorBoundConstant:
         expected = 2.1 * np.sqrt(2.0) * (1.0 + 3.0 * 2.0 * 1.0) / 0.6
         npt.assert_allclose(error_bound_constant(xbar), expected)
         npt.assert_allclose(expected, 34.648, atol=5e-4)
+        assert rectangular_constant(xbar.mat) == error_bound_constant(xbar)
 
-    def test_zero_row_rejected_unless_allowed(self):
+    def test_zero_row_rejected_naming_the_hypothesis(self):
         xbar, _ = zero_row_family(10)
-        with pytest.raises(ValueError, match="zero row"):
-            error_bound_constant(xbar)
-        npt.assert_allclose(
-            error_bound_constant(xbar, allow_zero_rows=True),
-            2.1 * np.sqrt(2.0) * 7.0,
-        )
+        message = r"^base point has a zero row; .* only at base points without zero rows$"
+        with pytest.raises(ValueError, match=message):
+            error_bound_constant(StiefelPoint(xbar))
 
     def test_deterministic(self):
         xbar = default_base_point(6, 2)
@@ -131,20 +131,14 @@ class TestErrorBoundConstant:
         # orthonormal, with one negative entry
         xbar = np.array([[0.6, 0.0], [-0.8, 0.0], [0.0, 1.0]])
         message = "^base point xbar is infeasible: violation 8.000e-01 exceeds 5e-06$"
-        for base in (xbar, StiefelPoint(xbar)):
-            with pytest.raises(ValueError, match=message):
-                error_bound_constant(base)
-            with pytest.raises(ValueError, match=message):
-                error_bound_constant(base, allow_zero_rows=True)
+        with pytest.raises(ValueError, match=message):
+            error_bound_constant(StiefelPoint(xbar))
         with pytest.raises(ValueError, match="^base point xbar is infeasible"):
             error_bound_constant(random_stiefel_start(3, 3, 2))
         # stationarity_residual's tolerance: a violation of 1e-7 counts as feasible
         slight = np.array([[np.sqrt(1.0 - 1e-14), 0.0], [-1e-7, 0.0], [0.0, 1.0]])
-        npt.assert_allclose(error_bound_constant(slight), 2.1 * np.sqrt(2.0) * 7.0 / 1e-7)
-
-    def test_array_base_must_be_orthonormal(self):
-        with pytest.raises(ValueError, match="not orthonormal"):
-            error_bound_constant(np.ones((3, 2)))
+        expected = 2.1 * np.sqrt(2.0) * 7.0 / 1e-7
+        npt.assert_allclose(error_bound_constant(StiefelPoint(slight)), expected)
 
 
 class TestBruteForceOracle:
@@ -277,8 +271,8 @@ def test_default_base_point_rejects_bad_shape_by_name(shape):
 
 def _assert_same_sample(a, b):
     npt.assert_array_equal(a.x, b.x)
-    assert (a.dist_splus, a.dist_cone, a.dist_st, a.kappa, a.holds) == (
-        b.dist_splus, b.dist_cone, b.dist_st, b.kappa, b.holds
+    assert (a.dist_splus, a.dist_cone, a.dist_st, a.holds) == (
+        b.dist_splus, b.dist_cone, b.dist_st, b.holds
     )
 
 
@@ -302,14 +296,13 @@ class TestErrorBoundSweep:
             rot = np.array(
                 [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
             )
-            s = evaluate_error_bound(rot, kappa)
+            s = reference_error_bound(rot, kappa)
             assert s.dist_st <= 1e-12
             assert s.dist_splus <= kappa * s.dist_cone + 1e-12
 
     def test_zero_row_family_violates(self):
-        xbar, _ = zero_row_family(10)
-        kappa = error_bound_constant(xbar, allow_zero_rows=True)
-        samples = [evaluate_error_bound(zero_row_family(k)[1], kappa) for k in (10, 100, 1000)]
+        kappa = rectangular_constant(zero_row_family(10)[0])
+        samples = [reference_error_bound(zero_row_family(k)[1], kappa) for k in (10, 100, 1000)]
         assert any(not s.holds for s in samples)
 
     def test_delta_must_be_positive(self):
@@ -342,9 +335,9 @@ class TestErrorBoundSweep:
         """The bases the sweep passes to ``error_bound_constant``, in order."""
         calls = []
 
-        def counted(xbar, **kw):
+        def counted(xbar):
             calls.append(xbar)
-            return error_bound_constant(xbar, **kw)
+            return error_bound_constant(xbar)
 
         monkeypatch.setattr(diagnostics, "error_bound_constant", counted)
         return calls
@@ -365,15 +358,15 @@ class TestErrorBoundSweep:
     def test_only_the_same_read_only_array_reuses_the_constant(self, constant_calls):
         # StiefelPoint adopts a read-only array that owns its data as it is
         mat = default_base_point(8, 2).mat
-        for base in (mat, mat, StiefelPoint(mat)):
+        for base in (StiefelPoint(mat), StiefelPoint(mat)):
             error_bound_sweep(base, 0.05, 5, 0)
         assert len(constant_calls) == 1
-        # a writable array or a view is copied on every call, so its
-        # constant is computed anew
+        # a point built from a writable array or a view holds its own copy,
+        # so its constant is computed anew
         copy = mat.copy()
-        for base in (copy, copy, mat[:, :], mat[:, :]):
+        for base in (StiefelPoint(copy), StiefelPoint(copy), StiefelPoint(mat[:, :])):
             error_bound_sweep(base, 0.05, 5, 0)
-        assert len(constant_calls) == 5
+        assert len(constant_calls) == 4
         # a point whose array was made writable is read anew on every call
         point = StiefelPoint(default_base_point(8, 2).mat)
         first = error_bound_sweep(point, 0.05, 5, 0).kappa
@@ -381,40 +374,22 @@ class TestErrorBoundSweep:
         point.mat[...] = near_feasible_point()
         assert error_bound_sweep(point, 0.05, 5, 0).kappa == error_bound_constant(point)
         assert error_bound_constant(point) != first
-        assert len(constant_calls) == 7
+        assert len(constant_calls) == 6
 
     def test_infeasible_base_rejected(self):
         message = r"^base point xbar is infeasible: violation \S+ exceeds 5e-06$"
         with pytest.raises(ValueError, match=message):
             error_bound_sweep(random_stiefel_start(4, 2, 1), 0.05, 5, 0)
 
-    def test_array_base_gives_the_point_base_sweep(self):
-        base = default_base_point(4, 2)
-        by_array = error_bound_sweep(base.mat, 0.05, 3, 0)
-        by_point = error_bound_sweep(base, 0.05, 3, 0)
-        for name in ("x", "dist_splus", "dist_cone", "dist_st", "holds"):
-            npt.assert_array_equal(getattr(by_array, name), getattr(by_point, name))
-        assert by_array.kappa == by_point.kappa
-        with pytest.raises(ValueError, match="not orthonormal"):
-            error_bound_sweep(np.ones((4, 2)), 0.05, 3, 0)
-        with pytest.raises(ValueError, match="^base point xbar is infeasible"):
-            error_bound_sweep(random_stiefel_start(4, 2, 1).mat, 0.05, 3, 0)
-
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             error_bound_sweep(default_base_point(3, 2), 0.05, 1, seed=-1)
-
-    @pytest.mark.parametrize("kappa", [np.nan, -5.0, np.inf])
-    def test_nan_negative_or_infinite_kappa_rejected_by_name(self, kappa):
-        x = default_base_point(3, 2).mat + 0.01
-        with pytest.raises(ValueError, match="^kappa must be nonnegative and finite, got "):
-            evaluate_error_bound(x, kappa)
 
     def test_no_false_violation_next_to_feasible_point(self):
         xbar = near_feasible_point()
         x = xbar.copy()
         x[1, 0] = -1e-12
-        s = evaluate_error_bound(x, error_bound_constant(xbar))
+        s = reference_error_bound(x, error_bound_constant(StiefelPoint(xbar)))
         assert s.holds
         npt.assert_allclose(s.dist_splus, 1e-12, rtol=1e-3)
 
@@ -429,21 +404,21 @@ class TestErrorBoundSweep:
             npt.assert_array_equal(s.x, base.mat + radius * direction.reshape(4, 2))
 
     def test_sweep_matches_single_evaluations(self):
-        from orthopt.stiefel import dist_to_stiefel
-
         base = default_base_point(6, 3)
-        kappa = error_bound_constant(base)
-        for s in error_bound_sweep(base, 0.3, 50, seed=10):
-            single = evaluate_error_bound(s.x.copy(), kappa)
+        sweep = error_bound_sweep(base, 0.3, 50, seed=10)
+        assert sweep.kappa == rectangular_constant(base.mat)
+        for s in sweep:
+            single = reference_error_bound(s.x.copy(), sweep.kappa)
             assert single.dist_cone == s.dist_cone and single.dist_st == s.dist_st
             assert single.holds == s.holds
             npt.assert_allclose(single.dist_splus, s.dist_splus, rtol=1e-14)
-            npt.assert_allclose(s.dist_cone, np.linalg.norm(np.minimum(s.x, 0.0)), rtol=0)
-            npt.assert_allclose(s.dist_st, dist_to_stiefel(s.x), rtol=0)
 
     def test_sweep_iterates_its_arrays(self):
         sweep = error_bound_sweep(default_base_point(4, 2), 0.3, 7, seed=5)
         assert isinstance(sweep, ErrorBoundSweep) and len(sweep) == 7
+        # the constant is the sweep's alone
+        fields = [f.name for f in dataclasses.fields(ErrorBoundSample)]
+        assert fields == ["x", "dist_splus", "dist_cone", "dist_st", "holds"]
         assert sweep.x.shape == (7, 4, 2)
         for name in ("dist_splus", "dist_cone", "dist_st", "holds"):
             assert getattr(sweep, name).shape == (7,)
@@ -458,7 +433,6 @@ class TestErrorBoundSweep:
             )
             assert type(s.dist_splus) is float and type(s.dist_cone) is float
             assert type(s.dist_st) is float and type(s.holds) is bool
-            assert s.kappa == sweep.kappa
         # every pass builds new samples: setting a field leaves the sweep as it was
         first = samples[0]
         first.holds = not first.holds
@@ -480,10 +454,10 @@ class TestErrorBoundSweep:
 
     def test_non_finite_point_rejected(self):
         # the sweep's own probes stay finite once delta is checked, so the
-        # oracle's guard is reached through a single evaluation
+        # oracle's guard is reached through its single-point form
         x = np.full((3, 2), np.inf)
         with pytest.raises(ValueError, match="NaN or Inf"):
-            evaluate_error_bound(x, error_bound_constant(default_base_point(3, 2)))
+            brute_force_dist_splus(x)
 
     @pytest.mark.parametrize("shape", [(12, 3), (19, 2)])
     def test_memory_bound(self, shape):

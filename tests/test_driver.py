@@ -230,6 +230,16 @@ class TestPenaltySolve:
                 npt.assert_allclose(b / a, expected)
         assert rhos[-1] == cfg.rho_max  # cap reached and held
 
+    @pytest.mark.parametrize("rho0", [0.5, None])
+    def test_initial_weight_above_rho_max_is_capped(self, rho0):
+        # the data-driven rho0 of this start is about 0.55
+        f = ProjectionObjective(noisy_projection_target(30, 3, 0.5, 3)[0])
+        cfg = PenaltyConfig(rho0=rho0, rho_max=0.1, l_max=5)
+        report = penalty_solve(f, random_stiefel_start(30, 3, 0), cfg)
+        rhos = [rec.rho for rec in report.trace]
+        assert all(b >= a for a, b in zip(rhos, rhos[1:]))
+        assert max(rhos) <= cfg.rho_max
+
     def test_negative_target_exits_certified_at_its_optimum(self):
         # the optimum over S+ puts e_i in each column, where the target holds
         # no positive entry; the exit builds that point and certifies it

@@ -336,6 +336,9 @@ class TestObjectiveContract:
         "nonexactness_probe_objective",
         "zero_row_family",
         "window_max_values",
+        "rectangular_constant",
+        "reference_error_bound",
+        "evaluate_error_bound",
     ],
 )
 def test_test_only_symbols_left_the_package(name):
