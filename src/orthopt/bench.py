@@ -117,7 +117,7 @@ def load_dense_matrix(path) -> np.ndarray:
     """Whitespace-separated dense matrix, one row per line.
 
     Raises:
-        ValueError: naming the file, if it holds no numbers.
+        ValueError: naming the file, if it holds no numbers or is malformed.
     """
     with warnings.catch_warnings():
         # loadtxt's one warning is for a file without numbers
@@ -126,6 +126,9 @@ def load_dense_matrix(path) -> np.ndarray:
             return np.loadtxt(path, dtype=float, ndmin=2)
         except UserWarning:
             raise ValueError(f"matrix file {path} holds no numbers") from None
+        except ValueError as err:
+            # numpy's advice after ';' names a loadtxt keyword callers cannot pass
+            raise ValueError(f"matrix file {path}: {str(err).split(';')[0]}") from None
 
 
 def save_dense_matrix(path, mat) -> None:
@@ -307,14 +310,18 @@ def default_config(solver: str, kind: str, instance) -> PenaltyConfig:
     return PenaltyConfig(rho0=rho0)
 
 
+def solver_function(solver: str):
+    """The driver of ``solver``, read from the module globals perfbench/tracer.py patches."""
+    return alm_solve if solver == "alm" else penalty_solve
+
+
 def _run_start(spec: ExperimentSpec, index: int) -> StartRecord:
     start_seed = spec.seed ^ index
     objective, n, r = _problem_setup(spec)
     x0 = random_stiefel_start(n, r, start_seed)
     cfg = spec.config or default_config(spec.solver, spec.kind, spec.instance)
     try:
-        # module globals looked up per call: perfbench/tracer.py patches both by name
-        report = (alm_solve if spec.solver == "alm" else penalty_solve)(objective, x0, cfg)
+        report = solver_function(spec.solver)(objective, x0, cfg)
     except Exception as err:  # per-start failures are recorded, not fatal
         return StartRecord(index, start_seed, failed=True, error=f"{type(err).__name__}: {err}")
     f_rounded = objective.value(round_to_feasible(report.x_final.mat).mat)

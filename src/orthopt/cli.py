@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, diagnostics
-from .driver import PenaltyConfig, alm_solve, penalty_solve
+from .driver import PenaltyConfig
 from .problems import (
     AffinityInstance,
     OnmfInstance,
@@ -155,16 +155,22 @@ def _onmf_start(shared, index: int):
     return x.mat, history[-1], len(history)
 
 
+def _load_labels(path, rows: int, r: int) -> np.ndarray:
+    """One integer label in [1, r] per data row, read as a column or a row of numbers."""
+    labels = bench.load_dense_matrix(path)
+    if 1 not in labels.shape or labels.size != rows or not np.isin(labels, range(1, r + 1)).all():
+        raise ValueError(f"labels file {path} needs an integer in [1, {r}] per data row ({rows})")
+    return labels.ravel().astype(int)
+
+
 def _cmd_onmf(args) -> int:
     check_count(args.starts, "starts")
     check_count(args.jobs, "jobs")
     a = bench.load_dense_matrix(args.instance)
     inst = OnmfInstance(a=a, r=args.clusters)
-    truth = None
-    if args.labels is not None:
-        truth = np.loadtxt(args.labels, dtype=int)
+    truth = None if args.labels is None else _load_labels(args.labels, a.shape[0], inst.r)
     cfg = _config(args, "onmf", inst)
-    solve = alm_solve if args.solver == "alm" else penalty_solve
+    solve = bench.solver_function(args.solver)
     results = bench._map_starts(_onmf_start, (inst, cfg, solve, args.seed), args.starts, args.jobs)
 
     rows = []

@@ -441,9 +441,6 @@ class AugLagObjective(PenaltyObjective):
             last = (*last[:3], *self._penalty(last[0]))
         super().__init__(f, 0.5 * self.mu, 0.0, last)
 
-    # perfbench/tracer.py wraps these in the class's own namespace
-    value, gradient = Objective.value, Objective.gradient
-
     def _penalty(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         return penalty_terms(x - self._shift, 0.0)
 

@@ -65,6 +65,12 @@ class Objective(abc.ABC):
     diagnostics; subclasses override it where an exact form is cheap.
     """
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # perfbench/tracer.py wraps value and gradient only in a class's own namespace
+        for name in {"value", "gradient"} - vars(cls).keys():
+            setattr(cls, name, getattr(cls, name))
+
     @abc.abstractmethod
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Value and gradient at one point, computed together."""
@@ -105,9 +111,6 @@ class PenaltyObjective(Objective):
         self.rho = rho
         self.gamma = gamma
         self.last = last
-
-    # perfbench/tracer.py wraps these in the class's own namespace
-    value, gradient = Objective.value, Objective.gradient
 
     def _penalty(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """The penalty's value and gradient at x."""

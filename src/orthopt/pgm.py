@@ -1,14 +1,9 @@
 """Nonmonotone line-search proximal gradient iteration on the Stiefel manifold.
 
-Each step retracts a multiple of the negative projected gradient back onto the
-manifold. The trial step size starts from a Barzilai-Borwein estimate (the
-first from a caller-supplied step or 1 / ||grad||) and is shrunk
-geometrically until the new value drops below the maximum objective
-over a sliding window of past iterates minus a sufficient-decrease margin.
-With window memory zero the method is strictly monotone. One loop in
-``pgm_solve`` runs the iteration and its line search on raw arrays and
-evaluates each trial point once; only the returned point is certified as a
-``StiefelPoint``, which adopts the solver's own read-only array of it.
+``pgm_solve`` retracts Barzilai-Borwein steps along the negative projected
+gradient by QR and backtracks against the maximum value over a sliding
+window; with window memory zero it is strictly monotone. Iterates are raw
+arrays; only the returned point is certified as a ``StiefelPoint``.
 """
 
 from __future__ import annotations
@@ -55,9 +50,7 @@ class PgmConfig:
         alpha: sufficient-decrease weight.
         memory: the acceptance window covers the last memory + 1 values;
             0 gives a monotone method.
-        t_min, t_max: clamp range for each iteration's starting trial step:
-            ``t_first`` of ``pgm_solve`` or 1 / ||grad|| on the first
-            iteration, the Barzilai-Borwein estimate on later ones.
+        t_min, t_max: clamp range for each step's first trial step.
         grad_tol: stop once the projected-gradient norm falls below this;
             ``penalty_solve`` passes copies holding tau_l here instead.
         max_iters: iteration cap per solve.
@@ -98,11 +91,11 @@ class PgmTrace:
     ``values`` and ``grad_norms`` cover every iterate including the start,
     and no entry of ``values`` exceeds ``values[0]`` (see ``pgm_solve``);
     the remaining lists have one entry per step, with ``v_norms`` 0.0 for a
-    stalled step. ``evaluations``
-    counts the objective evaluations (``value_and_gradient`` calls) of the
-    solve: one at the start and one per trial point. The start is counted
-    even when the objective answers it from a record handed in by an outer
-    driver (see ``PenaltyObjective.last``).
+    stalled step (once for a stall that can only repeat, see ``pgm_solve``).
+    ``evaluations`` counts the objective evaluations (``value_and_gradient``
+    calls) of the solve: one at the start and one per trial point. The start
+    is counted even when the objective answers it from a record handed in by
+    an outer driver (see ``PenaltyObjective.last``).
 
     ``last_step`` is the step to carry into a later solve: the step size of
     the last accepted (not stalled) step, or the solve's ``t_first`` when no
@@ -160,21 +153,19 @@ def pgm_solve(
     """Run the iteration from x0 until stationarity or the iteration cap.
 
     The loop stops at the first iterate whose projected-gradient norm is at
-    most ``cfg.grad_tol`` or after ``max_iters`` steps, and one exit
-    follows: it returns the last iterate when that norm meets
-    ``cfg.grad_tol`` (``trace.converged`` is then True, also when the cap
-    ends the loop there), and otherwise the lowest-value iterate of the
-    trailing window. The start value bounds every iterate (the paper's
-    acceptance bound for a warm start): the window admits only values below
-    its maximum, and a stalled step keeps the iterate.
+    most ``cfg.grad_tol``, after ``max_iters`` steps, or at a stall that can
+    only repeat (below). It returns the last iterate when that norm meets
+    ``cfg.grad_tol`` (``trace.converged`` is then True, also at the cap), and
+    otherwise the lowest-value iterate of the trailing window. The start
+    value bounds every iterate (the paper's acceptance bound for a warm
+    start): the window admits only values below its maximum, and a stalled
+    step keeps the iterate.
 
     The first trial step is ``t_first`` when given and 1 / ||grad|| otherwise,
-    clamped to [t_min, t_max]; later steps use the Barzilai-Borwein estimate
-    with the previous step as fallback. Backtracking and its acceptance test
-    are the same for every step, so any positive ``t_first`` is admissible.
-    The outer drivers (``penalty_solve`` and ``alm_solve``) pass the previous
-    subproblem's ``trace.last_step``; ``penalty_solve`` passes a config whose
-    ``grad_tol`` is its stationarity target tau_l.
+    later ones the Barzilai-Borwein estimate with the previous step as
+    fallback, each clamped to [t_min, t_max]. Backtracking and its acceptance
+    test are the same for every step, so any positive ``t_first`` is
+    admissible, such as a previous solve's ``trace.last_step``.
 
     Each step sets V = -t * g for the projected gradient g at the iterate X,
     retracts X + V by QR, and multiplies t by eta until
@@ -191,18 +182,19 @@ def pgm_solve(
     the window maximum plus the value change that the retraction's roundoff
     alone causes, with grad f(X) the Euclidean gradient at X. A genuine
     persistent increase at representable scales raises LineSearchError once
-    the backtrack budget is exhausted.
+    the backtrack budget is exhausted. A stall at the window maximum whose
+    next step starts from the same trial step (a first-trial stall, or one
+    from the t_min clamp) repeats bit for bit, and the cap returns its
+    iterate once the repeats fill the window; with at least memory steps
+    left the loop stops there.
 
-    Iterates are kept as raw arrays and every point, x0 and each trial, is
-    evaluated once through ``obj.value_and_gradient``; an accepted trial's
+    Every point, x0 and each trial, is evaluated once; an accepted trial's
     gradient is reused for the next step. The returned point is x0 itself
-    when the returned iterate is the start. Otherwise it is the solver's own
-    iterate array, made read-only and adopted by ``StiefelPoint`` without a
-    copy, so an evaluation record the objective keeps of that array (see
+    when the returned iterate is the start, and otherwise the solver's own
+    read-only array, so an evaluation record the objective keeps of it (see
     ``PenaltyObjective.last``) is found by identity.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
-    finite, or when ``t_first`` is not positive; ``PgmConfig`` itself
-    rejects a ``grad_tol`` that is not positive and finite.
+    finite, or when ``t_first`` is not positive.
     """
     if t_first is not None and not t_first > 0:
         raise ValueError(f"t_first must be positive, got {t_first}")
@@ -222,10 +214,10 @@ def pgm_solve(
     t = 1.0 / max(gnorm, cfg.grad_tol) if t_first is None else t_first
     prev = (xm, rgrad)
 
-    for _ in range(cfg.max_iters):
+    for k in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
             break
-        t = _bb_stepsize(xm - prev[0], rgrad - prev[1], cfg.t_min, cfg.t_max, t)
+        t = t_start = _bb_stepsize(xm - prev[0], rgrad - prev[1], cfg.t_min, cfg.t_max, t)
         window_max = max(v for v, _ in window)
         for bt in range(cfg.max_backtracks + 1):
             v = -t * rgrad
@@ -264,6 +256,10 @@ def pgm_solve(
         trace.v_norms.append(v_norm)
         trace.backtracks.append(bt)
         window.append((val, xm))
+        repeats = cand is None and window_max == val and max(t, cfg.t_min) == t_start
+        if repeats and cfg.max_iters - k > cfg.memory:
+            window.extend([(val, xm)] * cfg.memory)
+            break
 
     trace.converged = gnorm <= cfg.grad_tol
     if not trace.converged:

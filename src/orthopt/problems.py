@@ -69,9 +69,6 @@ class QapLiftedObjective(Objective):
     def __init__(self, inst: QapInstance):
         self.inst = inst
 
-    # perfbench/tracer.py wraps these in the class's own namespace
-    value, gradient = Objective.value, Objective.gradient
-
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         inst = self.inst
         w = x * x
@@ -128,9 +125,6 @@ class GraphMatchingObjective(Objective):
     def __init__(self, inst: AffinityInstance):
         self.inst = inst
 
-    # perfbench/tracer.py wraps these in the class's own namespace
-    value, gradient = Objective.value, Objective.gradient
-
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         v = x.reshape(-1, order="F")
         kv = self.inst.k @ v
@@ -142,9 +136,6 @@ class ProjectionObjective(Objective):
 
     def __init__(self, target):
         self.target = check_matrix(target, "target")
-
-    # perfbench/tracer.py wraps these in the class's own namespace
-    value, gradient = Objective.value, Objective.gradient
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         d = x - self.target

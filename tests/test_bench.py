@@ -598,6 +598,99 @@ class TestCli:
         assert capsys.readouterr().err == f"error: ValueError: matrix file {path} holds no numbers\n"
 
     @pytest.mark.parametrize(
+        "text,fault",
+        [
+            ("1 2\n3\n", "the number of columns changed from 2 to 1 at row 2"),
+            ("1 x\n", "could not convert string 'x' to float64 at row 0, column 2."),
+        ],
+        ids=["ragged", "non_numeric"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["proj"], ["gm"], ["onmf", "--clusters", "1"], ["diag-errorbound", "--base"], ["diag-sosc"]],
+        ids=["proj", "gm", "onmf", "diag-errorbound", "diag-sosc"],
+    )
+    def test_malformed_matrix_file_exits_naming_it(self, tmp_path, capsys, command, text, fault):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: ValueError: matrix file {path}: {fault}\n"
+
+    @pytest.mark.parametrize(
+        "text,fault",
+        [
+            ("", "matrix file {path} holds no numbers"),
+            ("1\n2 1\n", "matrix file {path}: the number of columns changed from 1 to 2 at row 2"),
+            ("1\nx\n", "matrix file {path}: could not convert string 'x' to float64 at row 1, column 1."),
+            ("1\n2\n" * 5 + "1\n1.5\n", "labels file {path} needs an integer in [1, 2] per data row (12)"),
+            ("1\n2\n" * 5 + "1\n3\n", "labels file {path} needs an integer in [1, 2] per data row (12)"),
+            ("1 2\n" * 6, "labels file {path} needs an integer in [1, 2] per data row (12)"),
+        ],
+        ids=["empty", "ragged", "non_numeric", "fractional", "out_of_range", "two_columns"],
+    )
+    def test_onmf_bad_labels_file_exits_naming_it_before_any_start(
+        self, tmp_path, capsys, monkeypatch, text, fault
+    ):
+        from orthopt.problems import planted_onmf_instance
+
+        a_path, path = tmp_path / "a.txt", tmp_path / "labels.txt"
+        save_dense_matrix(a_path, planted_onmf_instance(12, 6, 2, noise=0.05, seed=4)[0].a)
+        path.write_text(text)
+
+        def no_start(*args):
+            raise AssertionError("a start ran")
+
+        monkeypatch.setattr("orthopt.cli._onmf_start", no_start)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "onmf", str(a_path), "--clusters", "2", "--labels", str(path),
+                "--jobs", "1", "--out", str(tmp_path / "onmf"),
+            ])
+        assert code == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: ValueError: {fault.format(path=path)}\n"
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_onmf_labels_may_be_one_row(self, tmp_path, capsys):
+        from orthopt.problems import planted_onmf_instance
+
+        inst, labels, _, _ = planted_onmf_instance(12, 6, 2, noise=0.0, seed=4)
+        a_path, row, col = tmp_path / "a.txt", tmp_path / "row.txt", tmp_path / "col.txt"
+        save_dense_matrix(a_path, inst.a)
+        row.write_text(" ".join(str(v) for v in labels) + "\n")
+        col.write_text("\n".join(str(v) for v in labels) + "\n")
+        for path in (row, col):
+            assert main(["onmf", str(a_path), "--clusters", "2", "--labels", str(path), "--jobs", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[0] == out[1] and "purity=1.0000" in out[0]
+
+    def test_onmf_solves_through_the_bench_solver_lookup(self, tmp_path, capsys, monkeypatch):
+        # perfbench/tracer.py patches the drivers among bench's module globals
+        from orthopt import bench
+        from orthopt.problems import planted_onmf_instance
+
+        a_path = tmp_path / "a.txt"
+        save_dense_matrix(a_path, planted_onmf_instance(12, 6, 2, noise=0.05, seed=4)[0].a)
+        calls = []
+
+        def spying(name):
+            real = getattr(bench, name)
+
+            def spy(*args):
+                calls.append(name)
+                return real(*args)
+
+            return spy
+
+        for name in ("alm_solve", "penalty_solve"):
+            monkeypatch.setattr(bench, name, spying(name))
+        for solver, name in (("alm", "alm_solve"), ("seppg_zero", "penalty_solve")):
+            calls.clear()
+            assert main(["onmf", str(a_path), "--clusters", "2", "--solver", solver, "--jobs", "1"]) == 0
+            assert calls and set(calls) == {name}
+
+    @pytest.mark.parametrize(
         "command,bad,name",
         [
             ("qap", "nan", "B"),

@@ -322,8 +322,23 @@ class TestObjectiveContract:
     def test_builtin_objectives_define_only_value_and_gradient(self, cls):
         assert "value_and_gradient" in vars(cls)
         # the tracer-patched classes bind the base's methods in their namespace
-        assert cls.value is Objective.value
-        assert cls.gradient is Objective.gradient
+        assert vars(cls)["value"] is Objective.value
+        assert vars(cls)["gradient"] is Objective.gradient
+
+    def test_subclass_binds_an_inherited_override_in_its_namespace(self):
+        class Negated(Objective):
+            def value_and_gradient(self, x):
+                return float(np.sum(x)), np.ones_like(x)
+
+            def value(self, x):
+                return -self.value_and_gradient(x)[0]
+
+        class Child(Negated):
+            pass
+
+        assert vars(Child)["value"] is Negated.value
+        assert vars(Child)["gradient"] is Objective.gradient
+        assert Child().value(np.ones((3, 2))) == -6.0
 
 
 @pytest.mark.parametrize(

@@ -370,6 +370,42 @@ class FlooredObjective(Objective):
         return max(val, self.floor), grad
 
 
+def _stalling_case(name):
+    if name == "wrong_sign":
+        g = np.random.default_rng([0, 1]).standard_normal((5, 2))
+        return WrongSignLinear(g), random_stiefel_start(5, 2, 0)
+    inner = ProjectionObjective(np.eye(6)[:, :3])
+    x0 = random_stiefel_start(6, 3, 5)
+    return FlooredObjective(inner, 0.5 * inner.value(x0.mat)), x0
+
+
+@pytest.mark.parametrize("memory", [0, 5])
+@pytest.mark.parametrize("name", ["wrong_sign", "floored"])
+def test_repeating_stall_ends_the_solve_with_the_cap_result(name, memory):
+    """A stall at the window maximum whose next step starts from the same
+    trial step repeats bit for bit; the solve returns at once what the cap
+    returns once the repeats fill the window."""
+    obj, x0 = _stalling_case(name)
+    x, trace = pgm_solve(obj, x0, PgmConfig(memory=memory))
+    first_stall = trace.v_norms.index(0.0)
+    assert trace.iterations <= first_stall + memory + 2
+    assert trace.v_norms[-1] == 0.0 and not trace.converged
+
+    # the last step repeats from then on; a cap memory steps later leaves
+    # the shortcut no room, and the repeats fill the window
+    cap = PgmConfig(memory=memory, max_iters=trace.iterations - 1 + memory)
+    x_cap, trace_cap = pgm_solve(obj, x0, cap)
+    assert trace_cap.iterations == cap.max_iters
+    k = trace.iterations - 1
+    for seq in (trace_cap.step_sizes, trace_cap.backtracks, trace_cap.values[1:]):
+        assert len(set(seq[k:])) <= 1
+    npt.assert_array_equal(x.mat, x_cap.mat)
+    assert (x is x0) == (x_cap is x0)
+    assert obj.value(x.mat) == obj.value(x_cap.mat)
+    assert trace.converged == trace_cap.converged
+    assert trace.last_step == trace_cap.last_step
+
+
 @pytest.mark.parametrize("t_first", [None, 0.37])
 class TestLastStep:
     """``PgmTrace.last_step``: the step an outer driver carries into its next
