@@ -15,7 +15,6 @@ import functools
 import math
 import os
 import re
-import statistics
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,8 +96,8 @@ def parse_qaplib(path) -> QapInstance:
 
 
 def load_best_known(path) -> dict[str, float]:
-    """Read a sidecar of ``name value`` lines; '#' starts a comment, and a
-    name may appear once."""
+    """Read a sidecar of ``name value`` lines, naming the line of a rejection;
+    '#' starts a comment, a name may appear once and a value is finite."""
     out: dict[str, float] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -106,10 +105,17 @@ def load_best_known(path) -> dict[str, float]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"expected 'name value', got {raw!r}")
-        if parts[0] in out:
-            raise ValueError(f"duplicate name {parts[0]!r} on line {lineno}")
-        out[parts[0]] = float(parts[1])
+            raise ValueError(f"expected 'name value', got {raw!r} on line {lineno}")
+        name, text = parts
+        if name in out:
+            raise ValueError(f"duplicate name {name!r} on line {lineno}")
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"bad value {text!r} on line {lineno}")
+        out[name] = value
     return out
 
 
@@ -398,8 +404,8 @@ def run_experiment(
         num_starts=spec.num_starts,
         failures=failures,
         min_gap_pct=min(gaps) if gaps else None,
-        med_gap_pct=statistics.median(gaps) if gaps else None,
-        rmed_gap_pct=statistics.median(rgaps) if rgaps else None,
+        med_gap_pct=float(np.median(gaps)) if gaps else None,
+        rmed_gap_pct=float(np.median(rgaps)) if rgaps else None,
         mean_ninf=float(np.mean([rec.ninf for rec in good])) if good else float("nan"),
         mean_orth_residual=(
             float(np.mean([rec.orth_residual for rec in good])) if good else float("nan")

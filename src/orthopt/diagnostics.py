@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import _FEAS_TOL, ZERO_TOL, _assigned_point, _residual_and_gradient
+from .driver import _FEAS_TOL, ZERO_TOL, _residual_and_gradient
 from .penalty import Objective, nonneg_violation
 from .stiefel import (
     StiefelPoint,
+    assigned_point,
     check_count,
     check_matrix,
     dist_to_stiefel,
@@ -222,14 +223,14 @@ def _oracle(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances and minimizers for a finite (S, n, r) stack of matrices.
 
     Scores every full assignment of every sample, keeps the first maximal
-    gain, builds the winning minimizer with ``driver._assigned_point``, the
+    gain, builds the winning minimizer with ``stiefel.assigned_point``, the
     map that rounding uses too, and returns the direct distance
     ||x - minimizer||_F (the closed form ||x||^2 + r - 2 gain cancels to
     about sqrt(eps) near the feasible set).
     """
     num, n, r = xs.shape
     table = _patterns(n, r)
-    minimizers = _assigned_point(xs, table[_best_patterns(xs, table)])
+    minimizers = assigned_point(xs, table[_best_patterns(xs, table)])
     # the same bits as np.linalg.norm of each flattened difference
     d = (xs - minimizers).reshape(num, -1)
     dists = np.sqrt(np.add.reduce(d * d, axis=1))
@@ -240,9 +241,7 @@ def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
     """Exhaustive distance from x to the nonnegative orthogonal set.
 
     Enumerates the r^n full assignments of rows to columns (``_patterns``).
-    For a fixed assignment the best feasible point puts, in each column, the
-    normalized positive part of x restricted to that column's rows; a column
-    whose rows carry no positive entry takes e_i at its largest entry.
+    For a fixed assignment the best feasible point is ``assigned_point``'s.
     Returns the minimal distance, measured directly as ||x - minimizer||_F,
     and a minimizer.
 
@@ -397,7 +396,4 @@ def default_base_point(n: int, r: int) -> StiefelPoint:
     """Feasible base point without zero rows: rows assigned round-robin."""
     check_count(r, "r")
     check_count(n, "n", minimum=r)
-    assign = np.arange(n) % r
-    out = np.zeros((n, r))
-    out[np.arange(n), assign] = 1.0
-    return StiefelPoint(out / np.linalg.norm(out, axis=0))
+    return StiefelPoint(assigned_point(np.ones((n, r)), np.arange(n) % r))

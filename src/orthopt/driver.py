@@ -5,10 +5,9 @@ The penalty driver approximately minimizes f + rho_l * penalty over the
 manifold for a slowly growing weight sequence rho_l and a tightening
 stationarity target tau_l, warm-starting each subproblem, and stops once the
 iterate is nonnegative to tolerance, or earlier with a certified feasible
-point on the iterate's row support once its violation is small. One map
-turns a row assignment into its feasible point (``_assigned_point``): the
-report rounding, the certified exit and the exact projection oracle of
-``diagnostics`` all build their points with it. Each warm start is the
+point on the iterate's row support once its violation is small. The report
+rounding and the certified exit build their feasible points from a row
+assignment with ``stiefel.assigned_point``. Each warm start is the
 previous iterate or, when it has the lower penalized value at the grown
 weight, its copy with every negative-sum column negated.
 """
@@ -23,13 +22,11 @@ import numpy as np
 
 from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_terms
 from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
-from .stiefel import StiefelPoint, check_count, check_matrix, proj_tangent
+from .stiefel import StiefelPoint, assigned_point, check_count, check_matrix, proj_tangent
 
 # outer-loop f-stagnation lag and relative tolerance for the early stop
 _STAGNATION_LAG = 9
 _STAGNATION_RTOL = 1e-8
-# columns whose norm falls outside this range are rescaled before normalizing
-_NORM_RANGE = (1e-150, 1e150)
 # alm_solve's weight growth per outer iteration
 _MU_GROWTH = 1.2
 # the data-driven initial weight is this fraction of |f(x0)| / violation(x0)
@@ -155,38 +152,11 @@ def _assignment(x: np.ndarray) -> np.ndarray:
     return assign
 
 
-def _assigned_point(x: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """The nearest point with unit nonnegative columns on a row assignment,
-    for an (..., n, r) stack x and its (..., n) assignment.
-
-    Column j is the normalized positive part of x on the rows assigned to j;
-    when none of those entries is positive, it is e_i at their largest entry.
-    """
-    on = assign[..., None] == np.arange(x.shape[-1])
-    out = np.where(on, np.maximum(x, 0.0), 0.0)
-    empty = ~out.any(axis=-2, keepdims=True)
-    if np.any(empty):
-        top = np.argmax(np.where(on, x, -np.inf), axis=-2, keepdims=True)
-        out[empty & (np.arange(x.shape[-2])[:, None] == top)] = 1.0
-    # squares of tiny or huge entries under- or overflow: rescale those columns first
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(out, axis=-2, keepdims=True)
-    extreme = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
-    if np.any(extreme):
-        out /= np.where(extreme, out.max(axis=-2, keepdims=True), 1.0)
-        # a rescaled column is summed as one contiguous vector, in numpy's pairwise order
-        cols = np.ascontiguousarray(np.swapaxes(out, -1, -2))
-        norms = np.where(extreme, np.linalg.norm(cols, axis=-1)[..., None, :], norms)
-    return out / norms
-
-
 def round_to_feasible(x) -> StiefelPoint:
     """Round a matrix onto the nonnegative orthogonal set.
 
-    Each row goes to one column, and each column is the normalized positive
-    part of x on its rows, or e_i at its largest entry when none of them is
-    positive. Each row goes to the column of its largest entry (ties go to
-    the smallest column index); a column left without a positive entry is
+    Each row goes to the column of its largest entry (ties go to the
+    smallest column index), and a column left without a positive entry is
     repaired by moving in the row with the largest entry for it among the
     donors: rows with no positive entry in their column, and rows whose
     column holds at least two positive entries. A donor always exists, since
@@ -194,12 +164,12 @@ def round_to_feasible(x) -> StiefelPoint:
     its column or some other column holds two. No repair empties another
     column, so a square input rounds to a permutation matrix.
 
-    The result has disjoint row supports across columns, unit nonnegative
-    columns, and orthogonality residual at roundoff level, for every finite
-    input.
+    The point that ``assigned_point`` builds on the assignment has disjoint
+    row supports, unit nonnegative columns and orthogonality residual at
+    roundoff level, for every finite input.
     """
     x = check_matrix(x, "x")
-    return StiefelPoint(_assigned_point(x, _assignment(x)))
+    return StiefelPoint(assigned_point(x, _assignment(x)))
 
 
 def _initial_rho(f0: float, x0: StiefelPoint, cfg: PenaltyConfig) -> float:
@@ -294,7 +264,7 @@ def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple:
     """
     n, r = x.shape
     assign = _assignment(x)
-    p = _assigned_point(x, assign)
+    p = assigned_point(x, assign)
     val, g = f.value_and_gradient(p)
     if n == r:
         return p, val, 0.0
@@ -304,7 +274,7 @@ def _support_candidate(f: Objective, x: np.ndarray, grad: np.ndarray) -> tuple:
         curv = (dx * dg).sum(axis=0)
         # a column without positive curvature along its last move stays put
         t = np.divide((dx * dx).sum(axis=0), curv, out=np.zeros(r), where=curv > 0.0)
-        prev, prev_g, p = p, g, _assigned_point(p - t * g, assign)
+        prev, prev_g, p = p, g, assigned_point(p - t * g, assign)
         val, g = f.value_and_gradient(p)
         if np.max(np.abs(p - prev)) <= _FINISH_MOVE:
             break

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import PenaltyConfig, penalty_solve
 from .penalty import Objective
-from .stiefel import StiefelPoint, check_count, check_matrix, qr_orthonormalize
+from .stiefel import StiefelPoint, assigned_point, check_count, check_matrix, qr_orthonormalize
 
 # onmf_alternate stops once the residual's relative change is at most this
 _ONMF_REL_TOL = 1e-6
@@ -190,8 +189,8 @@ def onmf_y_update(a: np.ndarray, x: StiefelPoint) -> np.ndarray:
 def onmf_alternate(
     inst: OnmfInstance,
     x0: StiefelPoint,
-    cfg: PenaltyConfig,
-    solve=penalty_solve,
+    cfg,
+    solve,
     *,
     max_rounds: int = 100,
 ) -> tuple[StiefelPoint, np.ndarray, list]:
@@ -205,7 +204,7 @@ def onmf_alternate(
     ``solve`` is the outer solver of the X-update, ``penalty_solve`` or
     ``alm_solve``; it is called as solve(objective, x, cfg) and must return a
     SolveReport. ``bench.default_config(solver, "onmf", inst)`` gives the
-    harness's configuration.
+    harness's ``PenaltyConfig``.
     """
     check_count(max_rounds, "max_rounds")
     x = x0
@@ -292,8 +291,6 @@ def noisy_projection_target(
     # guarantee every column at least one row
     assign[:r] = np.arange(r)
     vals = 0.5 + rng.random(n)
-    x_true = np.zeros((n, r))
-    x_true[np.arange(n), assign] = vals
-    x_true /= np.linalg.norm(x_true, axis=0)
+    x_true = assigned_point(np.broadcast_to(vals[:, None], (n, r)), assign)
     c = x_true + xi * rng.standard_normal((n, r))
     return c, x_true

@@ -6,6 +6,9 @@ one place that certifies orthonormality; the other operations are pure
 functions on raw arrays (tangent projection, QR orthonormalization, distance
 to the manifold), so values can be shared freely across threads.
 
+``assigned_point`` is the one map from a row assignment to its point of the
+nonnegative orthogonal set S+(n, r); every point of S+ is of that form.
+
 The QR orthonormalization calls numpy's own LAPACK gufuncs (geqrf, then
 orgqr) directly, the kernels behind ``np.linalg.qr``, so it returns the same
 bits without that wrapper's per-call type checks and ``triu`` copy.
@@ -21,6 +24,8 @@ from numpy.linalg import _umath_linalg
 
 ORTH_TOL = 1e-10
 _RANK_TOL = 1e-12
+# columns whose norm falls outside this range are rescaled before normalizing
+_NORM_RANGE = (1e-150, 1e150)
 
 
 class RetractionError(RuntimeError):
@@ -131,6 +136,31 @@ class StiefelPoint:
 
     def __repr__(self) -> str:
         return f"StiefelPoint(shape={self.mat.shape}, orth_residual={self.orth_residual:.2e})"
+
+
+def assigned_point(x: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """The nearest point with unit nonnegative columns on a row assignment,
+    for an (..., n, r) stack x and its (..., n) assignment.
+
+    Column j is the normalized positive part of x on the rows assigned to j;
+    when none of those entries is positive, it is e_i at their largest entry.
+    """
+    on = assign[..., None] == np.arange(x.shape[-1])
+    out = np.where(on, np.maximum(x, 0.0), 0.0)
+    empty = ~out.any(axis=-2, keepdims=True)
+    if np.any(empty):
+        top = np.argmax(np.where(on, x, -np.inf), axis=-2, keepdims=True)
+        out[empty & (np.arange(x.shape[-2])[:, None] == top)] = 1.0
+    # squares of tiny or huge entries under- or overflow: rescale those columns first
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(out, axis=-2, keepdims=True)
+    extreme = ~((norms >= _NORM_RANGE[0]) & (norms <= _NORM_RANGE[1]))
+    if np.any(extreme):
+        out /= np.where(extreme, out.max(axis=-2, keepdims=True), 1.0)
+        # a rescaled column is summed as one contiguous vector, in numpy's pairwise order
+        cols = np.ascontiguousarray(np.swapaxes(out, -1, -2))
+        norms = np.where(extreme, np.linalg.norm(cols, axis=-1)[..., None, :], norms)
+    return out / norms
 
 
 def proj_tangent(mat: np.ndarray, z: np.ndarray) -> np.ndarray:

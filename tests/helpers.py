@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from orthopt.diagnostics import ErrorBoundSample, brute_force_dist_splus
-from orthopt.driver import round_to_feasible
+from orthopt.driver import ZERO_TOL, round_to_feasible
 from orthopt.penalty import Objective
 from orthopt.pgm import PgmTrace
 from orthopt.problems import QapInstance, qap_permutation_value
@@ -145,3 +145,71 @@ def reference_error_bound(x, kappa: float) -> ErrorBoundSample:
     dist_st = dist_to_stiefel(x)
     holds = dist_splus <= (kappa + 1.0) * (dist_cone + dist_st)
     return ErrorBoundSample(x, dist_splus, dist_cone, dist_st, holds)
+
+
+def shared_row_case(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A near-feasible orthonormal 5 x 4 point with one row in two column
+    supports, and a standard Gaussian gradient, both seeded.
+
+    Rows go to columns with every column used. Row i of a column j that holds
+    two or more rows then gains a small entry in another column k, balanced
+    by a negative entry of magnitude 1e-7 to 2e-6 on another row l of column
+    j, so the columns stay orthogonal and the violation stays below 5e-6.
+    All other entries are exact zeros.
+    """
+    rng = np.random.default_rng(seed)
+    n, r = 5, 4
+    assign = rng.permutation(np.concatenate([np.arange(r), rng.integers(0, r, n - r)]))
+    x = np.zeros((n, r))
+    x[np.arange(n), assign] = 0.5 + rng.random(n)
+    j = int(rng.choice(np.flatnonzero(np.bincount(assign, minlength=r) >= 2)))
+    i, l = rng.choice(np.flatnonzero(assign == j), 2, replace=False)
+    k = (j + rng.integers(1, r)) % r
+    x[l, k] = -(10.0 ** rng.uniform(-7.0, np.log10(2e-6)))
+    x[i, k] = -x[l, j] * x[l, k] / x[i, j]
+    return x / np.linalg.norm(x, axis=0), rng.standard_normal((n, r))
+
+
+def _nnls(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """argmin ||b - a u|| over u >= 0, by the Lawson-Hanson active-set method."""
+    m = a.shape[1]
+    u = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    for _ in range(10 * m + 10):
+        w = a.T @ (b - a @ u)
+        if not np.any(~passive & (w > tol)):
+            return u
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            z = np.zeros(m)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                u = z
+                break
+            neg = passive & (z <= 0.0)
+            u = u + np.min(u[neg] / (u[neg] - z[neg])) * (z - u)
+            passive &= u > tol
+            u[~passive] = 0.0
+    raise RuntimeError("nonnegative least squares did not converge")
+
+
+def reference_stationarity(x, g) -> float:
+    """The stationarity residual min ||g + G - X S||_F over symmetric S and
+    G <= 0 on the entries of x below ZERO_TOL, G = 0 elsewhere, minimized in
+    G rather than in S: S is eliminated by projecting off the span of the
+    X E_q (E_q the symmetric unit matrices), and G = -u with u the
+    nonnegative least-squares solution on the zero entries."""
+    x = check_matrix(x, "x")
+    n, r = x.shape
+    iu, ju = np.triu_indices(r)
+    units = np.zeros((iu.size, r, r))
+    units[np.arange(iu.size), iu, ju] = 1.0
+    units[np.arange(iu.size), ju, iu] = 1.0
+    q = np.linalg.qr((x @ units).reshape(iu.size, -1).T)[0]
+
+    def off_span(v: np.ndarray) -> np.ndarray:
+        return v - q @ (q.T @ v)
+
+    b = off_span(np.asarray(g, dtype=float).ravel())
+    a = off_span(np.eye(n * r)[:, (x < ZERO_TOL).ravel()])
+    return float(np.linalg.norm(b - a @ _nnls(a, b)))

@@ -299,7 +299,8 @@ def test_criterion_10_clustering_metrics_and_planted_recovery():
         truth = [1, 1, 2, 2, 3, 3]
         assert clustering_metrics(truth, truth, 3) == (1.0, 0.0, 1.0)
         inst, labels, _, _ = planted_onmf_instance(30, 10, 3, noise=0.0, seed=10)
-        x, _, _ = onmf_alternate(inst, svd_start(inst.a, 3), default_config("seppg_plus", "onmf", inst))
+        cfg = default_config("seppg_plus", "onmf", inst)
+        x, _, _ = onmf_alternate(inst, svd_start(inst.a, 3), cfg, penalty_solve)
         pidx, _, _ = clustering_metrics(labels, cluster_labels(x.mat), 3)
         assert pidx == 1.0
         assert time.perf_counter() - start < 30.0

@@ -9,7 +9,7 @@ import pytest
 
 from orthopt.bench import ExperimentSpec, clustering_metrics, load_best_known, run_experiment
 from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
-from orthopt.driver import AugLagObjective, PenaltyConfig
+from orthopt.driver import AugLagObjective, PenaltyConfig, penalty_solve
 from orthopt.penalty import PenaltyObjective, penalty_terms
 from orthopt.problems import (
     AffinityInstance,
@@ -60,7 +60,11 @@ def _probe_at_base(num_dirs):
         (lambda: OnmfInstance(np.ones((3, 0)), 2), "data matrix column count must be at least 1, got 0"),
         (
             lambda: onmf_alternate(
-                OnmfInstance(np.ones((4, 3)), 2), default_base_point(4, 2), PenaltyConfig(), max_rounds=0
+                OnmfInstance(np.ones((4, 3)), 2),
+                default_base_point(4, 2),
+                PenaltyConfig(),
+                penalty_solve,
+                max_rounds=0,
             ),
             "max_rounds must be at least 1, got 0",
         ),
@@ -151,5 +155,13 @@ def test_sidecar_name_given_twice_is_rejected(tmp_path):
 def test_sidecar_line_that_is_not_name_value_is_rejected(tmp_path):
     path = tmp_path / "best.txt"
     path.write_text("a 1\nb 3 4  # late\n")
-    with pytest.raises(ValueError, match=r"^expected 'name value', got 'b 3 4  # late'$"):
+    with pytest.raises(ValueError, match=r"^expected 'name value', got 'b 3 4  # late' on line 2$"):
+        load_best_known(path)
+
+
+@pytest.mark.parametrize("value", ["x", "nan", "inf", "-inf", "1e999"])
+def test_sidecar_value_that_is_not_a_finite_number_is_rejected(tmp_path, value):
+    path = tmp_path / "best.txt"
+    path.write_text(f"a 1\nb {value}\n")
+    with pytest.raises(ValueError, match=rf"^bad value '{value}' on line 2$"):
         load_best_known(path)

@@ -734,7 +734,7 @@ class TestCli:
         code = main(["qap", str(inst), "--best-known", str(best), "--jobs", "1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert re.match(r"^error: ValueError: best_known must be finite", err)
+        assert re.match(rf"^error: ValueError: bad value '{bad}' on line 1$", err)
         assert err.count("\n") == 1
 
     def test_failure_emits_single_error_line(self, tmp_path, capsys):

@@ -40,7 +40,7 @@ from orthopt.stiefel import (
     proj_tangent,
     qr_orthonormalize,
 )
-from helpers import DATA, LinearObjective
+from helpers import DATA, LinearObjective, reference_stationarity, shared_row_case
 from test_trajectories import TINY, tiny_qap
 
 
@@ -429,6 +429,23 @@ class TestStationarityResidual:
         resid = stationarity_residual(LinearObjective(g), x)
         npt.assert_allclose(resid, 6.473359547e-05, rtol=1e-7)
 
+    def test_matches_an_independent_minimization_at_shared_rows(self):
+        # one row in two supports sends the residual to the active-set least
+        # squares; seeds 0, 1, 10, 15 and 17 end it at a second stalled step
+        for seed in range(20):
+            x, g = shared_row_case(seed)
+            resid = stationarity_residual(LinearObjective(g), StiefelPoint(x))
+            npt.assert_allclose(resid, reference_stationarity(x, g), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("solve", [penalty_solve, alm_solve])
+def test_no_config_runs_the_default_config(solve):
+    f, x0 = _carry_case(8)
+    report, default = solve(f, x0), solve(f, x0, PenaltyConfig())
+    for name in ("f_final", "stationarity", "outer_iters", "trace", "inner_traces", "flags"):
+        assert getattr(report, name) == getattr(default, name)
+    npt.assert_array_equal(report.x_final.mat, default.x_final.mat)
+
 
 class TestPenaltyConfig:
     def test_presets(self):
@@ -797,7 +814,8 @@ def test_onmf_evaluations_bounded_by_the_exit(monkeypatch):
     monkeypatch.setattr(OnmfFactorObjective, "value_and_gradient", counted)
     inst, labels, _, _ = planted_onmf_instance(60, 40, 4, noise=0.05, seed=4)
     cfg = default_config("seppg_plus", "onmf", inst)
-    x, _, history = onmf_alternate(inst, random_stiefel_start(60, 4, 1), cfg, max_rounds=3)
+    x0 = random_stiefel_start(60, 4, 1)
+    x, _, history = onmf_alternate(inst, x0, cfg, penalty_solve, max_rounds=3)
     assert len(history) == 3
     assert len(calls) <= 4000
     _, _, nmi = clustering_metrics(labels, cluster_labels(x.mat), 4)

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from orthopt.driver import PenaltyConfig
+from orthopt.driver import PenaltyConfig, penalty_solve
 from orthopt.problems import (
     AffinityInstance,
     GraphMatchingObjective,
@@ -226,19 +226,22 @@ class TestOnmf:
     def test_exact_factorization_is_fixed_point(self):
         inst, labels, x_true, y_true = planted_onmf_instance(12, 6, 3, noise=0.0, seed=13)
         x0 = StiefelPointFromTrue(x_true)
-        x, y, history = onmf_alternate(inst, x0, default_config("seppg_plus", "onmf", inst), max_rounds=3)
+        cfg = default_config("seppg_plus", "onmf", inst)
+        x, y, history = onmf_alternate(inst, x0, cfg, penalty_solve, max_rounds=3)
         assert history[0] <= 1e-20
         npt.assert_allclose(x.mat, x_true, atol=1e-10)
 
     def test_alternation_monotone(self):
         inst, *_ = planted_onmf_instance(15, 8, 3, noise=0.3, seed=14)
         x0 = random_stiefel_start(15, 3, 15)
-        _, _, history = onmf_alternate(inst, x0, default_config("seppg_plus", "onmf", inst), max_rounds=10)
+        cfg = default_config("seppg_plus", "onmf", inst)
+        _, _, history = onmf_alternate(inst, x0, cfg, penalty_solve, max_rounds=10)
         assert all(b <= a + 1e-8 for a, b in zip(history, history[1:]))
 
     def test_planted_clusters_recovered_at_zero_noise(self):
         inst, labels, _, _ = planted_onmf_instance(30, 10, 3, noise=0.0, seed=16)
-        x, _, _ = onmf_alternate(inst, svd_start(inst.a, 3), default_config("seppg_plus", "onmf", inst))
+        cfg = default_config("seppg_plus", "onmf", inst)
+        x, _, _ = onmf_alternate(inst, svd_start(inst.a, 3), cfg, penalty_solve)
         pidx, _, nmi = clustering_metrics(labels, cluster_labels(x.mat), 3)
         assert pidx == 1.0
         assert nmi == 1.0
@@ -284,8 +287,6 @@ def test_cluster_labels():
 def test_onmf_alternate_accepts_custom_solver():
     inst, *_ = planted_onmf_instance(10, 5, 2, noise=0.1, seed=23)
     calls = []
-
-    from orthopt.driver import penalty_solve
 
     def solve(obj, x, cfg):
         calls.append(cfg)

@@ -96,6 +96,9 @@ class TestStiefelPoint:
         npt.assert_array_equal(y.mat, x.mat)
         assert y.orth_residual == x.orth_residual
 
+    def test_repr_names_shape_and_residual(self):
+        assert repr(StiefelPoint(np.eye(3)[:, :2])) == "StiefelPoint(shape=(3, 2), orth_residual=0.00e+00)"
+
 
 class TestProjTangent:
     def test_normal_directions_project_to_zero(self):

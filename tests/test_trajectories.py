@@ -11,6 +11,10 @@ The same instances check the flipped-column trap of the penalty driver and
 the paper's quality claim against the augmented-Lagrangian baseline.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,8 @@ from orthopt.problems import (
 )
 from orthopt.stiefel import StiefelPoint
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
 
 def tiny_qap() -> QapInstance:
     """n = 6: Manhattan distances on a 2 x 3 grid, seeded integer flows."""
@@ -38,18 +44,18 @@ def tiny_qap() -> QapInstance:
     return QapInstance(a=a, b=flow + flow.T)
 
 
-def qap_grid_instance(seed: int, n: int) -> QapInstance:
-    """nug-style instance: Manhattan distances on a near-square grid and
-    seeded symmetric integer flows with about 40% zeros."""
-    rng = np.random.default_rng(seed)
-    rows = max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
-    cols = n // rows
-    pts = np.array([(i // cols, i % cols) for i in range(n)])
-    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1).astype(float)
-    flow = rng.integers(0, 10, size=(n, n)).astype(float)
-    flow[rng.random((n, n)) < 0.4] = 0.0
-    flow = np.triu(flow, 1)
-    return QapInstance(a=dist, b=flow + flow.T)
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # registered first: its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's nug-style generator: Manhattan distances on a near-square
+# grid and seeded symmetric integer flows with about 40% zeros
+qap_grid_instance = _load_workloads().qap_grid_instance
 
 
 def tiny_gm() -> AffinityInstance:
