@@ -48,10 +48,8 @@ def _coerce(key: str, text: str):
     """A ``--config`` value: an int or a float, or None for ``none`` or
     nothing on ``rho0``, the only field whose None means something (the
     data-driven initial weight)."""
-    if text.lower() in ("none", ""):
-        if key == "rho0":
-            return None
-        raise ValueError(f"{key} must be a number, got {text!r}")
+    if key == "rho0" and text.lower() in ("none", ""):
+        return None
     try:
         return int(text)
     except ValueError:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import _FEAS_TOL, ZERO_TOL, _residual_and_gradient
-from .penalty import Objective, nonneg_violation
+from .driver import ZERO_TOL, _residual_and_gradient
+from .penalty import Objective, check_feasible
 from .stiefel import (
     StiefelPoint,
     assigned_point,
@@ -93,11 +93,7 @@ def error_bound_constant(xbar: StiefelPoint) -> float:
     does a nonnegativity violation above 5e-6.
     """
     mat = xbar.mat
-    violation = nonneg_violation(mat)
-    if violation > _FEAS_TOL:
-        raise ValueError(
-            f"base point xbar is infeasible: violation {violation:.3e} exceeds {_FEAS_TOL}"
-        )
+    check_feasible(mat, "base point xbar")
     n, r = mat.shape
     if n == r:
         return 2.1 * float(np.sqrt(n))
@@ -352,12 +348,13 @@ def sosc_probe(
 
     Raises:
         ValueError: if ``num_dirs`` is not an integer of at least 1, ``seed``
-            is not a nonnegative integer, the base point's stationarity
-            residual exceeds 1e-6 or the gradient there is not finite.
+            is not a nonnegative integer, the base point's nonnegativity
+            violation exceeds 5e-6, its stationarity residual exceeds 1e-6 or
+            the gradient there is not finite.
     """
     check_count(num_dirs, "num_dirs")
     check_count(seed, "seed", minimum=0)
-    resid, g = _residual_and_gradient(f, xbar)
+    resid, g = _residual_and_gradient(f, xbar, "base point xbar")
     if resid > _SOSC_STATIONARITY_TOL:
         raise ValueError(
             f"base point is not stationary: residual {resid:.3e} exceeds {_SOSC_STATIONARITY_TOL}"

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .penalty import Objective, PenaltyObjective, nonneg_violation, penalty_terms
+from .penalty import Objective, PenaltyObjective, check_feasible, nonneg_violation, penalty_terms
 from .pgm import LineSearchError, PgmConfig, PgmTrace, pgm_solve
-from .stiefel import StiefelPoint, assigned_point, check_count, check_matrix, proj_tangent
+from .stiefel import (
+    StiefelPoint, assigned_point, check_count, check_matrix, check_real, proj_tangent
+)
 
 # outer-loop f-stagnation lag and relative tolerance for the early stop
 _STAGNATION_LAG = 9
@@ -76,10 +78,9 @@ class PenaltyConfig:
 
     def __post_init__(self):
         check_count(self.l_max, "l_max")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        if self.rho0 is not None and not 0 < self.rho0 < math.inf:
-            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
+        check_real(self.gamma, "gamma", zero_ok=True)
+        if self.rho0 is not None:
+            check_real(self.rho0, "rho0")
         # an infinite rho_max means no cap
         if not self.rho_max > 0:
             raise ValueError(f"rho_max must be positive, got {self.rho_max}")
@@ -88,9 +89,9 @@ class PenaltyConfig:
             if not 1 < value < math.inf:
                 raise ValueError(f"{name} must be above 1 and finite, got {value}")
         for name in ("tau0", "tau_min", "epsilon"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_real(getattr(self, name), name)
+        if not self.tau_min <= self.tau0:
+            raise ValueError(f"need tau_min <= tau0, got ({self.tau_min}, {self.tau0})")
         if not 0.0 < self.sigma_tau < 1.0:
             raise ValueError(f"sigma_tau must lie in (0, 1), got {self.sigma_tau}")
 
@@ -401,8 +402,7 @@ class AugLagObjective(PenaltyObjective):
     """
 
     def __init__(self, f: Objective, lam: np.ndarray, mu: float, last: tuple | None = None):
-        if not 0 < mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {mu}")
+        check_real(mu, "mu")
         self.lam = np.asarray(lam, dtype=float)
         self.mu = float(mu)
         self._shift = self.lam / self.mu
@@ -471,8 +471,6 @@ def alm_solve(
 
 # entries of a feasible point below this count as zero
 ZERO_TOL = 1e-8
-# largest nonnegativity violation stationarity_residual accepts
-_FEAS_TOL = 5e-6
 # the active-set least squares takes at most this many steps, each with a
 # line search of _BISECTIONS halvings of its bracket
 _ACTIVE_SET_STEPS = 100
@@ -496,16 +494,12 @@ def stationarity_residual(f: Objective, x: StiefelPoint) -> float:
         ValueError: if the nonnegativity violation of x exceeds 5e-6, or the
             gradient at x is not finite.
     """
-    return _residual_and_gradient(f, x)[0]
+    return _residual_and_gradient(f, x, "point x")[0]
 
 
-def _residual_and_gradient(f: Objective, x: StiefelPoint) -> tuple[float, np.ndarray]:
+def _residual_and_gradient(f: Objective, x: StiefelPoint, name: str) -> tuple[float, np.ndarray]:
     """``stationarity_residual(f, x)`` and the gradient it read, evaluated once."""
-    if nonneg_violation(x.mat) > _FEAS_TOL:
-        raise ValueError(
-            f"point is not feasible to tolerance {_FEAS_TOL}: "
-            f"violation {nonneg_violation(x.mat):.3e}"
-        )
+    check_feasible(x.mat, name)
     g = check_matrix(f.gradient(x.mat), "gradient")
     return _stationarity(x.mat, g), g
 

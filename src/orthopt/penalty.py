@@ -9,21 +9,33 @@ quadratic penalty throughout.
 ``penalty_terms`` is the one place where either penalty's value and gradient
 are computed, and ``PenaltyObjective`` the one composite that records them:
 the penalty driver and the augmented Lagrangian in ``driver`` both go
-through it.
+through it. ``check_feasible`` is the one test that a point lies in S+.
 """
 
 from __future__ import annotations
 
 import abc
-import math
 
 import numpy as np
+
+from .stiefel import check_real
+
+# largest nonnegativity violation of a point accepted as a point of S+(n, r)
+_FEAS_TOL = 5e-6
 
 
 def nonneg_violation(x) -> float:
     """Sum of negative parts: the elementwise l1 distance to the nonnegative cone."""
     x = np.asarray(x, dtype=float)
     return float(np.sum(np.maximum(0.0, -x)))
+
+
+def check_feasible(x, name: str) -> None:
+    """Raise ValueError naming ``name`` when the nonnegativity violation of x
+    exceeds 5e-6, the tolerance of every check that a point lies in S+."""
+    violation = nonneg_violation(x)
+    if violation > _FEAS_TOL:
+        raise ValueError(f"{name} is infeasible: violation {violation:.3e} exceeds {_FEAS_TOL}")
 
 
 def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
@@ -48,8 +60,7 @@ def penalty_terms(x, gamma: float) -> tuple[float, np.ndarray]:
     if gamma == 0:
         neg = np.minimum(x, 0.0)
         return float((neg**2).sum()), 2.0 * neg
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    check_real(gamma, "gamma")
     c = np.minimum(np.maximum(x, -gamma), 0.0)
     cf = c.ravel()
     return float((cf.dot(x.ravel()) - 0.5 * cf.dot(cf)) / gamma), c / gamma
@@ -104,9 +115,8 @@ class PenaltyObjective(Objective):
     """
 
     def __init__(self, f: Objective, rho: float, gamma: float, last: tuple | None = None):
-        for name, value in (("rho", rho), ("gamma", gamma)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        check_real(rho, "rho", zero_ok=True)
+        check_real(gamma, "gamma", zero_ok=True)
         self.f = f
         self.rho = rho
         self.gamma = gamma

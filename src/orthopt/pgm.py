@@ -16,11 +16,7 @@ import numpy as np
 
 from .penalty import Objective
 from .stiefel import (
-    StiefelPoint,
-    check_count,
-    check_matrix,
-    frobenius_norm,
-    proj_tangent,
+    StiefelPoint, check_count, check_matrix, check_real, frobenius_norm, proj_tangent,
     qr_orthonormalize,
 )
 
@@ -73,15 +69,12 @@ class PgmConfig:
         check_count(self.max_backtracks, "max_backtracks")
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 < self.t_min < math.inf:
-            raise ValueError(f"t_min must be positive and finite, got {self.t_min}")
+        check_real(self.alpha, "alpha")
+        check_real(self.t_min, "t_min")
         # an infinite t_max means no cap
         if not self.t_min <= self.t_max:
             raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
-        if not 0 < self.grad_tol < math.inf:
-            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
+        check_real(self.grad_tol, "grad_tol")
 
 
 @dataclass
@@ -194,10 +187,10 @@ def pgm_solve(
     read-only array, so an evaluation record the objective keeps of it (see
     ``PenaltyObjective.last``) is found by identity.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
-    finite, or when ``t_first`` is not positive.
+    finite, or when ``t_first`` is not positive and finite.
     """
-    if t_first is not None and not t_first > 0:
-        raise ValueError(f"t_first must be positive, got {t_first}")
+    if t_first is not None:
+        check_real(t_first, "t_first")
     trace = PgmTrace(memory=cfg.memory, grad_tol=cfg.grad_tol, last_step=t_first)
 
     xm = x0.mat

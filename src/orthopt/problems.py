@@ -8,13 +8,14 @@ Instances are immutable and objective evaluations are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .penalty import Objective
-from .stiefel import StiefelPoint, assigned_point, check_count, check_matrix, qr_orthonormalize
+from .stiefel import (
+    StiefelPoint, assigned_point, check_count, check_matrix, check_real, qr_orthonormalize
+)
 
 # onmf_alternate stops once the residual's relative change is at most this
 _ONMF_REL_TOL = 1e-6
@@ -253,8 +254,7 @@ def planted_onmf_instance(
     check_count(n, "n", minimum=r)
     check_count(p, "p", minimum=r)
     check_count(seed, "seed", minimum=0)
-    if not 0 <= noise < math.inf:
-        raise ValueError(f"noise must be nonnegative and finite, got {noise}")
+    check_real(noise, "noise", zero_ok=True)
     rng = np.random.default_rng(seed)
     labels = 1 + (np.arange(n) % r)
     x_true = np.zeros((n, r))
@@ -284,8 +284,7 @@ def noisy_projection_target(
     check_count(r, "r")
     check_count(n, "n", minimum=r)
     check_count(seed, "seed", minimum=0)
-    if not 0 <= xi < math.inf:
-        raise ValueError(f"xi must be nonnegative and finite, got {xi}")
+    check_real(xi, "xi", zero_ok=True)
     rng = np.random.default_rng(seed)
     assign = rng.integers(0, r, size=n)
     # guarantee every column at least one row

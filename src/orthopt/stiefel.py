@@ -59,6 +59,14 @@ def check_count(value, name: str, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def check_real(value, name: str, *, zero_ok: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless value is finite and positive,
+    or nonnegative with ``zero_ok``; NaN and +-inf are rejected alike."""
+    if not ((0 <= value if zero_ok else 0 < value) and value < math.inf):
+        bound = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {bound} and finite, got {value}")
+
+
 def orthogonality_residual(mat: np.ndarray) -> float:
     """Frobenius norm of X^T X - I."""
     mat = np.asarray(mat, dtype=float)

@@ -535,6 +535,15 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_diag_sosc_infeasible_point_exits_as_diag_errorbound_does(self, tmp_path, capsys):
+        # the same file, rejected by both commands with the same line
+        base = tmp_path / "x.txt"
+        save_dense_matrix(base, [[0.6, 0.0], [-0.8, 0.0], [0.0, 1.0]])
+        assert main(["diag-errorbound", "--base", str(base), "--samples", "5"]) == 2
+        errorbound = capsys.readouterr().err
+        assert main(["diag-sosc", str(base), "--dirs", "5"]) == 2
+        assert capsys.readouterr().err == errorbound
+
     def test_diag_errorbound_zero_row_base_exits_naming_the_hypothesis(self, tmp_path, capsys):
         base = tmp_path / "x.txt"
         save_dense_matrix(base, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -916,6 +925,17 @@ class TestCliDefaults:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: ValueError: pgm.grad_tol must be positive and finite, got inf\n"
+
+    def test_tau0_below_default_tau_min_exits_with_error(self, tmp_path, capsys):
+        # the default tau_min = 1e-5 would loosen the target after one subproblem
+        inst = tmp_path / "c.txt"
+        save_dense_matrix(inst, default_base_point(4, 2).mat)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("tau0 = 1e-6\n")
+        code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: need tau_min <= tau0, got (1e-05, 1e-06)\n"
 
     @pytest.mark.parametrize(
         "line",

@@ -503,6 +503,17 @@ class TestSoscProbe:
         with pytest.raises(ValueError, match="NaN or Inf"):
             sosc_probe(f, c, num_dirs=10, seed=8)
 
+    def test_infeasible_base_rejected_as_the_error_bound_names_it(self):
+        # orthonormal, with one negative entry
+        xbar = StiefelPoint(np.array([[0.6, 0.0], [-0.8, 0.0], [0.0, 1.0]]))
+        message = "base point xbar is infeasible: violation 8.000e-01 exceeds 5e-06"
+        with pytest.raises(ValueError) as err:
+            sosc_probe(ProjectionObjective(xbar.mat), xbar, num_dirs=10, seed=0)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            error_bound_constant(xbar)
+        assert str(err.value) == message
+
     def test_directions_are_orthogonalized_against_a_nonzero_gradient(self):
         # a 4x2 feasible point and a target that pulls its zero entries
         # (0, 1) and (2, 1) below zero: the normal cone absorbs that pull, so

@@ -20,7 +20,7 @@ from orthopt.driver import (
     round_to_feasible,
     stationarity_residual,
 )
-from orthopt.penalty import PenaltyObjective, nonneg_violation
+from orthopt.penalty import PenaltyObjective, nonneg_violation, penalty_terms
 from orthopt.pgm import PgmConfig, PgmTrace, pgm_solve
 from orthopt.problems import (
     GraphMatchingObjective,
@@ -402,7 +402,7 @@ class TestStationarityResidual:
     def test_infeasible_point_rejected(self):
         x = random_stiefel_start(4, 2, 8)  # generic sign pattern, far from feasible
         f = ProjectionObjective(np.eye(4)[:, :2])
-        with pytest.raises(ValueError, match="not feasible"):
+        with pytest.raises(ValueError, match=r"^point x is infeasible: violation \S+ exceeds 5e-06$"):
             stationarity_residual(f, x)
 
     def test_nan_gradient_rejected(self):
@@ -476,6 +476,19 @@ class TestPenaltyConfig:
             PenaltyConfig(sigma_rho_large=0.9)
         with pytest.raises(ValueError):
             PenaltyConfig(rho0=-1.0)
+
+    @pytest.mark.parametrize(
+        "fields,pair",
+        [({"tau0": 1e-6, "tau_min": 1e-3}, "(0.001, 1e-06)"), ({"tau0": 1e-6}, "(1e-05, 1e-06)")],
+        ids=["both_set", "default_tau_min"],
+    )
+    def test_tau_min_above_tau0_rejected_naming_both(self, fields, pair):
+        # tau_l = max(sigma_tau * tau_l, tau_min) would rise after the first
+        # subproblem, loosening the target the schedule tightens
+        with pytest.raises(ValueError) as err:
+            PenaltyConfig(**fields)
+        assert str(err.value) == f"need tau_min <= tau0, got {pair}"
+        PenaltyConfig(tau0=1e-5, tau_min=1e-5)
 
 
 class _UphillObjective(LinearObjective):
@@ -557,30 +570,42 @@ def test_nan_parameter_rejected(build, name):
 
 
 INF = float("inf")
+# every parameter routed through stiefel.check_real with its rule, and the
+# sigma_rho fields, whose range is checked inline
+_REAL_FIELDS = [
+    ("PenaltyConfig.gamma", lambda v: PenaltyConfig(gamma=v), "gamma must be nonnegative"),
+    *(
+        (f"PenaltyConfig.{k}", lambda v, k=k: PenaltyConfig(**{k: v}), f"{k} must be positive")
+        for k in ("rho0", "tau0", "tau_min", "epsilon")
+    ),
+    *(
+        (f"PenaltyConfig.{k}", lambda v, k=k: PenaltyConfig(**{k: v}), f"{k} must be above 1")
+        for k in ("sigma_rho_small", "sigma_rho_large")
+    ),
+    ("PgmConfig.alpha", lambda v: PgmConfig(alpha=v), "alpha must be positive"),
+    ("PgmConfig.t_min", lambda v: PgmConfig(t_min=v, t_max=INF), "t_min must be positive"),
+    ("PgmConfig.grad_tol", lambda v: PgmConfig(grad_tol=v), "grad_tol must be positive"),
+    ("penalty_terms.gamma", lambda v: penalty_terms(np.ones((3, 2)), v), "gamma must be positive"),
+    ("PenaltyObjective.rho", lambda v: PenaltyObjective(_lin(), v, 0.05), "rho must be nonnegative"),
+    ("PenaltyObjective.gamma", lambda v: PenaltyObjective(_lin(), 1.0, v), "gamma must be nonnegative"),
+    ("AugLagObjective.mu", lambda v: AugLagObjective(_lin(), np.zeros((4, 2)), v), "mu must be positive"),
+    ("planted_onmf_instance.noise", lambda v: planted_onmf_instance(6, 4, 2, v, 0), "noise must be nonnegative"),
+    ("noisy_projection_target.xi", lambda v: noisy_projection_target(5, 2, v, 0), "xi must be nonnegative"),
+]
 
 
 @pytest.mark.parametrize(
-    "build,rule",
+    "build,rule,value",
     [
-        pytest.param(
-            lambda: PenaltyConfig(gamma=INF), "gamma must be nonnegative", id="PenaltyConfig.gamma"
-        ),
-        *(
-            pytest.param(lambda k=k: PenaltyConfig(**{k: INF}), f"{k} must be positive", id=f"PenaltyConfig.{k}")
-            for k in ("rho0", "tau0", "tau_min", "epsilon")
-        ),
-        *(
-            pytest.param(lambda k=k: PenaltyConfig(**{k: INF}), f"{k} must be above 1", id=f"PenaltyConfig.{k}")
-            for k in ("sigma_rho_small", "sigma_rho_large")
-        ),
-        pytest.param(lambda: PgmConfig(alpha=INF), "alpha must be positive", id="PgmConfig.alpha"),
-        pytest.param(lambda: PgmConfig(t_min=INF, t_max=INF), "t_min must be positive", id="PgmConfig.t_min"),
-        pytest.param(lambda: PgmConfig(grad_tol=INF), "grad_tol must be positive", id="PgmConfig.grad_tol"),
+        # the infinite cases keep their plain ids
+        pytest.param(build, rule, value, id=name if value == INF else f"{name}-nan")
+        for value in (INF, NAN)
+        for name, build, rule in _REAL_FIELDS
     ],
 )
-def test_infinite_parameter_rejected(build, rule):
-    with pytest.raises(ValueError, match=rf"^{rule} and finite, got inf$"):
-        build()
+def test_infinite_parameter_rejected(build, rule, value):
+    with pytest.raises(ValueError, match=rf"^{rule} and finite, got {value}$"):
+        build(value)
 
 
 def test_infinite_caps_mean_no_cap():

@@ -146,11 +146,13 @@ class TestPgmSolve:
             t_init *= cfg.eta
         assert trace.step_sizes[0] == t_init
 
-    @pytest.mark.parametrize("t_first", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("t_first", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_t_first_rejected(self, t_first):
+        # with no cap on the trial step an infinite t_first would reach the retraction
         obj = ProjectionObjective(np.eye(5)[:, :2])
-        with pytest.raises(ValueError, match="t_first"):
-            pgm_solve(obj, random_stiefel_start(5, 2, 9), PgmConfig(), t_first=t_first)
+        cfg = PgmConfig(t_max=float("inf"))
+        with pytest.raises(ValueError, match=rf"^t_first must be positive and finite, got {t_first}$"):
+            pgm_solve(obj, random_stiefel_start(5, 2, 9), cfg, t_first=t_first)
 
     def test_iterates_stay_orthonormal(self):
         obj = RecordingObjective(ProjectionObjective(np.eye(6)[:, :3]))
