@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import re
 import sys
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import bench, diagnostics
 from .driver import PenaltyConfig
+from .pgm import PgmConfig
 from .problems import (
     AffinityInstance,
     OnmfInstance,
@@ -44,7 +44,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _coerce(key: str, text: str):
+# every key a --config file may set: the PenaltyConfig fields, with the
+# inner solver's PgmConfig fields as pgm.<field>
+_CONFIG_KEYS = frozenset(
+    [f.name for f in dataclasses.fields(PenaltyConfig) if f.name != "pgm"]
+    + [f"pgm.{f.name}" for f in dataclasses.fields(PgmConfig)]
+)
+
+
+def _coerce(key: str, text: str, lineno: int):
     """A ``--config`` value: an int or a float, or None for ``none`` or
     nothing on ``rho0``, the only field whose None means something (the
     data-driven initial weight)."""
@@ -57,41 +65,32 @@ def _coerce(key: str, text: str):
     try:
         return float(text)
     except ValueError:
-        raise ValueError(f"{key} must be a number, got {text!r}") from None
+        raise ValueError(f"{key} must be a number, got {text!r} on line {lineno}") from None
 
 
 def load_config_overrides(path, base: PenaltyConfig) -> PenaltyConfig:
     """Apply key=value lines to a PenaltyConfig; pgm.<key> reaches the inner
-    solver, and a key may appear once. Every rejection names the key as the
-    file writes it."""
-    outer: dict = {}
-    inner: dict = {}
-    inner_fields = {f.name for f in dataclasses.fields(base.pgm)}
-    seen: set = set()
+    solver, and a key may appear once. A rejected line is named by its key
+    and line number, and a rejected value by the key as the file writes it."""
+    values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in seen:
+        key, eq, text = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"expected key=value, got {raw!r} on line {lineno}")
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unexpected key {key!r} on line {lineno}")
+        if key in values:
             raise ValueError(f"duplicate key {key!r} on line {lineno}")
-        seen.add(key)
-        if key == "pgm":
-            raise ValueError("pgm takes no value: set the inner options as pgm.<key>")
-        if key.startswith("pgm."):
-            if key[4:] not in inner_fields:
-                raise TypeError(f"unexpected key {key!r}")
-            inner[key[4:]] = _coerce(key, value)
-        else:
-            outer[key] = _coerce(key, value)
-    if inner:
-        try:
-            outer["pgm"] = dataclasses.replace(base.pgm, **inner)
-        except ValueError as err:  # PgmConfig names its fields bare
-            raise ValueError(re.sub(rf"\b({'|'.join(inner)})\b", r"pgm.\1", str(err))) from None
-    return dataclasses.replace(base, **outer)
+        values[key] = _coerce(key, text, lineno)
+    inner = {key[4:]: values.pop(key) for key in list(values) if key.startswith("pgm.")}
+    try:
+        pgm = dataclasses.replace(base.pgm, **inner)
+    except ValueError as err:  # each PgmConfig check names its field first, bare
+        raise ValueError(f"pgm.{err}") from None
+    return dataclasses.replace(base, **values, pgm=pgm)
 
 
 def _config(args, kind: str, instance) -> PenaltyConfig:

@@ -3,7 +3,9 @@
 ``pgm_solve`` retracts Barzilai-Borwein steps along the negative projected
 gradient by QR and backtracks against the maximum value over a sliding
 window; with window memory zero it is strictly monotone. Iterates are raw
-arrays; only the returned point is certified as a ``StiefelPoint``.
+arrays; only the returned point is certified as a ``StiefelPoint``. The
+line search's constants ``_ETA``, ``_ALPHA``, ``_T_MIN``, ``_T_MAX`` and
+``_MAX_BACKTRACKS`` are fixed, not settings.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ import numpy as np
 
 from .penalty import Objective
 from .stiefel import (
-    StiefelPoint, check_count, check_matrix, check_real, frobenius_norm, proj_tangent,
-    qr_orthonormalize,
+    RetractionError, StiefelPoint, check_count, check_matrix, check_real, frobenius_norm,
+    proj_tangent, qr_orthonormalize,
 )
 
+# backtracking shrink factor, sufficient-decrease weight, clamp range of each
+# step's first trial step, and shrink budget per step
+_ETA = 0.1
+_ALPHA = 1e-4
+_T_MIN, _T_MAX = 1e-12, 1e12
+_MAX_BACKTRACKS = 50
 _BB_DEGENERACY = 1e-16
 _EPS = float(np.finfo(float).eps)
 
@@ -27,9 +35,10 @@ _EPS = float(np.finfo(float).eps)
 class LineSearchError(RuntimeError):
     """Backtracking exhausted its budget without an acceptable step.
 
-    The acceptance test is guaranteed to pass once the step is small enough,
-    so hitting the budget usually means the supplied gradient is wrong. When
-    raised from ``pgm_solve`` the partial trace is attached as ``trace``.
+    For a smooth objective the acceptance test passes, or the step stalls,
+    once the step is small enough, so hitting the budget usually means the
+    objective jumps or its gradient is beyond the range of floating point.
+    When raised from ``pgm_solve`` the partial trace is attached as ``trace``.
     """
 
     def __init__(self, msg: str, trace: "PgmTrace | None" = None):
@@ -39,41 +48,24 @@ class LineSearchError(RuntimeError):
 
 @dataclass
 class PgmConfig:
-    """Tunables for the line-search iteration.
+    """Settings of the line-search iteration; its constants ``_ETA``,
+    ``_ALPHA``, ``_T_MIN``, ``_T_MAX`` and ``_MAX_BACKTRACKS`` are fixed.
 
     Attributes:
-        eta: backtracking shrink factor in (0, 1).
-        alpha: sufficient-decrease weight.
         memory: the acceptance window covers the last memory + 1 values;
             0 gives a monotone method.
-        t_min, t_max: clamp range for each step's first trial step.
         grad_tol: stop once the projected-gradient norm falls below this;
             ``penalty_solve`` passes copies holding tau_l here instead.
         max_iters: iteration cap per solve.
-        max_backtracks: shrink budget per step; exceeding it raises
-            LineSearchError.
     """
 
-    eta: float = 0.1
-    alpha: float = 1e-4
     memory: int = 5
-    t_min: float = 1e-12
-    t_max: float = 1e12
     grad_tol: float = 1e-6
     max_iters: int = 5000
-    max_backtracks: int = 50
 
     def __post_init__(self):
         check_count(self.memory, "memory", minimum=0)
         check_count(self.max_iters, "max_iters")
-        check_count(self.max_backtracks, "max_backtracks")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        check_real(self.alpha, "alpha")
-        check_real(self.t_min, "t_min")
-        # an infinite t_max means no cap
-        if not self.t_min <= self.t_max:
-            raise ValueError(f"need 0 < t_min <= t_max, got ({self.t_min}, {self.t_max})")
         check_real(self.grad_tol, "grad_tol")
 
 
@@ -95,8 +87,6 @@ class PgmTrace:
     step was accepted.
     """
 
-    memory: int
-    grad_tol: float = float("nan")
     last_step: float | None = None
     evaluations: int = 0
     values: list = field(default_factory=list)
@@ -156,14 +146,14 @@ def pgm_solve(
 
     The first trial step is ``t_first`` when given and 1 / ||grad|| otherwise,
     later ones the Barzilai-Borwein estimate with the previous step as
-    fallback, each clamped to [t_min, t_max]. Backtracking and its acceptance
+    fallback, each clamped to [_T_MIN, _T_MAX]. Backtracking and its acceptance
     test are the same for every step, so any positive ``t_first`` is
     admissible, such as a previous solve's ``trace.last_step``.
 
     Each step sets V = -t * g for the projected gradient g at the iterate X,
-    retracts X + V by QR, and multiplies t by eta until
+    retracts X + V by QR, and multiplies t by _ETA until
 
-        value(X+) <= window_max - alpha / (2 t) * ||V||^2
+        value(X+) <= window_max - _ALPHA / (2 t) * ||V||^2
 
     with window_max the largest value over the window. When the demanded
     decrease falls below the resolution of the test and the trial value sits
@@ -175,23 +165,26 @@ def pgm_solve(
     the window maximum plus the value change that the retraction's roundoff
     alone causes, with grad f(X) the Euclidean gradient at X. A genuine
     persistent increase at representable scales raises LineSearchError once
-    the backtrack budget is exhausted. A stall at the window maximum whose
-    next step starts from the same trial step (a first-trial stall, or one
-    from the t_min clamp) repeats bit for bit, and the cap returns its
-    iterate once the repeats fill the window; with at least memory steps
-    left the loop stops there.
+    the budget of _MAX_BACKTRACKS shrinks is exhausted. A trial whose X + V
+    is numerically rank deficient is rejected unevaluated, and t shrinks as
+    after a failed test: X^T (X + V) is the identity plus a skew matrix for
+    tangent V, so only a step too long for floating point gets there. A
+    stall at the window maximum whose next step starts from the same trial
+    step (a first-trial stall, or one from the _T_MIN clamp) repeats bit for
+    bit, and the cap returns its iterate once the repeats fill the window;
+    with at least memory steps left the loop stops there.
 
-    Every point, x0 and each trial, is evaluated once; an accepted trial's
-    gradient is reused for the next step. The returned point is x0 itself
-    when the returned iterate is the start, and otherwise the solver's own
-    read-only array, so an evaluation record the objective keeps of it (see
-    ``PenaltyObjective.last``) is found by identity.
+    Every point, x0 and each retracted trial, is evaluated once; an accepted
+    trial's gradient is reused for the next step. The returned point is x0
+    itself when the returned iterate is the start, and otherwise the solver's
+    own read-only array, so an evaluation record the objective keeps of it
+    (see ``PenaltyObjective.last``) is found by identity.
     Raises ValueError when a gradient at an iterate, or a trial point, is not
     finite, or when ``t_first`` is not positive and finite.
     """
     if t_first is not None:
         check_real(t_first, "t_first")
-    trace = PgmTrace(memory=cfg.memory, grad_tol=cfg.grad_tol, last_step=t_first)
+    trace = PgmTrace(last_step=t_first)
 
     xm = x0.mat
     trace.evaluations += 1
@@ -210,11 +203,15 @@ def pgm_solve(
     for k in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
             break
-        t = t_start = _bb_stepsize(xm - prev[0], rgrad - prev[1], cfg.t_min, cfg.t_max, t)
+        t = t_start = _bb_stepsize(xm - prev[0], rgrad - prev[1], _T_MIN, _T_MAX, t)
         window_max = max(v for v, _ in window)
-        for bt in range(cfg.max_backtracks + 1):
+        for bt in range(_MAX_BACKTRACKS + 1):
             v = -t * rgrad
-            cand = qr_orthonormalize(xm + v)
+            try:
+                cand = qr_orthonormalize(xm + v)
+            except RetractionError:
+                t *= _ETA
+                continue
             # a finite orthonormal factor has entries in [-1, 1], so its sum is
             # finite exactly when every entry is; the full check names the fault
             if not math.isfinite(cand.sum()):
@@ -222,7 +219,7 @@ def pgm_solve(
             trace.evaluations += 1
             cand_val, cand_grad = obj.value_and_gradient(cand)
             cand_val = float(cand_val)
-            demand = (cfg.alpha / (2.0 * t)) * float((v * v).sum())
+            demand = (_ALPHA / (2.0 * t)) * float((v * v).sum())
             if cand_val <= window_max - demand:
                 v_norm = frobenius_norm(v)
                 break
@@ -231,10 +228,10 @@ def pgm_solve(
             if demand <= resolution and cand_val <= window_max + 4.0 * resolution:
                 cand, v_norm = None, 0.0
                 break
-            t *= cfg.eta
+            t *= _ETA
         else:
             raise LineSearchError(
-                f"no acceptable step after {cfg.max_backtracks} backtracks (last t={t:.3e})",
+                f"no acceptable step after {_MAX_BACKTRACKS} backtracks (last t={t:.3e})",
                 trace,
             )
         prev = (xm, rgrad)
@@ -249,7 +246,7 @@ def pgm_solve(
         trace.v_norms.append(v_norm)
         trace.backtracks.append(bt)
         window.append((val, xm))
-        repeats = cand is None and window_max == val and max(t, cfg.t_min) == t_start
+        repeats = cand is None and window_max == val and max(t, _T_MIN) == t_start
         if repeats and cfg.max_iters - k > cfg.memory:
             window.extend([(val, xm)] * cfg.memory)
             break

@@ -68,14 +68,15 @@ def svd_start(a: np.ndarray, r: int) -> StiefelPoint:
     return round_to_feasible(np.abs(u[:, :r]))
 
 
-def window_max_values(trace: PgmTrace) -> list:
-    """Running maximum of the trailing memory + 1 objective values of a trace.
+def window_max_values(trace: PgmTrace, memory: int) -> list:
+    """Running maximum of the trailing memory + 1 objective values of a trace,
+    with memory the window memory of the ``PgmConfig`` that produced it.
 
     This sequence is nonincreasing for any run produced by the iteration.
     """
     out = []
     for k in range(len(trace.values)):
-        lo = max(0, k - trace.memory)
+        lo = max(0, k - memory)
         out.append(max(trace.values[lo : k + 1]))
     return out
 

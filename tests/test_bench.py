@@ -25,10 +25,11 @@ from orthopt.bench import (
     run_experiment,
     save_dense_matrix,
 )
-from orthopt.cli import main
+from orthopt.cli import load_config_overrides, main
 from orthopt.driver import PenaltyConfig
 from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
 from orthopt.penalty import nonneg_violation
+from orthopt.pgm import PgmConfig
 from orthopt.problems import ProjectionObjective, QapInstance
 
 from helpers import brute_force_qap
@@ -953,6 +954,8 @@ class TestCliDefaults:
             "pgm.t_min = 1e13",
             "pgm.foo = 1",
             "epsilon 1e-6",
+            "pgm.grad_tol = none",
+            "pgm.memory = -1",
         ],
     )
     def test_invalid_or_removed_config_key_exits_with_error(self, tmp_path, capsys, line):
@@ -979,6 +982,53 @@ class TestCliDefaults:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: ValueError: duplicate key {key!r} on line 2\n"
+
+    def _config_error(self, tmp_path, capsys, text):
+        inst = tmp_path / "c.txt"
+        save_dense_matrix(inst, default_base_point(4, 2).mat)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        code = main(["proj", str(inst), "--config", str(cfg), "--starts", "1", "--jobs", "1"])
+        assert code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# header\n\nepsilon 1e-6\n", "expected key=value, got 'epsilon 1e-6' on line 3"),
+            ("epsilon = 1e-6\npgm.eta = 0.5\n", "unexpected key 'pgm.eta' on line 2"),
+            ("epsilon = 1e-3\n\nepsilon = 1e-6\n", "duplicate key 'epsilon' on line 3"),
+            ("tau0 = 0.5\npgm.grad_tol = abc\n", "pgm.grad_tol must be a number, got 'abc' on line 2"),
+            ("gamma = none\n", "gamma must be a number, got 'none' on line 1"),
+        ],
+        ids=["no_equals", "unexpected", "duplicate", "not_a_number", "none_off_rho0"],
+    )
+    def test_rejected_line_is_named_by_key_and_line(self, tmp_path, capsys, text, message):
+        assert self._config_error(tmp_path, capsys, text) == f"error: ValueError: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key",
+        ["pgm.eta", "pgm.alpha", "pgm.t_min", "pgm.t_max", "pgm.max_backtracks", "pgm", "pgm.foo",
+         "foo", "rho_feas_threshold"],
+    )
+    def test_unknown_key_has_one_message(self, tmp_path, capsys, key):
+        # inner and outer keys alike, and never Python's own keyword-argument text
+        err = self._config_error(tmp_path, capsys, f"{key} = 1\n")
+        assert err == f"error: ValueError: unexpected key {key!r} on line 1\n"
+        assert "__init__()" not in err
+
+    def test_every_settable_key_reaches_its_field(self, tmp_path):
+        values = {
+            "gamma": 0.0, "rho0": 2.5, "rho_max": 1e9, "sigma_rho_small": 1.02,
+            "sigma_rho_large": 1.2, "tau0": 0.5, "tau_min": 1e-4, "sigma_tau": 0.9,
+            "epsilon": 1e-7, "l_max": 30, "pgm.memory": 3, "pgm.grad_tol": 1e-5, "pgm.max_iters": 40,
+        }
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        outer = {key: value for key, value in values.items() if "." not in key}
+        inner = {key[4:]: value for key, value in values.items() if "." in key}
+        expected = PenaltyConfig(**outer, pgm=PgmConfig(**inner))
+        assert load_config_overrides(cfg, PenaltyConfig()) == expected
 
 
 def test_comma_in_instance_name_keeps_csv_shape(tmp_path, capsys):

@@ -21,7 +21,7 @@ from orthopt.driver import (
     stationarity_residual,
 )
 from orthopt.penalty import PenaltyObjective, nonneg_violation, penalty_terms
-from orthopt.pgm import PgmConfig, PgmTrace, pgm_solve
+from orthopt.pgm import _ETA, _T_MAX, _T_MIN, PgmConfig, PgmTrace, pgm_solve
 from orthopt.problems import (
     GraphMatchingObjective,
     OnmfFactorObjective,
@@ -356,16 +356,15 @@ class TestCarriedStep:
     def test_first_trial_is_last_accepted_step(self, solve):
         f, x0 = _carry_case(8)
         report = _SOLVES[solve](f, x0)
-        cfg = PgmConfig()
         carried = None
         assert sum(1 for tr in report.inner_traces if tr.step_sizes) >= 5
         for tr in report.inner_traces:
             if not tr.step_sizes:
                 continue
             t = 1.0 / tr.grad_norms[0] if carried is None else carried
-            t = min(max(t, cfg.t_min), cfg.t_max)
+            t = min(max(t, _T_MIN), _T_MAX)
             for _ in range(tr.backtracks[0]):
-                t *= cfg.eta
+                t *= _ETA
             assert tr.step_sizes[0] == t
             assert 0.0 not in tr.v_norms  # no stalled step to skip in this case
             carried = tr.step_sizes[-1]
@@ -463,11 +462,7 @@ class TestPenaltyConfig:
         assert cfg.sigma_tau == 0.95
         assert cfg.sigma_rho_small == 1.05
         assert cfg.sigma_rho_large == 1.1
-        assert cfg.pgm.eta == 0.1
-        assert cfg.pgm.alpha == 1e-4
         assert cfg.pgm.memory == 5
-        assert cfg.pgm.t_min == 1e-12
-        assert cfg.pgm.t_max == 1e12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -492,18 +487,24 @@ class TestPenaltyConfig:
 
 
 class _UphillObjective(LinearObjective):
-    """<G, X> with the gradient's sign flipped: every step goes uphill."""
+    """<G, X> with the gradient's sign flipped, and 1 higher at every array
+    but ``anchor``: every step goes uphill, by a margin that does not shrink
+    with the step, so backtracking spends its budget instead of stalling."""
+
+    def __init__(self, coeff, anchor: np.ndarray):
+        super().__init__(coeff)
+        self.anchor = anchor
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         val, grad = super().value_and_gradient(x)
-        return val, -grad
+        return val + float(x is not self.anchor), -grad
 
 
 @pytest.mark.parametrize("solve", [penalty_solve, alm_solve])
 def test_line_search_failure_aborts_with_the_partial_report(solve):
-    f = _UphillObjective(np.random.default_rng(8).standard_normal((4, 2)))
     x0 = default_base_point(4, 2)
-    report = solve(f, x0, PenaltyConfig(pgm=PgmConfig(max_backtracks=8)))
+    f = _UphillObjective(np.random.default_rng(8).standard_normal((4, 2)), x0.mat)
+    report = solve(f, x0, PenaltyConfig())
     assert report.flags == ["line_search_failure@outer=0"]
     assert report.x_final is x0
     # the report evaluates the warm start again
@@ -513,6 +514,23 @@ def test_line_search_failure_aborts_with_the_partial_report(solve):
     # the failed solve's trace is kept
     (tr,) = report.inner_traces
     assert isinstance(tr, PgmTrace) and not tr.converged
+
+
+@pytest.mark.parametrize(
+    "solve, fields", [(alm_solve, {}), (penalty_solve, {"rho_max": float("inf")})], ids=["alm", "penalty"]
+)
+def test_rank_deficient_trials_are_rejected_trials(solve, fields):
+    # at weight 1e300 every trial step is too long for floating point, and X + V
+    # loses rank in the QR; each such trial shrinks the step unevaluated until
+    # the budget is spent, and the line-search failure is flagged
+    f = ProjectionObjective(-np.ones((4, 2)) / 2)
+    cfg = PenaltyConfig(rho0=1e300, epsilon=1e-300, l_max=50, **fields)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = solve(f, random_stiefel_start(4, 2, 3), cfg)
+    assert report.flags == ["line_search_failure@outer=0"]
+    assert report.orth_residual <= 1e-10
+    (tr,) = report.inner_traces
+    assert tr.evaluations == 1
 
 
 def _flag_case():
@@ -558,7 +576,7 @@ def _lin() -> LinearObjective:
     "build,name",
     [
         *(pytest.param(lambda k=k: PenaltyConfig(**{k: NAN}), k, id=f"PenaltyConfig.{k}") for k in _NAN_PENALTY_FIELDS),
-        *(pytest.param(lambda k=k: PgmConfig(**{k: NAN}), k, id=f"PgmConfig.{k}") for k in ("alpha", "grad_tol")),
+        pytest.param(lambda: PgmConfig(grad_tol=NAN), "grad_tol", id="PgmConfig.grad_tol"),
         pytest.param(lambda: PenaltyObjective(_lin(), NAN, 0.05), "rho", id="PenaltyObjective.rho"),
         pytest.param(lambda: PenaltyObjective(_lin(), 1.0, NAN), "gamma", id="PenaltyObjective.gamma"),
         pytest.param(lambda: AugLagObjective(_lin(), np.zeros((4, 2)), NAN), "mu", id="AugLagObjective.mu"),
@@ -582,8 +600,6 @@ _REAL_FIELDS = [
         (f"PenaltyConfig.{k}", lambda v, k=k: PenaltyConfig(**{k: v}), f"{k} must be above 1")
         for k in ("sigma_rho_small", "sigma_rho_large")
     ),
-    ("PgmConfig.alpha", lambda v: PgmConfig(alpha=v), "alpha must be positive"),
-    ("PgmConfig.t_min", lambda v: PgmConfig(t_min=v, t_max=INF), "t_min must be positive"),
     ("PgmConfig.grad_tol", lambda v: PgmConfig(grad_tol=v), "grad_tol must be positive"),
     ("penalty_terms.gamma", lambda v: penalty_terms(np.ones((3, 2)), v), "gamma must be positive"),
     ("PenaltyObjective.rho", lambda v: PenaltyObjective(_lin(), v, 0.05), "rho must be nonnegative"),
@@ -609,13 +625,13 @@ def test_infinite_parameter_rejected(build, rule, value):
 
 
 def test_infinite_caps_mean_no_cap():
-    # rho_max and t_max clamp the weight and the trial step; at inf neither
-    # clamp binds, and the tiny run never reaches the default caps either
+    # rho_max clamps the weight; at inf the clamp does not bind, and the tiny
+    # run never reaches the default cap either
     inst = tiny_qap()
     f = QapLiftedObjective(inst)
     x0 = random_stiefel_start(6, 6, 3)
     cfg = default_config("seppg_plus", "qap", inst)
-    uncapped = dataclasses.replace(cfg, rho_max=INF, pgm=dataclasses.replace(cfg.pgm, t_max=INF))
+    uncapped = dataclasses.replace(cfg, rho_max=INF)
     report, plain = penalty_solve(f, x0, uncapped), penalty_solve(f, x0, cfg)
     assert report.certified_exit and not report.flags
     assert report.inner_iters_total == plain.inner_iters_total
