@@ -87,10 +87,13 @@ def error_bound_constant(xbar: StiefelPoint) -> float:
     """Piecewise constant of the local error bound at a feasible base point.
 
     Returns 2.1 sqrt(n) for square shapes, 1 for single-column shapes, and
-    2.1 sqrt(r) (1 + 3 r (n - r)) / (smallest nonzero entry) otherwise. The
-    rectangular multi-column bound holds only at base points without zero
-    rows (row norm above ``ZERO_TOL``), so a zero row raises ValueError, as
-    does a nonnegativity violation above 5e-6.
+    2.1 sqrt(r) (1 + 3 r (n - r)) / (smallest nonzero entry) otherwise.
+    The value 1 serves the sweep's form dist_S+ <= (kappa + 1) (dist_cone +
+    dist_st), not the bare dist_S+ <= kappa dist_cone: x = -e_1 on St(n, 1)
+    has dist_S+ sqrt(2), dist_cone 1 and dist_st 0. The rectangular
+    multi-column bound holds only at base points without zero rows (row norm
+    above ``ZERO_TOL``), so a zero row raises ValueError, as does a
+    nonnegativity violation above 5e-6.
     """
     mat = xbar.mat
     check_feasible(mat, "base point xbar")
@@ -149,16 +152,6 @@ def _onehot(patterns: np.ndarray, r: int) -> np.ndarray:
     return (patterns.T[None] == np.arange(r, dtype=np.uint8)[:, None, None]).astype(float)
 
 
-@functools.cache
-def _full_onehot(n: int, r: int) -> np.ndarray:
-    """The read-only one-hot of every pattern of ``_patterns(n, r)``; built
-    only for shapes whose whole table is scored as one block, so it holds at
-    most r x ``_ORACLE_BLOCK`` entries."""
-    onehot = _onehot(_patterns(n, r), r)
-    onehot.flags.writeable = False
-    return onehot
-
-
 def _block_best(
     xs: np.ndarray, pos2: np.ndarray, onehot: np.ndarray, floor: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +188,7 @@ def _best_patterns(xs: np.ndarray, table: np.ndarray) -> np.ndarray:
     Scores the patterns in blocks of about ``_ORACLE_BLOCK`` samples x
     patterns with ``_block_best``. The first block seeds each sample's best
     gain; a later block replaces it only where it scores strictly higher, so
-    ties keep the first pattern. A table that fits one block is scored from
-    its cached ``_full_onehot``.
+    ties keep the first pattern.
     """
     num, n, r = xs.shape
     pos = np.maximum(xs, 0.0)
@@ -205,8 +197,7 @@ def _best_patterns(xs: np.ndarray, table: np.ndarray) -> np.ndarray:
     # patterns per block: the (r, n, block) one-hot and the (r, S, block)
     # masses each hold about _ORACLE_BLOCK entries per column
     block = max(1, _ORACLE_BLOCK // max(num, n))
-    first = _full_onehot(n, r) if table.shape[0] <= block else _onehot(table[:block], r)
-    best, best_gain = _block_best(xs, pos2, first, -np.inf)
+    best, best_gain = _block_best(xs, pos2, _onehot(table[:block], r), -np.inf)
     for lo in range(block, table.shape[0], block):
         arg, top = _block_best(xs, pos2, _onehot(table[lo : lo + block], r), best_gain)
         better = top > best_gain
@@ -254,20 +245,6 @@ def brute_force_dist_splus(x) -> tuple[float, np.ndarray]:
 # (delta + 2 sqrt(r))^2: about 1e308 at this bound, below the largest double
 _DELTA_MAX = 1e154
 
-# the latest StiefelPoint base's read-only array and its constant
-_last_base: tuple[np.ndarray, float] | None = None
-
-
-def _base_constant(xbar: StiefelPoint) -> float:
-    """``error_bound_constant(xbar)``, reused while the same read-only array
-    comes back, the rule ``PenaltyObjective.last`` follows."""
-    global _last_base
-    last = _last_base
-    mat = xbar.mat
-    if last is None or last[0] is not mat or mat.flags.writeable:
-        last = _last_base = (mat, error_bound_constant(xbar))
-    return last[1]
-
 
 def error_bound_sweep(
     xbar: StiefelPoint, delta: float, num_samples: int, seed: int
@@ -277,8 +254,7 @@ def error_bound_sweep(
     Points are drawn uniformly from the ball, each as a direction and then a
     radius, into one (num_samples, n, r) stack, and the whole sweep is
     evaluated at once: one batched oracle pass and one stacked SVD. The
-    constant is ``error_bound_constant(xbar)``, computed once while the same
-    read-only array of the point comes back.
+    constant is ``error_bound_constant(xbar)``.
 
     Raises:
         ValueError: if the base is infeasible or, for n > r > 1, has a zero
@@ -290,7 +266,7 @@ def error_bound_sweep(
         raise ValueError(f"delta must be positive and at most {_DELTA_MAX:g}, got {delta}")
     check_count(num_samples, "num_samples")
     check_count(seed, "seed", minimum=0)
-    kappa = _base_constant(xbar)
+    kappa = error_bound_constant(xbar)
     n, r = xbar.shape
     dim = n * r
     rng = np.random.default_rng(seed)

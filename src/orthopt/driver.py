@@ -114,10 +114,12 @@ class SolveReport:
     ``stationarity`` the projected-gradient norm of the last subproblem
     objective at exit. After a certified exit (``certified_exit``, only from
     ``penalty_solve``) the final point is feasible and ``stationarity`` is
-    its ``stationarity_residual`` for f. ``flags`` collects anomalies (inner
-    target missed, line-search failure, budget exhausted); the paper's
-    acceptance bound needs none, since each subproblem's start value bounds
-    every iterate ``pgm_solve`` can return.
+    its ``stationarity_residual`` for f. ``flags`` collects anomalies: the
+    inner target of outer step k missed at the iteration cap
+    (``inner_tolerance_not_met@outer=k``) or at a stall that can only repeat
+    (``inner_stalled@outer=k``), a line-search failure, the outer budget
+    exhausted. The paper's acceptance bound needs none, since each
+    subproblem's start value bounds every iterate ``pgm_solve`` can return.
     """
 
     x_final: StiefelPoint
@@ -210,7 +212,9 @@ def _solve_subproblem(
         return x_start, False
     inner_traces.append(tr)
     if not tr.converged:
-        flags.append(f"inner_tolerance_not_met@outer={outer}")
+        # before the cap, only a stall that can only repeat ends the solve
+        missed = "inner_stalled" if tr.iterations < cfg.max_iters else "inner_tolerance_not_met"
+        flags.append(f"{missed}@outer={outer}")
     return x, True
 
 

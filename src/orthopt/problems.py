@@ -17,8 +17,10 @@ from .stiefel import (
     StiefelPoint, assigned_point, check_count, check_matrix, check_real, qr_orthonormalize
 )
 
-# onmf_alternate stops once the residual's relative change is at most this
+# onmf_alternate stops once the residual's relative change is at most this,
+# or after this many rounds
 _ONMF_REL_TOL = 1e-6
+_ONMF_MAX_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -192,14 +194,12 @@ def onmf_alternate(
     x0: StiefelPoint,
     cfg,
     solve,
-    *,
-    max_rounds: int = 100,
 ) -> tuple[StiefelPoint, np.ndarray, list]:
     """Alternating minimization for orthogonal NMF.
 
     Each round updates Y by the nonnegative least-squares surrogate, then X by
     an outer solve of the factor objective from the current X. Stops when the
-    relative change of the residual drops to 1e-6 or after ``max_rounds``.
+    relative change of the residual drops to 1e-6 or after 100 rounds.
     Returns the final factors and the residual history, one value per round.
 
     ``solve`` is the outer solver of the X-update, ``penalty_solve`` or
@@ -207,12 +207,11 @@ def onmf_alternate(
     SolveReport. ``bench.default_config(solver, "onmf", inst)`` gives the
     harness's ``PenaltyConfig``.
     """
-    check_count(max_rounds, "max_rounds")
     x = x0
     y = onmf_y_update(inst.a, x)
     history: list[float] = []
     prev = np.inf
-    for _ in range(max_rounds):
+    for _ in range(_ONMF_MAX_ROUNDS):
         obj = OnmfFactorObjective(inst.a, y)
         report = solve(obj, x, cfg)
         x = report.x_final

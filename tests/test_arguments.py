@@ -9,7 +9,7 @@ import pytest
 
 from orthopt.bench import ExperimentSpec, clustering_metrics, load_best_known, run_experiment
 from orthopt.diagnostics import default_base_point, error_bound_sweep, sosc_probe
-from orthopt.driver import AugLagObjective, PenaltyConfig, penalty_solve
+from orthopt.driver import AugLagObjective
 from orthopt.penalty import PenaltyObjective, penalty_terms
 from orthopt.problems import (
     AffinityInstance,
@@ -17,7 +17,6 @@ from orthopt.problems import (
     ProjectionObjective,
     QapInstance,
     noisy_projection_target,
-    onmf_alternate,
     planted_onmf_instance,
     random_stiefel_start,
 )
@@ -58,16 +57,6 @@ def _probe_at_base(num_dirs):
         (lambda: default_base_point(3.0, 2), "n must be an integer, got 3.0"),
         (lambda: OnmfInstance(np.ones((3, 3)), 2.5), "r must be an integer, got 2.5"),
         (lambda: OnmfInstance(np.ones((3, 0)), 2), "data matrix column count must be at least 1, got 0"),
-        (
-            lambda: onmf_alternate(
-                OnmfInstance(np.ones((4, 3)), 2),
-                default_base_point(4, 2),
-                PenaltyConfig(),
-                penalty_solve,
-                max_rounds=0,
-            ),
-            "max_rounds must be at least 1, got 0",
-        ),
         (lambda: clustering_metrics([1, 2], [1, 2], 2.5), "r must be an integer, got 2.5"),
         (
             lambda: clustering_metrics([1.5, 2.7, 1.2], [1, 2, 1], 2),
@@ -110,7 +99,6 @@ def _probe_at_base(num_dirs):
         "base_point_float_n",
         "onmf_float_cluster_count",
         "onmf_no_columns",
-        "onmf_zero_rounds",
         "clustering_float_r",
         "clustering_fractional_truth",
         "clustering_nan_pred",

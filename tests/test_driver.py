@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from orthopt import driver
+from orthopt import driver, problems
 from orthopt.bench import clustering_metrics, default_config
 from orthopt.diagnostics import default_base_point
 from orthopt.driver import (
@@ -26,6 +26,7 @@ from orthopt.problems import (
     GraphMatchingObjective,
     OnmfFactorObjective,
     ProjectionObjective,
+    QapInstance,
     QapLiftedObjective,
     cluster_labels,
     noisy_projection_target,
@@ -256,7 +257,7 @@ class TestPenaltySolve:
         f = ProjectionObjective(c.mat)
         x0 = random_stiefel_start(6, 3, 4)
         report = penalty_solve(f, x0, criterion_config(1.0, gamma=0.0))
-        assert not any("inner_tolerance_not_met" in flag for flag in report.flags)
+        assert not any(flag.startswith("inner_") for flag in report.flags)
         reports = [report]
         objectives = {"qap": QapLiftedObjective, "gm": GraphMatchingObjective, "proj": ProjectionObjective}
         for kind, objective in objectives.items():
@@ -548,6 +549,24 @@ def test_missed_inner_targets_and_the_outer_budget_are_flagged():
         "outer_budget_exhausted",
     ]
     assert report.outer_iters == 3 and not report.certified_exit
+
+
+def test_alm_flags_a_stalled_subproblem_apart_from_the_cap():
+    # nug-style QAP, n = 12: Manhattan distances on a 3 x 4 grid and seeded
+    # symmetric flows, about 40% of them zero
+    rng = np.random.default_rng(7)
+    pts = np.array([(i // 4, i % 4) for i in range(12)])
+    dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1).astype(float)
+    flow = rng.integers(0, 10, size=(12, 12)).astype(float)
+    flow[rng.random((12, 12)) < 0.4] = 0.0
+    flow = np.triu(flow, 1)
+    inst = QapInstance(a=dist, b=flow + flow.T)
+    cfg = default_config("alm", "qap", inst)
+    report = alm_solve(QapLiftedObjective(inst), random_stiefel_start(12, 12, 3), cfg)
+    # the third subproblem stops at a stall that can only repeat, far below the cap
+    assert report.flags == ["inner_stalled@outer=2"]
+    assert report.inner_traces[2].iterations < cfg.pgm.max_iters
+    assert not report.inner_traces[2].converged
 
 
 def test_alm_flags_its_exhausted_outer_budget():
@@ -853,10 +872,11 @@ def test_onmf_evaluations_bounded_by_the_exit(monkeypatch):
         return value_and_gradient(self, x)
 
     monkeypatch.setattr(OnmfFactorObjective, "value_and_gradient", counted)
+    monkeypatch.setattr(problems, "_ONMF_MAX_ROUNDS", 3)
     inst, labels, _, _ = planted_onmf_instance(60, 40, 4, noise=0.05, seed=4)
     cfg = default_config("seppg_plus", "onmf", inst)
     x0 = random_stiefel_start(60, 4, 1)
-    x, _, history = onmf_alternate(inst, x0, cfg, penalty_solve, max_rounds=3)
+    x, _, history = onmf_alternate(inst, x0, cfg, penalty_solve)
     assert len(history) == 3
     assert len(calls) <= 4000
     _, _, nmi = clustering_metrics(labels, cluster_labels(x.mat), 4)

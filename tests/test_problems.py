@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from orthopt import problems
 from orthopt.driver import PenaltyConfig, penalty_solve
 from orthopt.problems import (
     AffinityInstance,
@@ -223,19 +224,21 @@ class TestOnmf:
         for _ in range(5):
             fd_check(obj, rng.standard_normal((5, 2)), tol=1e-6)
 
-    def test_exact_factorization_is_fixed_point(self):
+    def test_exact_factorization_is_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(problems, "_ONMF_MAX_ROUNDS", 3)
         inst, labels, x_true, y_true = planted_onmf_instance(12, 6, 3, noise=0.0, seed=13)
         x0 = StiefelPointFromTrue(x_true)
         cfg = default_config("seppg_plus", "onmf", inst)
-        x, y, history = onmf_alternate(inst, x0, cfg, penalty_solve, max_rounds=3)
+        x, y, history = onmf_alternate(inst, x0, cfg, penalty_solve)
         assert history[0] <= 1e-20
         npt.assert_allclose(x.mat, x_true, atol=1e-10)
 
-    def test_alternation_monotone(self):
+    def test_alternation_monotone(self, monkeypatch):
+        monkeypatch.setattr(problems, "_ONMF_MAX_ROUNDS", 10)
         inst, *_ = planted_onmf_instance(15, 8, 3, noise=0.3, seed=14)
         x0 = random_stiefel_start(15, 3, 15)
         cfg = default_config("seppg_plus", "onmf", inst)
-        _, _, history = onmf_alternate(inst, x0, cfg, penalty_solve, max_rounds=10)
+        _, _, history = onmf_alternate(inst, x0, cfg, penalty_solve)
         assert all(b <= a + 1e-8 for a, b in zip(history, history[1:]))
 
     def test_planted_clusters_recovered_at_zero_noise(self):
@@ -284,7 +287,8 @@ def test_cluster_labels():
     npt.assert_array_equal(cluster_labels(x), [1, 2, 1])
 
 
-def test_onmf_alternate_accepts_custom_solver():
+def test_onmf_alternate_accepts_custom_solver(monkeypatch):
+    monkeypatch.setattr(problems, "_ONMF_MAX_ROUNDS", 2)
     inst, *_ = planted_onmf_instance(10, 5, 2, noise=0.1, seed=23)
     calls = []
 
@@ -294,7 +298,7 @@ def test_onmf_alternate_accepts_custom_solver():
 
     x0 = random_stiefel_start(10, 2, 24)
     cfg = PenaltyConfig(gamma=0.0, rho0=1.0)
-    onmf_alternate(inst, x0, cfg, solve=solve, max_rounds=2)
+    onmf_alternate(inst, x0, cfg, solve=solve)
     assert calls and all(c is cfg for c in calls)
 
 
