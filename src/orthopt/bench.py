@@ -16,12 +16,13 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .driver import PenaltyConfig, alm_solve, penalty_solve, round_to_feasible
+from .penalty import Objective
 from .problems import (
     AffinityInstance,
     GraphMatchingObjective,
@@ -33,7 +34,12 @@ from .problems import (
 from .stiefel import check_count, check_matrix
 
 SOLVERS = ("seppg_plus", "seppg_zero", "alm")
-KINDS = ("qap", "gm", "proj")
+# per kind: the instance type (None for a proj target, a matrix) and the objective
+KINDS = {
+    "qap": (QapInstance, QapLiftedObjective),
+    "gm": (AffinityInstance, GraphMatchingObjective),
+    "proj": (None, ProjectionObjective),
+}
 
 _FLOAT_FMT = "%.17g"  # lossless float round-trip
 _TOKEN = re.compile(rb"\S+")
@@ -204,9 +210,10 @@ class ExperimentSpec:
 
     ``instance`` must fit ``kind``: a ``QapInstance`` for qap, an
     ``AffinityInstance`` for gm, and a finite n x r matrix with n >= r for
-    proj; otherwise the constructor raises ValueError naming it. ``config``
-    replaces ``default_config`` for every solver. Start i uses
-    seed XOR i.
+    proj; otherwise the constructor raises ValueError naming it. The
+    constructor builds the kind's ``objective`` and the starts' ``shape``
+    once. ``config`` replaces ``default_config`` for every solver. Start i
+    uses seed XOR i.
     """
 
     kind: str
@@ -218,10 +225,12 @@ class ExperimentSpec:
     config: PenaltyConfig | None = None
     best_known: float | None = None
     jobs: int = 1
+    objective: Objective = field(init=False, repr=False, compare=False)
+    shape: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(KINDS)}, got {self.kind!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         check_count(self.num_starts, "num_starts")
@@ -231,7 +240,7 @@ class ExperimentSpec:
             raise ValueError(f"best_known must be finite, got {self.best_known}")
         if self.best_known == 0:
             raise ValueError("best_known must be nonzero: relative gaps divide by it")
-        want = {"qap": QapInstance, "gm": AffinityInstance}.get(self.kind)
+        want, objective_class = KINDS[self.kind]
         try:
             if want is None:
                 check_matrix(self.instance, "projection target")
@@ -241,17 +250,26 @@ class ExperimentSpec:
             raise ValueError(
                 f"instance {self.name!r} does not fit kind {self.kind!r}: {err}"
             ) from None
+        self.objective = objective_class(self.instance)
+        self.shape = (self.instance.n,) * 2 if want else self.objective.target.shape
+
+
+# the metadata of a record field the CSVs leave out: timings and matrices stay
+# in memory, so the bytes are reproducible for identical specs and seeds
+_IN_MEMORY = {"header": None}
 
 
 @dataclass
 class StartRecord:
-    """Summary of one start; ``x_final`` stays in memory only. A failed start
-    keeps its result fields None. ``certified_exit`` is the report's flag:
-    whether ``penalty_solve`` returned through its certified support exit
-    (never for ``alm``). The solve's outer records and inner traces are not
-    kept: call ``penalty_solve`` or ``alm_solve`` for those."""
+    """Summary of one start, and a line of the starts CSV: its fields in
+    order, each under its name unless its metadata names another header or
+    None. A failed start keeps its result fields None. ``certified_exit`` is
+    the report's flag: whether ``penalty_solve`` returned through its
+    certified support exit (never for ``alm``). The solve's outer records and
+    inner traces are not kept: call ``penalty_solve`` or ``alm_solve`` for
+    those."""
 
-    index: int
+    index: int = field(metadata={"header": "start"})
     seed: int
     failed: bool = False
     error: str | None = None
@@ -265,36 +283,33 @@ class StartRecord:
     outer_iters: int | None = None
     inner_iters: int | None = None
     certified_exit: bool | None = None
-    wall_time: float | None = None
-    x_final: np.ndarray | None = None
+    wall_time: float | None = field(default=None, metadata=_IN_MEMORY)
+    x_final: np.ndarray | None = field(default=None, metadata=_IN_MEMORY)
 
 
 @dataclass
 class MetricsRow:
-    """Aggregate of one experiment; gap fields stay None without a bound."""
+    """Aggregate of one experiment, and the line of the summary CSV as
+    ``StartRecord`` is of the starts CSV; gap fields stay None without a
+    bound."""
 
-    name: str
+    name: str = field(metadata={"header": "instance"})
     solver: str
-    num_starts: int
+    num_starts: int = field(metadata={"header": "starts"})
     failures: int
     min_gap_pct: float | None
     med_gap_pct: float | None
     rmed_gap_pct: float | None
     mean_ninf: float
     mean_orth_residual: float
-    mean_wall_time: float
-    records: list = field(default_factory=list)
+    mean_wall_time: float = field(metadata=_IN_MEMORY)
+    records: list = field(default_factory=list, metadata=_IN_MEMORY)
 
 
-def _problem_setup(spec: ExperimentSpec):
-    if spec.kind == "qap":
-        inst: QapInstance = spec.instance
-        return QapLiftedObjective(inst), inst.n, inst.n
-    if spec.kind == "gm":
-        aff: AffinityInstance = spec.instance
-        return GraphMatchingObjective(aff), aff.n, aff.n
-    target = np.asarray(spec.instance, dtype=float)
-    return ProjectionObjective(target), target.shape[0], target.shape[1]
+def _csv_columns(record_class) -> dict[str, str]:
+    """{header: attribute} per CSV column of a record class, in field order."""
+    headers = {f.name: f.metadata.get("header", f.name) for f in fields(record_class)}
+    return {header: name for name, header in headers.items() if header is not None}
 
 
 def default_config(solver: str, kind: str, instance) -> PenaltyConfig:
@@ -323,8 +338,8 @@ def solver_function(solver: str):
 
 def _run_start(spec: ExperimentSpec, index: int) -> StartRecord:
     start_seed = spec.seed ^ index
-    objective, n, r = _problem_setup(spec)
-    x0 = random_stiefel_start(n, r, start_seed)
+    objective = spec.objective
+    x0 = random_stiefel_start(*spec.shape, start_seed)
     cfg = spec.config or default_config(spec.solver, spec.kind, spec.instance)
     try:
         report = solver_function(spec.solver)(objective, x0, cfg)
@@ -406,30 +421,29 @@ def run_experiment(
         min_gap_pct=min(gaps) if gaps else None,
         med_gap_pct=float(np.median(gaps)) if gaps else None,
         rmed_gap_pct=float(np.median(rgaps)) if rgaps else None,
-        mean_ninf=float(np.mean([rec.ninf for rec in good])) if good else float("nan"),
-        mean_orth_residual=(
-            float(np.mean([rec.orth_residual for rec in good])) if good else float("nan")
-        ),
-        mean_wall_time=(
-            float(np.mean([rec.wall_time for rec in good])) if good else float("nan")
-        ),
+        mean_ninf=_mean(good, "ninf"),
+        mean_orth_residual=_mean(good, "orth_residual"),
+        mean_wall_time=_mean(good, "wall_time"),
         records=records,
     )
     if out_prefix is not None:
-        for suffix, columns, items in (
-            ("summary", _SUMMARY_COLUMNS, [row]),
-            ("starts", _START_COLUMNS, records),
-        ):
+        for suffix, items in (("summary", [row]), ("starts", records)):
+            columns = _csv_columns(type(items[0]))
             write_csv(
                 f"{out_prefix}_{suffix}.csv",
-                [header for header, _ in columns],
-                ([getattr(item, attr) for _, attr in columns] for item in items),
+                columns,
+                ([getattr(item, attr) for attr in columns.values()] for item in items),
             )
         if dump_x:
             for rec in records:
                 if rec.x_final is not None:
                     save_dense_matrix(f"{out_prefix}_x_start{rec.index}.txt", rec.x_final)
     return row
+
+
+def _mean(records, attr: str) -> float:
+    """The mean of ``attr`` over the records, NaN for none."""
+    return float(np.mean([getattr(rec, attr) for rec in records])) if records else float("nan")
 
 
 def _cell(value) -> str:
@@ -442,38 +456,6 @@ def _cell(value) -> str:
     if isinstance(value, str):
         return value.replace(",", ";").replace("\n", " ")
     return str(value)
-
-
-# (header, attribute) per CSV column; timings are left out so that the
-# bytes are reproducible for identical specs and seeds
-_SUMMARY_COLUMNS = (
-    ("instance", "name"),
-    ("solver", "solver"),
-    ("starts", "num_starts"),
-    ("failures", "failures"),
-    ("min_gap_pct", "min_gap_pct"),
-    ("med_gap_pct", "med_gap_pct"),
-    ("rmed_gap_pct", "rmed_gap_pct"),
-    ("mean_ninf", "mean_ninf"),
-    ("mean_orth_residual", "mean_orth_residual"),
-)
-
-_START_COLUMNS = (
-    ("start", "index"),
-    ("seed", "seed"),
-    ("failed", "failed"),
-    ("error", "error"),
-    ("f_final", "f_final"),
-    ("f_rounded", "f_rounded"),
-    ("gap_pct", "gap_pct"),
-    ("rgap_pct", "rgap_pct"),
-    ("ninf", "ninf"),
-    ("orth_residual", "orth_residual"),
-    ("stationarity", "stationarity"),
-    ("outer_iters", "outer_iters"),
-    ("inner_iters", "inner_iters"),
-    ("certified_exit", "certified_exit"),
-)
 
 
 def write_csv(path, header, rows) -> None:
@@ -491,20 +473,3 @@ def default_jobs() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-__all__ = [
-    "ExperimentSpec",
-    "MetricsRow",
-    "QaplibParseError",
-    "StartRecord",
-    "clustering_metrics",
-    "default_config",
-    "load_best_known",
-    "load_dense_matrix",
-    "parse_qaplib",
-    "relgap",
-    "run_experiment",
-    "save_dense_matrix",
-    "write_csv",
-]

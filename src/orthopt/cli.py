@@ -287,6 +287,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # output options are checked before any work, so no run is lost at its end
+        if getattr(args, "dump_x", False) and args.out is None:
+            raise ValueError("--dump-x needs --out")
+        if args.out is not None and not Path(args.out).parent.is_dir():
+            raise ValueError(f"output directory {Path(args.out).parent} does not exist")
         return args.func(args)
     except Exception as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -101,14 +101,13 @@ class PgmTrace:
         return len(self.step_sizes)
 
 
-def _bb_stepsize(
-    dx: np.ndarray, dy: np.ndarray, t_min: float, t_max: float, fallback: float
-) -> float:
+def _bb_stepsize(dx: np.ndarray, dy: np.ndarray, fallback: float) -> float:
     """Barzilai-Borwein step from iterate and gradient differences of one shape.
 
-    Returns max(min(||dx||^2/|<dx,dy>|, |<dx,dy>|/||dy||^2, t_max), t_min).
-    When the curvature inner product is negligible relative to the norms, or
-    either difference vanishes, the (clamped) fallback is returned instead.
+    Returns min(||dx||^2/|<dx,dy>|, |<dx,dy>|/||dy||^2) clamped to
+    [_T_MIN, _T_MAX]. When the curvature inner product is negligible relative
+    to the norms, or either difference vanishes, the (clamped) fallback is
+    returned instead.
     """
     nx2 = float((dx * dx).sum())
     ny2 = float((dy * dy).sum())
@@ -116,8 +115,8 @@ def _bb_stepsize(
     if nx2 == 0.0 or ny2 == 0.0 or ip <= _BB_DEGENERACY * np.sqrt(nx2 * ny2):
         t = fallback
     else:
-        t = min(nx2 / ip, ip / ny2, t_max)
-    return float(min(max(t, t_min), t_max))
+        t = min(nx2 / ip, ip / ny2)
+    return float(min(max(t, _T_MIN), _T_MAX))
 
 
 def _projected_gradient(xm: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
@@ -203,7 +202,7 @@ def pgm_solve(
     for k in range(cfg.max_iters):
         if gnorm <= cfg.grad_tol:
             break
-        t = t_start = _bb_stepsize(xm - prev[0], rgrad - prev[1], _T_MIN, _T_MAX, t)
+        t = t_start = _bb_stepsize(xm - prev[0], rgrad - prev[1], t)
         window_max = max(v for v, _ in window)
         for bt in range(_MAX_BACKTRACKS + 1):
             v = -t * rgrad

@@ -238,8 +238,16 @@ class TestRunExperiment:
             b1 = (tmp_path / ("a" + suffix)).read_bytes()
             b2 = (tmp_path / ("b" + suffix)).read_bytes()
             assert b1 == b2
-        header = (tmp_path / "a_starts.csv").read_text().splitlines()[0]
-        assert "wall" not in header  # timings stay out of the artifacts
+        # the records' fields in order, three under another header; timings
+        # and matrices stay out of the artifacts
+        assert (tmp_path / "a_summary.csv").read_text().splitlines()[0] == (
+            "instance,solver,starts,failures,min_gap_pct,med_gap_pct,rmed_gap_pct,"
+            "mean_ninf,mean_orth_residual"
+        )
+        assert (tmp_path / "a_starts.csv").read_text().splitlines()[0] == (
+            "start,seed,failed,error,f_final,f_rounded,gap_pct,rgap_pct,ninf,"
+            "orth_residual,stationarity,outer_iters,inner_iters,certified_exit"
+        )
 
     def test_qap_gaps_respect_exhaustive_optimum(self):
         rng = np.random.default_rng(3)
@@ -795,6 +803,38 @@ class TestCli:
         assert re.match(r"^error: ValueError: jobs must be at least 1", err)
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("proj", ["--out", "{tmp}/missing/run"], "output directory {tmp}/missing does not exist"),
+            ("onmf", ["--out", "{tmp}/missing/run"], "output directory {tmp}/missing does not exist"),
+            (
+                "diag-errorbound",
+                ["--out", "{tmp}/missing/eb.csv"],
+                "output directory {tmp}/missing does not exist",
+            ),
+            ("proj", ["--dump-x"], "--dump-x needs --out"),
+        ],
+        ids=["proj", "onmf", "diag-errorbound", "dump-x-without-out"],
+    )
+    def test_unwritable_output_exits_before_any_work(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        data = tmp_path / "data.txt"
+        if command == "proj":
+            save_dense_matrix(data, default_base_point(4, 2).mat)
+            argv = ["proj", str(data), "--starts", "3", "--jobs", "1"]
+        elif command == "onmf":
+            save_dense_matrix(data, np.ones((6, 4)))
+            argv = ["onmf", str(data), "--clusters", "2", "--jobs", "1"]
+        else:
+            argv = ["diag-errorbound", "--shape", "3", "2", "--samples", "5"]
+        assert main([*argv, *(flag.format(tmp=tmp_path) for flag in flags)]) == 2
+        # nothing is printed before the error: no start line and no summary
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {message.format(tmp=tmp_path)}\n"
 
     @pytest.mark.parametrize("solver", ["seppg_plus", "seppg_zero", "alm"])
     def test_gm_subcommand_matches_run_experiment(self, tmp_path, capsys, solver):

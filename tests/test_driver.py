@@ -487,10 +487,31 @@ class TestPenaltyConfig:
         PenaltyConfig(tau0=1e-5, tau_min=1e-5)
 
 
-class _UphillObjective(LinearObjective):
-    """<G, X> with the gradient's sign flipped, and 1 higher at every array
-    but ``anchor``: every step goes uphill, by a margin that does not shrink
-    with the step, so backtracking spends its budget instead of stalling."""
+class _WrongGradient(LinearObjective):
+    """<G, X> with the gradient's sign flipped: every step goes uphill."""
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        val, grad = super().value_and_gradient(x)
+        return val, -grad
+
+
+@pytest.mark.parametrize("solve", [penalty_solve, alm_solve])
+def test_wrong_gradient_is_flagged_as_a_stall(solve):
+    # the trial's rise shrinks with the step until it falls inside the stall
+    # margin, so the subproblem stalls before the shrink budget is spent
+    f = _WrongGradient(np.random.default_rng(8).standard_normal((4, 2)))
+    report = solve(f, default_base_point(4, 2), PenaltyConfig())
+    assert report.flags == ["inner_stalled@outer=0"]
+    assert report.outer_iters == 1 and not report.certified_exit
+    (tr,) = report.inner_traces
+    assert not tr.converged and tr.iterations < PgmConfig().max_iters
+    assert report.orth_residual <= 1e-10
+
+
+class _UphillObjective(_WrongGradient):
+    """``_WrongGradient``, 1 higher at every array but ``anchor``: every step
+    goes uphill by a margin that does not shrink with the step, so
+    backtracking spends its budget instead of stalling."""
 
     def __init__(self, coeff, anchor: np.ndarray):
         super().__init__(coeff)
@@ -498,7 +519,7 @@ class _UphillObjective(LinearObjective):
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         val, grad = super().value_and_gradient(x)
-        return val + float(x is not self.anchor), -grad
+        return val + float(x is not self.anchor), grad
 
 
 @pytest.mark.parametrize("solve", [penalty_solve, alm_solve])

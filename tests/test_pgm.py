@@ -19,29 +19,30 @@ from helpers import window_max_values
 class TestBbStepsize:
     def test_equal_differences_give_one(self):
         d = np.array([1.0, 2.0, -1.0])
-        assert _bb_stepsize(d, d, 1e-12, 1e12, fallback=7.0) == 1.0
+        assert _bb_stepsize(d, d, fallback=7.0) == 1.0
 
     def test_hand_example(self):
-        assert _bb_stepsize(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1e-12, 1e12, 1.0) == 0.5
+        assert _bb_stepsize(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1.0) == 0.5
 
     def test_orthogonal_differences_fall_back(self):
-        t = _bb_stepsize(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1e-12, 1e12, fallback=1.0)
+        t = _bb_stepsize(np.array([1.0, 0.0]), np.array([0.0, 1.0]), fallback=1.0)
         assert t == 1.0
 
     def test_zero_differences_fall_back(self):
-        assert _bb_stepsize(np.zeros(3), np.ones(3), 1e-12, 1e12, fallback=0.25) == 0.25
-        assert _bb_stepsize(np.ones(3), np.zeros(3), 1e-12, 1e12, fallback=0.25) == 0.25
+        assert _bb_stepsize(np.zeros(3), np.ones(3), fallback=0.25) == 0.25
+        assert _bb_stepsize(np.ones(3), np.zeros(3), fallback=0.25) == 0.25
 
     def test_clamping(self):
         d = np.array([1.0])
-        assert _bb_stepsize(d, 100.0 * d, 0.1, 10.0, 1.0) == 0.1
-        assert _bb_stepsize(d, 0.0001 * d, 0.1, 10.0, 1.0) == 10.0
+        assert _bb_stepsize(d, 1e14 * d, 1.0) == _T_MIN
+        assert _bb_stepsize(d, 1e-14 * d, 1.0) == _T_MAX
         # fallback is clamped too
-        assert _bb_stepsize(np.zeros(1), np.zeros(1), 0.1, 10.0, 99.0) == 10.0
+        assert _bb_stepsize(np.zeros(1), np.zeros(1), 1e13) == _T_MAX
+        assert _bb_stepsize(np.zeros(1), np.zeros(1), 0.0) == _T_MIN
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            _bb_stepsize(np.zeros(2), np.zeros(3), 1e-12, 1e12, 1.0)
+            _bb_stepsize(np.zeros(2), np.zeros(3), 1.0)
 
 
 class TestPgmStep:
